@@ -84,9 +84,7 @@ def _decompose_once(tensor: SparseTensor, args) -> tuple[dict, float, object]:
     if args.method == "fasttt":
         pivot = args.p - 1 if args.p is not None else None
         tt, report = fasttt(tensor, eps=eps, pivot=pivot, mode=mode, fixed_ranks=ranks)
-        doc = report_document(
-            report, method="fasttt", source=args.input, threads=args.threads
-        )
+        doc = report_document(report, method="fasttt", source=args.input)
         return doc, eps, tt
     # Reference method: densify and run the classical construction.
     wall0 = time.perf_counter()
@@ -113,7 +111,6 @@ def _decompose_once(tensor: SparseTensor, args) -> tuple[dict, float, object]:
         "flops_ttsvd_model": flops_ttsvd(tensor.shape, tt.ranks),
         "wall_time_s": time.perf_counter() - wall0,
         "cpu_time_s": time.process_time() - cpu0,
-        "threads": args.threads,
         "warnings": [],
     }
     return doc, eps, tt
@@ -158,7 +155,6 @@ def _run_case(case: dict) -> dict:
             ranks=case.get("ranks"),
             row_dims=case.get("row_dims"),
             col_dims=case.get("col_dims"),
-            threads=1,
             report=None,
             save_tt=None,
         )
@@ -267,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--col-dims", default=None, help="column factorization for matrix input")
     dec.add_argument("--report", default=None, help="write a JSON report here")
     dec.add_argument("--save-tt", default=None, help="write the train as .npz here")
-    dec.add_argument("--threads", type=int, default=1, help="recorded in the report")
     dec.set_defaults(func=cmd_decompose)
 
     ben = sub.add_parser("bench", help="run a manifest of benchmark cases")

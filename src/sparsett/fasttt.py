@@ -11,8 +11,11 @@ touching a dense unfolding, then compresses:
     exact, shrinking every interior bond from the fiber count to at
     most ``min(R, prod of extents on the short side)``.
 3.  Round with truncated SVD sweeps that start at the pivot and move
-    outward (:func:`efficient_tt_rounding`,
-    :func:`dynamic_tt_rounding`, :func:`fixed_rank_rounding`).
+    outward.  :func:`~sparsett.ttsvd.round_from_pivot` runs the sweeps;
+    :func:`efficient_tt_rounding` (static per-step tolerance),
+    :func:`dynamic_tt_rounding` (tolerance re-absorbs unspent budget) and
+    :func:`fixed_rank_rounding` (prescribed bond ranks) only supply the
+    truncation rule of each step.
 
 :func:`fasttt` drives all three stages and reports what happened;
 :func:`select_p` picks the pivot by the SVD cost model.
@@ -27,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .errors import ContractViolationError
-from .linalg import SVDResult, qr_economic, svd_truncate_delta, svd_truncate_rank
+from .linalg import SVDResult, svd_truncate_delta, svd_truncate_rank
 from .tensor import (
     SparseTensor,
     check_shape,
@@ -47,11 +49,10 @@ from .ttformat import (
     tt_scale,
     tt_zero,
 )
-from .ttsvd import flops_ttsvd, full_ranks
+from .ttsvd import _check_pivot, flops_ttsvd, full_ranks, round_from_pivot
 
 __all__ = [
     "float_ops",
-    "TruncationBudget",
     "DecompositionReport",
     "depar_general",
     "depar_quasi_perm",
@@ -261,132 +262,36 @@ def parallel_vector_round(s: StructuredTT) -> TTTensor:
     return TTTensor(cores, copy=False)
 
 
-@dataclass(frozen=True)
-class TruncationBudget:
-    """How a rounding pass may spend its error allowance.
+def _unit_allowance(t: TTTensor, pivot: int, eps: float) -> float:
+    """``eps * norm / (sqrt(p) + sqrt(d - 1 - p))`` for 0-based pivot ``p``.
 
-    ``delta_left``/``delta_right`` are absolute Frobenius budgets for
-    the sweeps left and right of the pivot; when ``None`` they are
-    derived from ``eps`` and the train norm (the static split gives
-    every step ``eps * norm / (sqrt(p) + sqrt(d - 1 - p))`` for 0-based
-    pivot ``p``; the dynamic split shares the two sides of that bound
-    and re-absorbs unspent budget after every step).
+    With orthonormal cores on both sides the pivot core carries the
+    norm.  Spending this much on each of the ``d - 1`` steps keeps the
+    accumulated error within ``eps * norm``.
     """
-
-    eps: float = 1e-14
-    pivot: int = 0
-    mode: str = "static"
-    fixed_ranks: tuple[int, ...] | int | None = None
-    delta_left: float | None = None
-    delta_right: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if self.pivot < 0:
-            raise ValueError(f"pivot must be nonnegative, got {self.pivot}")
-        if self.mode == "fixed_rank" and self.fixed_ranks is None:
-            raise ValueError("fixed_rank mode needs fixed_ranks")
-        for name in ("delta_left", "delta_right"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be nonnegative")
+    if eps < 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
+    d = t.ndim
+    _check_pivot(pivot, d)
+    if d == 1:
+        return 0.0
+    norm = float(np.linalg.norm(t.cores[pivot].ravel()))
+    return eps * norm / (math.sqrt(pivot) + math.sqrt(d - 1 - pivot))
 
 
-def _check_pivot(pivot: int, d: int) -> None:
-    if not 0 <= pivot < d:
-        raise ValueError(f"pivot {pivot} out of range for {d} modes")
-
-
-def _check_pivot_orthogonal(t: TTTensor, pivot: int, tol: float = 1e-8) -> None:
-    # The outward sweeps assume the exact train built around this pivot:
-    # left cores column-orthonormal, right cores row-orthonormal.
-    for k in range(pivot):
-        r0, n, r1 = t.cores[k].shape
-        m = t.cores[k].reshape(r0 * n, r1)
-        if np.abs(m.T @ m - np.eye(r1)).max() > tol:
-            raise ContractViolationError(
-                f"core {k} is not left-orthonormal; the train was not "
-                f"produced by parallel_vector_round with pivot {pivot}"
-            )
-    for k in range(pivot + 1, t.ndim):
-        r0, n, r1 = t.cores[k].shape
-        m = t.cores[k].reshape(r0, n * r1)
-        if np.abs(m @ m.T - np.eye(r0)).max() > tol:
-            raise ContractViolationError(
-                f"core {k} is not right-orthonormal; the train was not "
-                f"produced by parallel_vector_round with pivot {pivot}"
-            )
-
-
-def _sweep_rounding(t: TTTensor, pivot: int, first_svd, second_svd) -> TTTensor:
-    """Shared sweep structure of all rounding modes.
-
-    First a left-to-right SVD sweep from the pivot to the last core,
-    then a right-to-left QR sweep back to the pivot, then a right-to-left
-    SVD sweep from the pivot to the first core.  ``first_svd(k, m)`` and
-    ``second_svd(k, m)`` perform the truncations.
-    """
-    cores = [c.copy() for c in t.cores]
-    d = len(cores)
-    for k in range(pivot, d - 1):
-        r0, n, r1 = cores[k].shape
-        res: SVDResult = first_svd(k, cores[k].reshape(r0 * n, r1))
-        if res.rank == 0:
-            return tt_zero(t.dims)
-        cores[k] = res.u.reshape(r0, n, res.rank)
-        carry = res.vt.T * res.s  # (r1, rank)
-        cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=(0, 0))
-    for k in range(d - 1, pivot, -1):
-        r0, n, r1 = cores[k].shape
-        fac = qr_economic(cores[k].reshape(r0, n * r1).T)
-        q = fac.q.shape[1]
-        cores[k] = np.ascontiguousarray(fac.q.T).reshape(q, n, r1)
-        cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], fac.r)
-    for k in range(pivot, 0, -1):
-        r0, n, r1 = cores[k].shape
-        res = second_svd(k, cores[k].reshape(r0, n * r1).T)
-        if res.rank == 0:
-            return tt_zero(t.dims)
-        cores[k] = np.ascontiguousarray(res.u.T).reshape(res.rank, n, r1)
-        carry = res.vt.T * res.s  # (r0, rank)
-        cores[k - 1] = np.einsum("abc,cd->abd", cores[k - 1], carry)
-    return TTTensor(cores, copy=False)
-
-
-def _budget_norm(t: TTTensor, pivot: int) -> float:
-    # With orthonormal cores on both sides the pivot core carries the norm.
-    return float(np.linalg.norm(t.cores[pivot].ravel()))
-
-
-def efficient_tt_rounding(t: TTTensor, budget: TruncationBudget) -> TTTensor:
+def efficient_tt_rounding(t: TTTensor, pivot: int, eps: float) -> TTTensor:
     """Round an exact train with a static per-step tolerance.
 
     Every SVD step uses ``eps * norm / (sqrt(p - 1) + sqrt(d - p))``
     (1-based pivot ``p``), which keeps the accumulated error within
-    ``eps * norm``.  Requires the orthogonality the exact construction
-    guarantees; a train built around a different pivot is rejected.
+    ``eps * norm``.
     """
-    if budget.mode != "static":
-        raise ValueError(f"static rounding got budget mode {budget.mode!r}")
-    pivot = budget.pivot
-    _check_pivot(pivot, t.ndim)
-    _check_pivot_orthogonal(t, pivot)
-    d = t.ndim
-    if d == 1:
-        return TTTensor([c.copy() for c in t.cores])
-    if budget.delta_left is not None or budget.delta_right is not None:
-        delta = budget.delta_left if budget.delta_left is not None else budget.delta_right
-    else:
-        denom = math.sqrt(pivot) + math.sqrt(d - 1 - pivot)
-        delta = budget.eps * _budget_norm(t, pivot) / denom if denom else 0.0
-    svd = lambda k, m: svd_truncate_delta(m, delta)
-    return _sweep_rounding(t, pivot, svd, svd)
+    delta = _unit_allowance(t, pivot, eps)
+    step = lambda k, m: svd_truncate_delta(m, delta)
+    return round_from_pivot(t, pivot, step, step)
 
 
-def dynamic_tt_rounding(t: TTTensor, budget: TruncationBudget) -> TTTensor:
+def dynamic_tt_rounding(t: TTTensor, pivot: int, eps: float) -> TTTensor:
     """Round with per-step tolerances that re-absorb unspent budget.
 
     The total allowance ``eps * norm`` is split between the two sweeps
@@ -394,63 +299,39 @@ def dynamic_tt_rounding(t: TTTensor, budget: TruncationBudget) -> TTTensor:
     step takes ``remaining / sqrt(steps left)`` and the remainder is
     recomputed from what the truncation actually discarded.
     """
-    if budget.mode != "dynamic":
-        raise ValueError(f"dynamic rounding got budget mode {budget.mode!r}")
-    pivot = budget.pivot
-    _check_pivot(pivot, t.ndim)
-    _check_pivot_orthogonal(t, pivot)
+    unit = _unit_allowance(t, pivot, eps)
     d = t.ndim
-    if d == 1:
-        return TTTensor([c.copy() for c in t.cores])
-    denom = math.sqrt(pivot) + math.sqrt(d - 1 - pivot)
-    norm = _budget_norm(t, pivot)
-    if budget.delta_right is not None:
-        state = {"right": budget.delta_right}
-    else:
-        state = {"right": math.sqrt(d - 1 - pivot) / denom * budget.eps * norm if denom else 0.0}
-    if budget.delta_left is not None:
-        state["left"] = budget.delta_left
-    else:
-        state["left"] = math.sqrt(pivot) / denom * budget.eps * norm if denom else 0.0
+    left = [math.sqrt(pivot) * unit]
+    right = [math.sqrt(d - 1 - pivot) * unit]
 
-    def first(k: int, m: np.ndarray) -> SVDResult:
-        step = state["right"] / math.sqrt(d - 1 - k)
-        res = svd_truncate_delta(m, step)
-        state["right"] = math.sqrt(max(state["right"] ** 2 - res.trunc_error**2, 0.0))
+    def spend(remaining: list[float], steps_left: int, m: np.ndarray) -> SVDResult:
+        res = svd_truncate_delta(m, remaining[0] / math.sqrt(steps_left))
+        remaining[0] = math.sqrt(max(remaining[0] ** 2 - res.trunc_error**2, 0.0))
         return res
 
-    def second(k: int, m: np.ndarray) -> SVDResult:
-        step = state["left"] / math.sqrt(k)
-        res = svd_truncate_delta(m, step)
-        state["left"] = math.sqrt(max(state["left"] ** 2 - res.trunc_error**2, 0.0))
-        return res
-
-    return _sweep_rounding(t, pivot, first, second)
+    return round_from_pivot(
+        t, pivot, lambda k, m: spend(right, d - 1 - k, m), lambda k, m: spend(left, k, m)
+    )
 
 
-def fixed_rank_rounding(t: TTTensor, budget: TruncationBudget) -> TTTensor:
+def fixed_rank_rounding(t: TTTensor, pivot: int, ranks) -> TTTensor:
     """Round to prescribed interior bond ranks.
 
-    Each bond is truncated to ``min(target, achievable)``; no error
-    budget is involved.
+    ``ranks`` is one target for every bond or a vector of them; each
+    bond is truncated to ``min(target, achievable)`` and no error budget
+    is involved.
     """
-    if budget.mode != "fixed_rank":
-        raise ValueError(f"fixed-rank rounding got budget mode {budget.mode!r}")
-    pivot = budget.pivot
-    _check_pivot(pivot, t.ndim)
-    _check_pivot_orthogonal(t, pivot)
-    d = t.ndim
-    if d == 1:
-        return TTTensor([c.copy() for c in t.cores])
-    targets = budget.fixed_ranks
-    if isinstance(targets, (int, np.integer)):
-        targets = (int(targets),) * (d - 1)
-    targets = full_ranks(t.dims, targets)
+    if isinstance(ranks, (int, np.integer)):
+        ranks = (int(ranks),) * (t.ndim - 1)
+    targets = full_ranks(t.dims, ranks)
     if any(r < 1 for r in targets[1:-1]):
         raise ValueError("interior rank targets must be positive")
-    first = lambda k, m: svd_truncate_rank(m, targets[k + 1])
-    second = lambda k, m: svd_truncate_rank(m, targets[k])
-    return _sweep_rounding(t, pivot, first, second)
+    return round_from_pivot(
+        t,
+        pivot,
+        lambda k, m: svd_truncate_rank(m, targets[k + 1]),
+        lambda k, m: svd_truncate_rank(m, targets[k]),
+    )
 
 
 def flops_fasttt(shape, pivot: int, ranks_lossless, ranks_final, c_svd: float = 1.0) -> float:
@@ -637,8 +518,6 @@ def fasttt(
     pivot: int | None = None,
     mode: str = "static",
     fixed_ranks=None,
-    precise_pivot: bool = False,
-    c_svd: float = 1.0,
 ):
     """Convert a sparse tensor to train format and round it.
 
@@ -671,15 +550,12 @@ def fasttt(
         mode = "fixed_rank"
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode == "fixed_rank" and fixed_ranks is None:
+        raise ValueError("fixed_rank mode needs fixed_ranks")
     d = a.ndim
     notes: list[str] = []
     if pivot is None:
-        pivot = select_p(
-            a,
-            target_ranks=fixed_ranks if mode == "fixed_rank" else None,
-            precise=precise_pivot,
-            c_svd=c_svd,
-        )
+        pivot = select_p(a, target_ranks=fixed_ranks if mode == "fixed_rank" else None)
     _check_pivot(pivot, d)
 
     if a.nnz == 0:
@@ -708,13 +584,12 @@ def fasttt(
     structured = build_structured_tt(a, pivot)
     exact = parallel_vector_round(structured)
     ranks_lossless = exact.ranks[1:-1]
-    budget = TruncationBudget(eps=eps, pivot=pivot, mode=mode, fixed_ranks=fixed_ranks)
     if mode == "static":
-        tt = efficient_tt_rounding(exact, budget)
+        tt = efficient_tt_rounding(exact, pivot, eps)
     elif mode == "dynamic":
-        tt = dynamic_tt_rounding(exact, budget)
+        tt = dynamic_tt_rounding(exact, pivot, eps)
     else:
-        tt = fixed_rank_rounding(exact, budget)
+        tt = fixed_rank_rounding(exact, pivot, fixed_ranks)
 
     norm_a = frobenius_norm(a)
     inner = sparse_inner_error(a, tt)
@@ -740,8 +615,8 @@ def fasttt(
         eps_actual=eps_actual,
         eps_actual_method=method,
         eps_actual_inner=inner,
-        flops_fasttt_model=flops_fasttt(a.shape, pivot, ranks_lossless, tt.ranks, c_svd),
-        flops_ttsvd_model=flops_ttsvd(a.shape, tt.ranks, c_svd),
+        flops_fasttt_model=flops_fasttt(a.shape, pivot, ranks_lossless, tt.ranks),
+        flops_ttsvd_model=flops_ttsvd(a.shape, tt.ranks),
         wall_time_s=time.perf_counter() - wall0,
         cpu_time_s=time.process_time() - cpu0,
         warnings=tuple(notes),

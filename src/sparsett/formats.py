@@ -32,7 +32,7 @@ __all__ = [
     "load_tt",
 ]
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def write_coo(t: SparseTensor, path) -> None:
@@ -131,7 +131,6 @@ def report_document(
     report: DecompositionReport,
     method: str = "fasttt",
     source: str | None = None,
-    threads: int = 1,
     extra: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Flatten a run report into the versioned JSON document schema.
@@ -163,7 +162,6 @@ def report_document(
         "flops_ttsvd_model": report.flops_ttsvd_model,
         "wall_time_s": report.wall_time_s,
         "cpu_time_s": report.cpu_time_s,
-        "threads": threads,
         "warnings": list(report.warnings),
     }
     if extra:

@@ -323,7 +323,7 @@ class FiberSet:
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         pivot_index = np.ascontiguousarray(pivot_index, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.float64)
-        r = fixed_coords.shape[0] if fixed_coords.size else 0
+        r = fixed_coords.shape[0] if fixed_coords.ndim else 0
         fixed_coords = fixed_coords.reshape(r, d - 1) if d > 1 else fixed_coords.reshape(r, 0)
         if indptr.shape != (r + 1,) or indptr[0] != 0 or indptr[-1] != values.shape[0]:
             raise ValueError("inconsistent fiber index pointers")

@@ -4,7 +4,9 @@ These are the reference algorithms: sequential truncated SVDs over the
 unfoldings for construction, and the orthogonalize-then-truncate sweep
 pair for rounding an existing train.  Both honor the usual error
 contract: the result is within ``eps`` of the input in relative
-Frobenius norm.
+Frobenius norm.  :func:`round_from_pivot` is the one rounding sweep;
+classical rounding runs it at pivot 0 and the sparse pipeline at its
+own pivot.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import math
 
 import numpy as np
 
-from .linalg import svd_truncate_delta
+from .errors import ContractViolationError
+from .linalg import qr_economic, svd_truncate_delta
 from .tensor import check_shape
 from .ttformat import TTTensor, tt_right_orthogonalize, tt_zero
 
-__all__ = ["tt_svd", "tt_rounding", "flops_ttsvd", "full_ranks"]
+__all__ = ["tt_svd", "round_from_pivot", "tt_rounding", "flops_ttsvd", "full_ranks"]
 
 
 def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
@@ -49,31 +52,94 @@ def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
     return TTTensor(cores, copy=False)
 
 
-def tt_rounding(t: TTTensor, eps: float) -> TTTensor:
-    """Recompress a train to relative tolerance ``eps``.
+def _check_pivot(pivot: int, d: int) -> None:
+    if not 0 <= pivot < d:
+        raise ValueError(f"pivot {pivot} out of range for {d} modes")
 
-    Right-to-left orthogonalization first, then a left-to-right sweep of
-    truncated SVDs with the truncated factors carried into the next
-    core.
+
+def _check_pivot_orthogonal(t: TTTensor, pivot: int, tol: float = 1e-8) -> None:
+    # The outward sweeps assume the cores left of the pivot are
+    # column-orthonormal and those right of it row-orthonormal.
+    for k in range(pivot):
+        r0, n, r1 = t.cores[k].shape
+        m = t.cores[k].reshape(r0 * n, r1)
+        if np.abs(m.T @ m - np.eye(r1)).max() > tol:
+            raise ContractViolationError(
+                f"core {k} is not left-orthonormal; the train is not "
+                f"orthogonalized around pivot {pivot}"
+            )
+    for k in range(pivot + 1, t.ndim):
+        r0, n, r1 = t.cores[k].shape
+        m = t.cores[k].reshape(r0, n * r1)
+        if np.abs(m @ m.T - np.eye(r0)).max() > tol:
+            raise ContractViolationError(
+                f"core {k} is not right-orthonormal; the train is not "
+                f"orthogonalized around pivot {pivot}"
+            )
+
+
+def round_from_pivot(t: TTTensor, pivot: int, right_step, left_step) -> TTTensor:
+    """Round a train that is orthogonalized around ``pivot``.
+
+    The cores left of the pivot must be left-orthonormal and those right
+    of it right-orthonormal, so the pivot core carries the norm; a train
+    built around a different pivot raises
+    :class:`ContractViolationError`.  The rounding is a left-to-right
+    sweep of truncated SVDs from the pivot to the last core, a
+    right-to-left QR sweep back to the pivot, and a right-to-left sweep
+    of truncated SVDs from the pivot to the first core.  At pivot 0 no
+    left sweep follows, so the QR sweep is skipped and the last core
+    carries the norm.
+
+    ``right_step(k, m)`` truncates the ``(r_k n_k) x r_{k+1}`` unfolding
+    of core ``k`` in the first sweep, ``left_step(k, m)`` the transposed
+    ``(n_k r_{k+1}) x r_k`` unfolding in the last; both return an
+    :class:`SVDResult`.  A step that keeps rank 0 yields the zero train.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
     d = t.ndim
-    if d == 1:
-        return TTTensor([c.copy() for c in t.cores])
-    orth = tt_right_orthogonalize(t)
-    cores = [c.copy() for c in orth.cores]
-    # After the sweep the first core carries the full norm.
-    delta = eps / math.sqrt(d - 1) * float(np.linalg.norm(cores[0].ravel()))
-    for k in range(d - 1):
+    _check_pivot(pivot, d)
+    _check_pivot_orthogonal(t, pivot)
+    cores = [c.copy() for c in t.cores]
+    for k in range(pivot, d - 1):
         r0, n, r1 = cores[k].shape
-        res = svd_truncate_delta(cores[k].reshape(r0 * n, r1), delta)
+        res = right_step(k, cores[k].reshape(r0 * n, r1))
         if res.rank == 0:
             return tt_zero(t.dims)
         cores[k] = res.u.reshape(r0, n, res.rank)
         carry = res.vt.T * res.s  # (r1, rank)
         cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=(0, 0))
+    if pivot == 0:
+        return TTTensor(cores, copy=False)
+    for k in range(d - 1, pivot, -1):
+        r0, n, r1 = cores[k].shape
+        fac = qr_economic(cores[k].reshape(r0, n * r1).T)
+        q = fac.q.shape[1]
+        cores[k] = np.ascontiguousarray(fac.q.T).reshape(q, n, r1)
+        cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], fac.r)
+    for k in range(pivot, 0, -1):
+        r0, n, r1 = cores[k].shape
+        res = left_step(k, cores[k].reshape(r0, n * r1).T)
+        if res.rank == 0:
+            return tt_zero(t.dims)
+        cores[k] = np.ascontiguousarray(res.u.T).reshape(res.rank, n, r1)
+        carry = res.vt.T * res.s  # (r0, rank)
+        cores[k - 1] = np.einsum("abc,cd->abd", cores[k - 1], carry)
     return TTTensor(cores, copy=False)
+
+
+def tt_rounding(t: TTTensor, eps: float) -> TTTensor:
+    """Recompress a train to relative tolerance ``eps``.
+
+    Right-to-left orthogonalization first, then :func:`round_from_pivot`
+    at pivot 0 with per-step tolerance ``eps / sqrt(d-1) * norm``.
+    """
+    if eps < 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
+    orth = tt_right_orthogonalize(t)
+    # After orthogonalization the first core carries the full norm.
+    delta = eps / math.sqrt(max(t.ndim - 1, 1)) * float(np.linalg.norm(orth.cores[0].ravel()))
+    step = lambda k, m: svd_truncate_delta(m, delta)
+    return round_from_pivot(orth, 0, step, step)
 
 
 def full_ranks(shape, ranks) -> tuple[int, ...]:

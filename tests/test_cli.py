@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsett import gen_random_sparse, ingest_coo, load_tt, write_coo
+from sparsett import gen_random_sparse, ingest_coo, load_tt, tt_to_full, write_coo
 from sparsett.cli import main
 from conftest import rand_sparse
 
@@ -92,6 +92,16 @@ class TestDecompose:
             "decompose", "--in", str(path), "--mode", "fixed", "--ranks", "1",
         ])
         assert rc == 0
+
+    def test_single_mode_input(self, tmp_path):
+        t = rand_sparse(np.random.default_rng(5), (9,), 0.5)
+        path = tmp_path / "vec.coo"
+        write_coo(t, path)
+        train = tmp_path / "vec.npz"
+        assert main(["decompose", "--in", str(path), "--save-tt", str(train)]) == 0
+        tt = load_tt(train)
+        assert tt.dims == (9,)
+        assert np.array_equal(tt_to_full(tt), t.to_dense())
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["decompose", "--in", str(tmp_path / "nope.coo")]) == 2

@@ -7,7 +7,6 @@ from sparsett import (
     ContractViolationError,
     QuasiPermMatrix,
     SparseTensor,
-    TruncationBudget,
     as_quasi_perm,
     build_structured_tt,
     depar_general,
@@ -199,23 +198,6 @@ class TestParallelVectorRound:
         assert float_ops.count == 0.0
 
 
-class TestTruncationBudget:
-    def test_defaults(self):
-        b = TruncationBudget()
-        assert b.eps == 1e-14
-        assert b.mode == "static"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TruncationBudget(mode="bogus")
-        with pytest.raises(ValueError):
-            TruncationBudget(eps=-1.0)
-        with pytest.raises(ValueError):
-            TruncationBudget(mode="fixed_rank")
-        with pytest.raises(ValueError):
-            TruncationBudget(delta_left=-0.1)
-
-
 class TestRoundingModes:
     @pytest.fixture
     def exact_train(self, rng):
@@ -228,9 +210,7 @@ class TestRoundingModes:
         dense = t.to_dense()
         norm = np.linalg.norm(dense)
         for eps in (0.5, 0.1, 0.01, 1e-14):
-            out = efficient_tt_rounding(
-                tt, TruncationBudget(eps=eps, pivot=pivot, mode="static")
-            )
+            out = efficient_tt_rounding(tt, pivot, eps)
             rel = np.linalg.norm(tt_to_full(out) - dense) / norm
             assert rel <= eps + 1e-12
 
@@ -239,47 +219,34 @@ class TestRoundingModes:
         dense = t.to_dense()
         norm = np.linalg.norm(dense)
         for eps in (0.5, 0.1, 0.01, 1e-14):
-            out = dynamic_tt_rounding(
-                tt, TruncationBudget(eps=eps, pivot=pivot, mode="dynamic")
-            )
+            out = dynamic_tt_rounding(tt, pivot, eps)
             rel = np.linalg.norm(tt_to_full(out) - dense) / norm
             assert rel <= eps + 1e-12
 
     def test_near_lossless_matches_oracle_ranks(self, exact_train):
         t, pivot, tt = exact_train
-        out = efficient_tt_rounding(
-            tt, TruncationBudget(eps=1e-14, pivot=pivot, mode="static")
-        )
+        out = efficient_tt_rounding(tt, pivot, 1e-14)
         oracle = tt_svd(t.to_dense(), 1e-14)
         assert out.ranks == oracle.ranks
 
     def test_huge_budget_gives_zero_train(self, exact_train):
         t, pivot, tt = exact_train
-        out = efficient_tt_rounding(
-            tt, TruncationBudget(eps=1.5, pivot=pivot, mode="static")
-        )
+        out = efficient_tt_rounding(tt, pivot, 1.5)
         assert np.array_equal(tt_to_full(out), np.zeros(t.shape))
 
     def test_fixed_rank_targets(self, exact_train):
         t, pivot, tt = exact_train
         lossless = tt.ranks[1:-1]
-        out = fixed_rank_rounding(
-            tt,
-            TruncationBudget(pivot=pivot, mode="fixed_rank", fixed_ranks=lossless),
-        )
+        out = fixed_rank_rounding(tt, pivot, lossless)
         assert np.allclose(
             tt_to_full(out), t.to_dense(), atol=1e-12 * np.linalg.norm(t.values)
         )
-        out = fixed_rank_rounding(
-            tt, TruncationBudget(pivot=pivot, mode="fixed_rank", fixed_ranks=1)
-        )
+        out = fixed_rank_rounding(tt, pivot, 1)
         assert all(r == 1 for r in out.ranks[1:-1])
 
     def test_fixed_rank_clamps(self, exact_train):
         t, pivot, tt = exact_train
-        out = fixed_rank_rounding(
-            tt, TruncationBudget(pivot=pivot, mode="fixed_rank", fixed_ranks=999)
-        )
+        out = fixed_rank_rounding(tt, pivot, 999)
         assert all(
             r <= rt for r, rt in zip(out.ranks, tt.ranks)
         )
@@ -289,9 +256,7 @@ class TestRoundingModes:
         # unfolding, so the achieved error must dominate that tail
         t, pivot, tt = exact_train
         dense = t.to_dense()
-        out = fixed_rank_rounding(
-            tt, TruncationBudget(pivot=pivot, mode="fixed_rank", fixed_ranks=2)
-        )
+        out = fixed_rank_rounding(tt, pivot, 2)
         err = np.linalg.norm(tt_to_full(out) - dense)
         for k in range(1, t.ndim):
             m = dense.reshape(math.prod(t.shape[:k]), -1)
@@ -300,20 +265,21 @@ class TestRoundingModes:
             tail = np.sqrt((sigma[r_k:] ** 2).sum())
             assert err >= tail - 1e-10
 
-    def test_mode_mismatch_rejected(self, exact_train):
+    def test_negative_eps_rejected(self, exact_train):
         _, pivot, tt = exact_train
         with pytest.raises(ValueError):
-            efficient_tt_rounding(tt, TruncationBudget(pivot=pivot, mode="dynamic"))
+            efficient_tt_rounding(tt, pivot, -1.0)
         with pytest.raises(ValueError):
-            dynamic_tt_rounding(tt, TruncationBudget(pivot=pivot, mode="static"))
-        with pytest.raises(ValueError):
-            fixed_rank_rounding(tt, TruncationBudget(pivot=pivot, mode="static"))
+            dynamic_tt_rounding(tt, pivot, -1.0)
 
     def test_pivot_mismatch_raises(self, exact_train):
         _, pivot, tt = exact_train
-        bad = TruncationBudget(eps=0.1, pivot=pivot + 1, mode="static")
         with pytest.raises(ContractViolationError):
-            efficient_tt_rounding(tt, bad)
+            efficient_tt_rounding(tt, pivot + 1, 0.1)
+        with pytest.raises(ContractViolationError):
+            dynamic_tt_rounding(tt, pivot + 1, 0.1)
+        with pytest.raises(ContractViolationError):
+            fixed_rank_rounding(tt, pivot + 1, 2)
 
 
 class TestFastTTDriver:
@@ -385,6 +351,21 @@ class TestFastTTDriver:
         assert np.array_equal(tt_to_full(tt), np.zeros((3, 4, 5)))
         assert rep.eps_actual == 0.0
         assert rep.warnings
+
+    def test_fixed_rank_needs_ranks_even_when_empty(self, rng):
+        empty = SparseTensor((3, 4, 5), np.zeros((0, 3), dtype=np.int64), np.zeros(0))
+        for t in (empty, rand_sparse(rng, (3, 4, 5), 0.2)):
+            with pytest.raises(ValueError):
+                fasttt(t, mode="fixed_rank")
+
+    def test_single_mode_round_trip(self):
+        t = SparseTensor((7,), np.array([[1], [4], [6]]), np.array([2.0, -1.0, 0.5]))
+        for mode, ranks in (("static", None), ("dynamic", None), ("fixed_rank", ())):
+            tt, rep = fasttt(t, mode=mode, fixed_ranks=ranks)
+            assert tt.dims == (7,)
+            assert np.array_equal(tt_to_full(tt), t.to_dense())
+            assert rep.num_fibers == 1
+            assert rep.ranks == () and rep.eps_actual == 0.0
 
     def test_rejects_dense_array(self, rng):
         with pytest.raises(TypeError):

@@ -154,8 +154,8 @@ class TestReportDocument:
     def test_fields_and_pivot_mapping(self, rng, tmp_path):
         t = rand_sparse(rng, (4, 5, 3), 0.25)
         _, rep = fasttt(t, pivot=1)
-        doc = report_document(rep, method="fasttt", source="mem", threads=1)
-        assert doc["schema_version"] == 1
+        doc = report_document(rep, method="fasttt", source="mem")
+        assert doc["schema_version"] == 2
         assert doc["generator"] == "sparsett"
         assert doc["method"] == "fasttt"
         assert doc["shape"] == [4, 5, 3]
@@ -166,7 +166,7 @@ class TestReportDocument:
         assert doc["r_tilde"] == list(rep.ranks_lossless)
         assert doc["r"] == list(rep.ranks)
         assert doc["eps_actual"] == rep.eps_actual
-        assert doc["threads"] == 1
+        assert "threads" not in doc
         out = tmp_path / "rep.json"
         write_report(doc, out)
         parsed = json.loads(out.read_text())
@@ -175,7 +175,7 @@ class TestReportDocument:
     def test_non_finite_rejected_on_write(self, rng, tmp_path):
         t = rand_sparse(rng, (3, 3), 0.3)
         _, rep = fasttt(t)
-        doc = report_document(rep, method="fasttt", source="mem", threads=1)
+        doc = report_document(rep, method="fasttt", source="mem")
         doc["eps_actual"] = float("inf")
         with pytest.raises(ValueError):
             write_report(doc, tmp_path / "bad.json")
