@@ -23,7 +23,7 @@ import numpy as np
 import scipy.io
 
 from .errors import ContractViolationError, FormatError
-from .fasttt import fasttt
+from .fasttt import DecompositionReport, fasttt
 from .formats import (
     REPORT_SCHEMA_VERSION,
     ingest_coo,
@@ -34,7 +34,7 @@ from .formats import (
     write_report,
 )
 from .generators import gen_fdm, gen_random_sparse
-from .tensor import SparseTensor, frobenius_norm
+from .tensor import SparseTensor
 from .ttformat import tensorize_matrix, tt_to_full
 from .ttsvd import flops_ttsvd, tt_svd
 
@@ -94,25 +94,19 @@ def _decompose_once(tensor: SparseTensor, args) -> tuple[dict, float, object]:
     norm = float(np.linalg.norm(dense.ravel()))
     err = float(np.linalg.norm((dense - tt_to_full(tt, cap=None)).ravel()))
     eps_actual = err / norm if norm else 0.0
-    size = dense.size
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "generator": "sparsett",
-        "method": "ttsvd",
-        "source": args.input,
-        "shape": list(tensor.shape),
-        "nnz": tensor.nnz,
-        "sigma": tensor.nnz / size,
-        "eps": eps,
-        "mode": "static",
-        "r": list(tt.ranks[1:-1]),
-        "eps_actual": eps_actual,
-        "eps_actual_method": "dense",
-        "flops_ttsvd_model": flops_ttsvd(tensor.shape, tt.ranks),
-        "wall_time_s": time.perf_counter() - wall0,
-        "cpu_time_s": time.process_time() - cpu0,
-        "warnings": [],
-    }
+    report = DecompositionReport(
+        shape=tensor.shape,
+        nnz=tensor.nnz,
+        mode="static",
+        eps=eps,
+        ranks=tt.ranks[1:-1],
+        eps_actual=eps_actual,
+        eps_actual_method="dense",
+        flops_ttsvd_model=flops_ttsvd(tensor.shape, tt.ranks),
+        wall_time_s=time.perf_counter() - wall0,
+        cpu_time_s=time.process_time() - cpu0,
+    )
+    doc = report_document(report, method="ttsvd", source=args.input)
     return doc, eps, tt
 
 

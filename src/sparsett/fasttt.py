@@ -212,20 +212,6 @@ def _index_sweeps(s: StructuredTT):
     return left, t_map, r_prev, right, s_map, r_next
 
 
-def _lossless_bond_ranks(s: StructuredTT) -> tuple[int, ...]:
-    """Interior bond ranks of :func:`parallel_vector_round` without
-    assembling any core."""
-    left, _, r_prev, right, _, r_next = _index_sweeps(s)
-    d = s.ndim
-    bonds = [0] * (d - 1)
-    for k, (kept, _) in enumerate(left):
-        bonds[k] = kept.size  # bond between cores k and k+1
-    for step, (kept, _) in enumerate(right):
-        k = d - 1 - step
-        bonds[k - 1] = kept.size  # bond between cores k-1 and k
-    return tuple(bonds)
-
-
 def parallel_vector_round(s: StructuredTT) -> TTTensor:
     """Losslessly compress the structured train by deparallelisation.
 
@@ -269,7 +255,7 @@ def _unit_allowance(t: TTTensor, pivot: int, eps: float) -> float:
     norm.  Spending this much on each of the ``d - 1`` steps keeps the
     accumulated error within ``eps * norm``.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     d = t.ndim
     _check_pivot(pivot, d)
@@ -379,20 +365,13 @@ def _upper_bond_bounds(dims, pivot: int, num_fibers: int) -> tuple[int, ...]:
     return tuple(bounds)
 
 
-def select_p(
-    a: SparseTensor,
-    target_ranks=None,
-    precise: bool = False,
-    c_svd: float = 1.0,
-) -> int:
+def select_p(a: SparseTensor, target_ranks=None, c_svd: float = 1.0) -> int:
     """Pick the pivot mode that minimizes the modeled SVD cost.
 
-    For every candidate pivot the fiber count is computed from the data;
-    the lossless bond ranks are estimated by their upper bound, or (with
-    ``precise=True``) measured by running the index-only
-    deparallelisation.  Final ranks are estimated as
-    ``min(target, lossless, feasible)``.  Ties go to the smaller mode
-    index.
+    For every candidate pivot the fiber count is computed from the data
+    and the lossless bond ranks are estimated by their upper bound.
+    Final ranks are estimated as ``min(target, lossless, feasible)``.
+    Ties go to the smaller mode index.
     """
     if not isinstance(a, SparseTensor):
         raise TypeError("select_p expects a SparseTensor")
@@ -422,10 +401,7 @@ def select_p(
             num_fibers = int(np.unique(keys).size)
         else:
             num_fibers = 0
-        if precise:
-            rt = _lossless_bond_ranks(build_structured_tt(a, pivot))
-        else:
-            rt = _upper_bond_bounds(dims, pivot, num_fibers)
+        rt = _upper_bond_bounds(dims, pivot, num_fibers)
         r_est = []
         for k in range(1, d):
             feas = min(rt[k - 1], left[k], size // left[k])
@@ -483,29 +459,31 @@ def sparse_inner_error(a: SparseTensor, approx: TTTensor) -> float:
     return math.sqrt(err2 / na2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DecompositionReport:
-    """What a pipeline run did and how well it went.
+    """What a decomposition run did and how well it went.
 
-    ``ranks_lossless`` are the interior bond ranks after the exact
-    stage, ``ranks`` the final ones.  ``eps_actual`` is the measured
-    relative error (method recorded in ``eps_actual_method``);
-    ``eps_actual_inner`` is the inner-product-identity value kept for
-    reference.  Flop numbers are model estimates, not hardware counts.
+    ``ranks`` are the final interior bond ranks.  ``eps_actual`` is the
+    measured relative error (method recorded in ``eps_actual_method``).
+    Flop numbers are model estimates, not hardware counts.  The fields
+    that default to ``None`` are known only to the sparse pipeline:
+    ``ranks_lossless`` are the interior bond ranks after its exact
+    stage, and ``eps_actual_inner`` is the inner-product-identity value
+    kept for reference.
     """
 
     shape: tuple[int, ...]
     nnz: int
-    pivot: int
+    pivot: int | None = None
     mode: str
     eps: float
-    num_fibers: int
-    ranks_lossless: tuple[int, ...]
+    num_fibers: int | None = None
+    ranks_lossless: tuple[int, ...] | None = None
     ranks: tuple[int, ...]
     eps_actual: float
     eps_actual_method: str
-    eps_actual_inner: float | None
-    flops_fasttt_model: float
+    eps_actual_inner: float | None = None
+    flops_fasttt_model: float | None = None
     flops_ttsvd_model: float
     wall_time_s: float
     cpu_time_s: float
@@ -544,7 +522,7 @@ def fasttt(
     cpu0 = time.process_time()
     if eps is None or eps == 0.0:
         eps = 1e-14
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     if mode == "fixed":
         mode = "fixed_rank"
@@ -561,62 +539,49 @@ def fasttt(
     if a.nnz == 0:
         notes.append("input has no nonzeros; returning the zero train")
         tt = tt_zero(a.shape)
-        report = DecompositionReport(
-            shape=a.shape,
-            nnz=0,
-            pivot=pivot,
-            mode=mode,
-            eps=eps,
-            num_fibers=0,
-            ranks_lossless=(0,) * (d - 1),
-            ranks=tt.ranks[1:-1],
-            eps_actual=0.0,
-            eps_actual_method="exact",
-            eps_actual_inner=0.0,
-            flops_fasttt_model=0.0,
-            flops_ttsvd_model=0.0,
-            wall_time_s=time.perf_counter() - wall0,
-            cpu_time_s=time.process_time() - cpu0,
-            warnings=tuple(notes),
-        )
-        return tt, report
-
-    structured = build_structured_tt(a, pivot)
-    exact = parallel_vector_round(structured)
-    ranks_lossless = exact.ranks[1:-1]
-    if mode == "static":
-        tt = efficient_tt_rounding(exact, pivot, eps)
-    elif mode == "dynamic":
-        tt = dynamic_tt_rounding(exact, pivot, eps)
+        num_fibers, ranks_lossless = 0, (0,) * (d - 1)
+        eps_actual, method, inner = 0.0, "exact", 0.0
+        flops_model, flops_ttsvd_model = 0.0, 0.0
     else:
-        tt = fixed_rank_rounding(exact, pivot, fixed_ranks)
+        structured = build_structured_tt(a, pivot)
+        exact = parallel_vector_round(structured)
+        num_fibers = structured.num_fibers
+        ranks_lossless = exact.ranks[1:-1]
+        if mode == "static":
+            tt = efficient_tt_rounding(exact, pivot, eps)
+        elif mode == "dynamic":
+            tt = dynamic_tt_rounding(exact, pivot, eps)
+        else:
+            tt = fixed_rank_rounding(exact, pivot, fixed_ranks)
 
-    norm_a = frobenius_norm(a)
-    inner = sparse_inner_error(a, tt)
-    try:
-        eps_actual = tt_relative_error(exact, tt, norm=norm_a)
-        method = "tt_difference"
-    except ValueError:
-        eps_actual = inner
-        method = "inner_identity"
-        notes.append(
-            "exact-difference error measure too large; reported value is the "
-            "inner-product identity (resolution ~1e-8)"
-        )
+        norm_a = frobenius_norm(a)
+        inner = sparse_inner_error(a, tt)
+        try:
+            eps_actual = tt_relative_error(exact, tt, norm=norm_a)
+            method = "tt_difference"
+        except ValueError:
+            eps_actual = inner
+            method = "inner_identity"
+            notes.append(
+                "exact-difference error measure too large; reported value is the "
+                "inner-product identity (resolution ~1e-8)"
+            )
+        flops_model = flops_fasttt(a.shape, pivot, ranks_lossless, tt.ranks)
+        flops_ttsvd_model = flops_ttsvd(a.shape, tt.ranks)
     report = DecompositionReport(
         shape=a.shape,
         nnz=a.nnz,
         pivot=pivot,
         mode=mode,
         eps=eps,
-        num_fibers=structured.num_fibers,
+        num_fibers=num_fibers,
         ranks_lossless=ranks_lossless,
         ranks=tt.ranks[1:-1],
         eps_actual=eps_actual,
         eps_actual_method=method,
         eps_actual_inner=inner,
-        flops_fasttt_model=flops_fasttt(a.shape, pivot, ranks_lossless, tt.ranks),
-        flops_ttsvd_model=flops_ttsvd(a.shape, tt.ranks),
+        flops_fasttt_model=flops_model,
+        flops_ttsvd_model=flops_ttsvd_model,
         wall_time_s=time.perf_counter() - wall0,
         cpu_time_s=time.process_time() - cpu0,
         warnings=tuple(notes),

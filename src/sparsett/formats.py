@@ -34,6 +34,9 @@ __all__ = [
 
 REPORT_SCHEMA_VERSION = 2
 
+# Document keys whose report fields only the sparse pipeline fills in.
+_PIPELINE_ONLY = ("p", "R", "r_tilde", "eps_actual_inner_identity", "flops_fasttt_model")
+
 
 def write_coo(t: SparseTensor, path) -> None:
     """Write a sparse tensor as text: a shape header, then one line per
@@ -137,6 +140,8 @@ def report_document(
 
     The pivot is recorded 1-based (``p``) to match the 1-based text
     formats; rank vectors use the short keys ``r_tilde`` and ``r``.
+    Report fields left at ``None`` (those only the sparse pipeline
+    knows) are left out of the document.
     """
     size = 1
     for n in report.shape:
@@ -151,9 +156,9 @@ def report_document(
         "sigma": report.nnz / size,
         "eps": report.eps,
         "mode": report.mode,
-        "p": report.pivot + 1,
+        "p": None if report.pivot is None else report.pivot + 1,
         "R": report.num_fibers,
-        "r_tilde": list(report.ranks_lossless),
+        "r_tilde": None if report.ranks_lossless is None else list(report.ranks_lossless),
         "r": list(report.ranks),
         "eps_actual": report.eps_actual,
         "eps_actual_method": report.eps_actual_method,
@@ -164,6 +169,9 @@ def report_document(
         "cpu_time_s": report.cpu_time_s,
         "warnings": list(report.warnings),
     }
+    for key in _PIPELINE_ONLY:
+        if doc[key] is None:
+            del doc[key]
     if extra:
         doc.update(extra)
     return doc

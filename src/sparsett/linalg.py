@@ -56,11 +56,19 @@ def _full_svd(m: np.ndarray):
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
     # Deterministic output: largest-magnitude entry of each left singular
     # vector is made nonnegative, flipping the matching right vector too.
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0.0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
+    # That entry is the column's max or min, the first of them on a tie;
+    # column reductions find it without a temporary the size of ``u``.
+    if u.shape[1] == 0:
+        return
+    top, bottom = u.max(axis=0), u.min(axis=0)
+    flip = -bottom > top
+    tie = (-bottom == top) & (top > 0.0)
+    if tie.any():
+        sub = u[:, tie]
+        flip[tie] = np.argmax(sub == bottom[tie], axis=0) < np.argmax(sub == top[tie], axis=0)
+    signs = np.where(flip, -1.0, 1.0)
+    u *= signs
+    vt *= signs[:, None]
 
 
 def _check_matrix(m) -> np.ndarray:
@@ -70,6 +78,16 @@ def _check_matrix(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def _truncated(u: np.ndarray, s: np.ndarray, vt: np.ndarray, rank: int) -> SVDResult:
+    # Keep the leading ``rank`` triplets of a full SVD, with the norm of
+    # the discarded tail and deterministic signs.
+    trunc_error = float(np.sqrt(max(float(np.sum((s * s)[rank:])), 0.0)))
+    u = np.ascontiguousarray(u[:, :rank])
+    vt = np.ascontiguousarray(vt[:rank, :])
+    _fix_signs(u, vt)
+    return SVDResult(u=u, s=s[:rank].copy(), vt=vt, rank=rank, trunc_error=trunc_error)
 
 
 def svd_truncate_delta(m, delta: float) -> SVDResult:
@@ -83,10 +101,9 @@ def svd_truncate_delta(m, delta: float) -> SVDResult:
     discarded.
     """
     m = _check_matrix(m)
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     u, s, vt = _full_svd(m)
-    sq = s * s
     if delta == 0.0:
         if s.size == 0 or s[0] == 0.0:
             rank = 0
@@ -95,14 +112,10 @@ def svd_truncate_delta(m, delta: float) -> SVDResult:
             rank = int(np.count_nonzero(s >= cut))
     else:
         # tails[r] = sum of squares of the singular values dropped at rank r
+        sq = s * s
         tails = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
         rank = int(np.argmax(tails <= delta * delta))
-    trunc_error = float(np.sqrt(max(float(np.sum(sq[rank:])), 0.0)))
-    u = np.ascontiguousarray(u[:, :rank])
-    vt = np.ascontiguousarray(vt[:rank, :])
-    s = s[:rank].copy()
-    _fix_signs(u, vt)
-    return SVDResult(u=u, s=s, vt=vt, rank=rank, trunc_error=trunc_error)
+    return _truncated(u, s, vt, rank)
 
 
 def svd_truncate_rank(m, r: int) -> SVDResult:
@@ -116,13 +129,7 @@ def svd_truncate_rank(m, r: int) -> SVDResult:
         raise ValueError(f"target rank must be nonnegative, got {r}")
     u, s, vt = _full_svd(m)
     rank = int(min(r, min(m.shape)))
-    sq = s * s
-    trunc_error = float(np.sqrt(max(float(np.sum(sq[rank:])), 0.0)))
-    u = np.ascontiguousarray(u[:, :rank])
-    vt = np.ascontiguousarray(vt[:rank, :])
-    s = s[:rank].copy()
-    _fix_signs(u, vt)
-    return SVDResult(u=u, s=s, vt=vt, rank=rank, trunc_error=trunc_error)
+    return _truncated(u, s, vt, rank)
 
 
 def qr_economic(m) -> QRResult:

@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* Dense tensors are C-ordered ``numpy.ndarray`` objects, so ``vectorize``
-  makes the *last* index vary fastest.
+* Dense tensors are C-ordered ``numpy.ndarray`` objects, so linear
+  indices make the *last* index vary fastest.
 * Coordinates and mode numbers in the Python API are 0-based.  The text
   file formats are 1-based; :mod:`sparsett.formats` converts at that
   boundary.
@@ -17,7 +17,6 @@ import math
 import operator
 
 import numpy as np
-import scipy.sparse
 
 from .errors import FormatError
 
@@ -26,14 +25,8 @@ __all__ = [
     "SparseTensor",
     "FiberSet",
     "check_shape",
-    "size_of",
     "linearize",
     "delinearize",
-    "vectorize",
-    "reshape",
-    "unfold",
-    "contract",
-    "tensor_times_matrix",
     "frobenius_norm",
     "extract_nonzero_fibers",
 ]
@@ -65,11 +58,6 @@ def check_shape(shape) -> tuple[int, ...]:
         if size >= _INT63:
             raise ValueError(f"shape {dims} overflows 64-bit indexing")
     return dims
-
-
-def size_of(shape) -> int:
-    """Total number of entries of a dense tensor with this shape."""
-    return math.prod(check_shape(shape))
 
 
 def _strides(dims) -> np.ndarray:
@@ -197,104 +185,6 @@ class SparseTensor:
         return out.reshape(self.shape)
 
 
-def vectorize(t):
-    """Flatten to one mode, last index fastest.
-
-    Accepts a :class:`SparseTensor` (returns a 1-way sparse tensor) or a
-    dense array (returns a 1-d array).
-    """
-    if isinstance(t, SparseTensor):
-        lin = linearize(t.shape, t.coords)
-        return SparseTensor((t.size,), lin[:, None], t.values)
-    return np.ascontiguousarray(t).reshape(-1)
-
-
-def reshape(t, new_shape):
-    """Regroup indices so that vectorizations agree entry-for-entry.
-
-    Pure index arithmetic on sparse input; values are untouched.
-    """
-    dims = check_shape(new_shape)
-    if isinstance(t, SparseTensor):
-        if math.prod(dims) != t.size:
-            raise ValueError(f"cannot reshape size {t.size} to {dims}")
-        lin = linearize(t.shape, t.coords)
-        return SparseTensor(dims, delinearize(dims, lin), t.values)
-    t = np.ascontiguousarray(t)
-    if math.prod(dims) != t.size:
-        raise ValueError(f"cannot reshape size {t.size} to {dims}")
-    return t.reshape(dims)
-
-
-def unfold(t, k: int):
-    """Matricize with the first ``k`` modes as rows.
-
-    ``k`` counts modes, so valid values are ``1 .. d-1``.  Sparse input
-    yields ``scipy.sparse.csr_matrix``, dense input a 2-d array.
-    """
-    d = t.ndim
-    if not 1 <= k <= d - 1:
-        raise ValueError(f"unfold split must be in 1..{d - 1}, got {k}")
-    if isinstance(t, SparseTensor):
-        rows = linearize(t.shape[:k], t.coords[:, :k])
-        cols = linearize(t.shape[k:], t.coords[:, k:])
-        m = math.prod(t.shape[:k])
-        n = math.prod(t.shape[k:])
-        return scipy.sparse.csr_matrix(
-            (t.values, (rows, cols)), shape=(m, n)
-        )
-    t = np.ascontiguousarray(t)
-    return t.reshape(math.prod(t.shape[:k]), math.prod(t.shape[k:]))
-
-
-def _as_dense(t, cap: int = DENSE_CAP) -> np.ndarray:
-    if isinstance(t, SparseTensor):
-        return t.to_dense(cap)
-    return np.asarray(t, dtype=np.float64)
-
-
-def contract(a, k1: int, b, k2: int) -> np.ndarray:
-    """Contract mode ``k1`` of ``a`` with mode ``k2`` of ``b``.
-
-    The result carries ``a``'s leading modes, then all of ``b``'s
-    remaining modes, then ``a``'s trailing modes:
-
-        c[i_1..i_{k1-1}, j_1..j_{k2-1}, j_{k2+1}.., i_{k1+1}..]
-            = sum_m a[.., m, ..] * b[.., m, ..]
-    """
-    a = _as_dense(a)
-    b = _as_dense(b)
-    if not 0 <= k1 < a.ndim or not 0 <= k2 < b.ndim:
-        raise ValueError(f"contraction modes ({k1}, {k2}) out of range")
-    if a.shape[k1] != b.shape[k2]:
-        raise ValueError(
-            f"contracted extents differ: {a.shape[k1]} vs {b.shape[k2]}"
-        )
-    res = np.tensordot(a, b, axes=(k1, k2))
-    # tensordot orders axes [a w/o k1, b w/o k2]; move b's block inward.
-    da, db = a.ndim, b.ndim
-    perm = (
-        list(range(k1))
-        + list(range(da - 1, da - 1 + db - 1))
-        + list(range(k1, da - 1))
-    )
-    return np.transpose(res, perm)
-
-
-def tensor_times_matrix(a, k: int, m) -> np.ndarray:
-    """Mode-``k`` product: contract mode ``k`` of ``a`` with the rows of ``m``.
-
-    Equivalent to ``contract(a, k, m, 0)``; the surviving matrix mode
-    takes position ``k`` of the result.
-    """
-    a = _as_dense(a)
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("second operand must be a matrix")
-    res = np.tensordot(a, m, axes=(k, 0))
-    return np.moveaxis(res, -1, k)
-
-
 def frobenius_norm(t) -> float:
     """Frobenius norm of a sparse or dense tensor."""
     if isinstance(t, SparseTensor):
@@ -353,11 +243,6 @@ class FiberSet:
     @property
     def nnz(self) -> int:
         return self.values.shape[0]
-
-    def __iter__(self):
-        for i in range(self.num_fibers):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            yield tuple(self.fixed_coords[i]), (self.pivot_index[lo:hi], self.values[lo:hi])
 
     def to_tensor(self) -> SparseTensor:
         """Reassemble the original tensor (index regrouping only)."""

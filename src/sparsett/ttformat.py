@@ -17,7 +17,6 @@ import math
 import numpy as np
 import scipy.sparse
 
-from .errors import FormatError
 from .linalg import qr_economic
 from .tensor import (
     DENSE_CAP,
@@ -34,7 +33,6 @@ __all__ = [
     "QuasiPermMatrix",
     "StructuredTT",
     "tt_zero",
-    "tt_entry",
     "tt_entries",
     "tt_rank1",
     "tt_scale",
@@ -42,7 +40,6 @@ __all__ = [
     "tt_to_full",
     "tt_norm",
     "tt_right_orthogonalize",
-    "as_quasi_perm",
     "structured_to_tt",
     "tensorize_matrix",
     "matrix_from_tensorized",
@@ -105,20 +102,6 @@ def tt_zero(dims) -> TTTensor:
     """The zero tensor as a train of rank-1 zero cores."""
     dims = check_shape(dims)
     return TTTensor([np.zeros((1, n, 1)) for n in dims])
-
-
-def tt_entry(t: TTTensor, idx) -> float:
-    """Evaluate one entry by chaining the core slices."""
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != t.ndim:
-        raise ValueError(f"index needs {t.ndim} coordinates, got {len(idx)}")
-    for k, (i, n) in enumerate(zip(idx, t.dims)):
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} out of range for mode {k}")
-    v = t.cores[0][:, idx[0], :]
-    for k in range(1, t.ndim):
-        v = v @ t.cores[k][:, idx[k], :]
-    return float(v[0, 0])
 
 
 def tt_entries(t: TTTensor, coords, batch: int = 1024) -> np.ndarray:
@@ -203,16 +186,22 @@ def tt_norm(t: TTTensor) -> float:
     return float(np.sqrt(max(w[0, 0], 0.0)))
 
 
-def tt_right_orthogonalize(t: TTTensor) -> TTTensor:
-    """Sweep QR factors right-to-left so cores ``1..d-1`` become
-    right-orthonormal; the first core then carries the whole norm."""
-    cores = [c.copy() for c in t.cores]
-    for k in range(len(cores) - 1, 0, -1):
+def _qr_sweep(cores: list[np.ndarray], stop: int) -> None:
+    """Make cores ``stop+1..d-1`` right-orthonormal in place by QR factors
+    swept right to left; core ``stop`` absorbs the R factors."""
+    for k in range(len(cores) - 1, stop, -1):
         r0, n, r1 = cores[k].shape
         fac = qr_economic(cores[k].reshape(r0, n * r1).T)
         q = fac.q.shape[1]
         cores[k] = np.ascontiguousarray(fac.q.T).reshape(q, n, r1)
         cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], fac.r)
+
+
+def tt_right_orthogonalize(t: TTTensor) -> TTTensor:
+    """Sweep QR factors right-to-left so cores ``1..d-1`` become
+    right-orthonormal; the first core then carries the whole norm."""
+    cores = [c.copy() for c in t.cores]
+    _qr_sweep(cores, 0)
     return TTTensor(cores, copy=False)
 
 
@@ -252,30 +241,8 @@ class QuasiPermMatrix:
         m[self.col_to_row, np.arange(self.n_cols)] = 1.0
         return m
 
-    def to_sparse(self) -> scipy.sparse.csc_matrix:
-        data = np.ones(self.n_cols)
-        indptr = np.arange(self.n_cols + 1)
-        return scipy.sparse.csc_matrix(
-            (data, self.col_to_row.copy(), indptr), shape=self.shape
-        )
-
     def __repr__(self) -> str:
         return f"QuasiPermMatrix(shape={self.shape})"
-
-
-def as_quasi_perm(m) -> QuasiPermMatrix | None:
-    """Recognize a quasi-permutation matrix; ``None`` if it is not one."""
-    if isinstance(m, QuasiPermMatrix):
-        return m
-    if scipy.sparse.issparse(m):
-        c = m.tocsc()
-    else:
-        c = scipy.sparse.csc_matrix(np.asarray(m, dtype=np.float64))
-    if np.any(np.diff(c.indptr) != 1):
-        return None
-    if c.nnz and not np.all(c.data == 1.0):
-        return None
-    return QuasiPermMatrix(c.shape[0], c.shape[1], c.indices.astype(np.int64))
 
 
 class StructuredTT:
@@ -325,38 +292,6 @@ class StructuredTT:
             raise ValueError(f"mode {k} is the pivot or out of range")
         col = k if k < self.pivot else k - 1
         return self.fibers.fixed_coords[:, col]
-
-    def perm_core(self, k: int) -> QuasiPermMatrix:
-        """Mode-``k`` core as the quasi-permutation unfolding it is.
-
-        Left of the pivot this is the column unfolding
-        ``(r_prev * n_k, R)``; right of it, the transposed row unfolding
-        ``(n_k * r_next, R)``.
-        """
-        d = self.ndim
-        r = self.num_fibers
-        n = self.shape[k]
-        ik = self.mode_index(k)
-        beta = np.arange(r, dtype=np.int64)
-        if k < self.pivot:
-            prev = beta if k > 0 else np.zeros(r, np.int64)
-            return QuasiPermMatrix((r if k > 0 else 1) * n, r, prev * n + ik)
-        nxt = beta if k < d - 1 else np.zeros(r, np.int64)
-        r_next = r if k < d - 1 else 1
-        return QuasiPermMatrix(n * r_next, r, ik * r_next + nxt)
-
-    @property
-    def perm_cores(self) -> list[QuasiPermMatrix]:
-        return [self.perm_core(k) for k in range(self.ndim) if k != self.pivot]
-
-    @property
-    def fiber_core(self) -> scipy.sparse.csr_matrix:
-        """Pivot slices stacked as a sparse ``(R, n_pivot)`` matrix."""
-        f = self.fibers
-        return scipy.sparse.csr_matrix(
-            (f.values.copy(), f.pivot_index.copy(), f.indptr.copy()),
-            shape=(max(f.num_fibers, 0), self.shape[self.pivot]),
-        )
 
     def __repr__(self) -> str:
         return (

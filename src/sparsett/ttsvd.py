@@ -16,9 +16,9 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import qr_economic, svd_truncate_delta
+from .linalg import svd_truncate_delta
 from .tensor import check_shape
-from .ttformat import TTTensor, tt_right_orthogonalize, tt_zero
+from .ttformat import TTTensor, _qr_sweep, tt_right_orthogonalize, tt_zero
 
 __all__ = ["tt_svd", "round_from_pivot", "tt_rounding", "flops_ttsvd", "full_ranks"]
 
@@ -28,7 +28,7 @@ def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
     ``eps / sqrt(d-1) * norm(a)``, which keeps the total relative error
     within ``eps``."""
     a = np.ascontiguousarray(a, dtype=np.float64)
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     dims = a.shape
     d = a.ndim
@@ -110,12 +110,7 @@ def round_from_pivot(t: TTTensor, pivot: int, right_step, left_step) -> TTTensor
         cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=(0, 0))
     if pivot == 0:
         return TTTensor(cores, copy=False)
-    for k in range(d - 1, pivot, -1):
-        r0, n, r1 = cores[k].shape
-        fac = qr_economic(cores[k].reshape(r0, n * r1).T)
-        q = fac.q.shape[1]
-        cores[k] = np.ascontiguousarray(fac.q.T).reshape(q, n, r1)
-        cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], fac.r)
+    _qr_sweep(cores, pivot)
     for k in range(pivot, 0, -1):
         r0, n, r1 = cores[k].shape
         res = left_step(k, cores[k].reshape(r0, n * r1).T)
@@ -133,7 +128,7 @@ def tt_rounding(t: TTTensor, eps: float) -> TTTensor:
     Right-to-left orthogonalization first, then :func:`round_from_pivot`
     at pivot 0 with per-step tolerance ``eps / sqrt(d-1) * norm``.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     orth = tt_right_orthogonalize(t)
     # After orthogonalization the first core carries the full norm.

@@ -57,6 +57,8 @@ class TestDecompose:
         dt = json.loads(rep_t.read_text())
         assert df["r"] == dt["r"]
         assert dt["method"] == "ttsvd"
+        pipeline_only = {"p", "R", "r_tilde", "eps_actual_inner_identity", "flops_fasttt_model"}
+        assert list(dt) == [k for k in df if k not in pipeline_only]
 
     def test_matrix_input(self, tmp_path):
         rc = main([
@@ -121,6 +123,16 @@ class TestDecompose:
 
     def test_pivot_out_of_range_exits_two(self, coo_file):
         assert main(["decompose", "--in", str(coo_file), "--p", "9"]) == 2
+
+    def test_nan_eps_exits_two(self, coo_file, tmp_path):
+        report = tmp_path / "report.json"
+        for method in ("fasttt", "ttsvd"):
+            rc = main([
+                "decompose", "--in", str(coo_file), "--method", method,
+                "--eps", "nan", "--report", str(report),
+            ])
+            assert rc == 2
+            assert not report.exists()
 
 
 class TestBench:

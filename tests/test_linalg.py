@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsett.linalg import (
+    _fix_signs,
     qr_economic,
     svd_truncate_delta,
     svd_truncate_rank,
@@ -88,13 +89,29 @@ class TestSVDTruncateDelta:
             k = np.argmax(np.abs(a.u[:, j]))
             assert a.u[k, j] >= 0.0
 
+    def test_sign_rule_matches_column_loop(self, rng):
+        # Reference: per column, the first largest-magnitude entry of u is
+        # made nonnegative.  Small integers make ties in magnitude common.
+        for _ in range(300):
+            u = rng.integers(-2, 3, (5, 4)).astype(float)
+            vt = rng.standard_normal((4, 3))
+            want_u, want_vt = u.copy(), vt.copy()
+            for j in range(4):
+                if want_u[np.argmax(np.abs(want_u[:, j])), j] < 0.0:
+                    want_u[:, j] = -want_u[:, j]
+                    want_vt[j] = -want_vt[j]
+            _fix_signs(u, vt)
+            assert u.tobytes() == want_u.tobytes()
+            assert vt.tobytes() == want_vt.tobytes()
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             svd_truncate_delta(np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValueError):
             svd_truncate_delta(np.array([[np.nan, 1.0]]), 0.0)
-        with pytest.raises(ValueError):
-            svd_truncate_delta(np.ones((2, 2)), -0.5)
+        for delta in (-0.5, float("nan")):
+            with pytest.raises(ValueError):
+                svd_truncate_delta(np.ones((2, 2)), delta)
 
 
 class TestSVDTruncateRank:

@@ -6,18 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsett import FormatError, SparseTensor, extract_nonzero_fibers
-from sparsett.tensor import (
-    check_shape,
-    contract,
-    delinearize,
-    frobenius_norm,
-    linearize,
-    reshape,
-    size_of,
-    tensor_times_matrix,
-    unfold,
-    vectorize,
-)
+from sparsett.tensor import check_shape, delinearize, frobenius_norm, linearize
 from conftest import rand_sparse
 
 
@@ -30,9 +19,6 @@ class TestShape:
     def test_invalid(self, bad):
         with pytest.raises((ValueError, TypeError)):
             check_shape(bad)
-
-    def test_size(self):
-        assert size_of((3, 4, 5)) == 60
 
 
 class TestLinearize:
@@ -121,104 +107,6 @@ class TestSparseTensor:
         t = rand_sparse(rng, (10, 10), 0.1)
         with pytest.raises(ValueError):
             t.to_dense(cap=50)
-
-
-class TestReshapeVectorize:
-    def test_vectorize_matches_ravel(self, rng):
-        t = rand_sparse(rng, (3, 4, 5), 0.3)
-        v = vectorize(t)
-        assert v.shape == (60,)
-        assert np.array_equal(v.to_dense(), t.to_dense().ravel())
-
-    def test_reshape_matches_numpy(self, rng):
-        t = rand_sparse(rng, (4, 6, 2), 0.3)
-        r = reshape(t, (8, 6))
-        assert np.array_equal(r.to_dense(), t.to_dense().reshape(8, 6))
-
-    def test_reshape_round_trip(self, rng):
-        t = rand_sparse(rng, (3, 4, 5), 0.25)
-        back = reshape(reshape(t, (12, 5)), (3, 4, 5))
-        assert np.array_equal(back.coords, t.coords)
-        assert np.array_equal(back.values, t.values)
-
-    def test_reshape_size_mismatch(self, rng):
-        t = rand_sparse(rng, (3, 4), 0.5)
-        with pytest.raises(ValueError):
-            reshape(t, (5, 3))
-
-
-class TestUnfold:
-    def test_matches_dense(self, rng):
-        t = rand_sparse(rng, (3, 4, 5, 2), 0.2)
-        dense = t.to_dense()
-        for k in range(1, 4):
-            m = unfold(t, k).toarray()
-            rows = math.prod(t.shape[:k])
-            assert np.array_equal(m, dense.reshape(rows, -1))
-
-    def test_bad_split(self, rng):
-        t = rand_sparse(rng, (3, 4), 0.5)
-        for k in (0, 2):
-            with pytest.raises(ValueError):
-                unfold(t, k)
-
-
-def naive_contract(a: np.ndarray, k1: int, b: np.ndarray, k2: int) -> np.ndarray:
-    out_shape = a.shape[:k1] + b.shape[:k2] + b.shape[k2 + 1:] + a.shape[k1 + 1:]
-    out = np.zeros(out_shape)
-    for ia in np.ndindex(a.shape):
-        if a[ia] == 0.0:
-            continue
-        for ib in np.ndindex(b.shape):
-            if ia[k1] != ib[k2]:
-                continue
-            io = ia[:k1] + ib[:k2] + ib[k2 + 1:] + ia[k1 + 1:]
-            out[io] += a[ia] * b[ib]
-    return out
-
-
-class TestContract:
-    def test_against_naive(self, rng):
-        a = rand_sparse(rng, (3, 4, 2), 0.4)
-        b = rand_sparse(rng, (2, 4, 3), 0.4)
-        for k1, k2 in [(1, 1), (0, 2), (2, 0)]:
-            got = contract(a, k1, b, k2)
-            want = naive_contract(a.to_dense(), k1, b.to_dense(), k2)
-            assert np.allclose(got, want, atol=1e-13)
-
-    def test_dim_mismatch(self, rng):
-        a = rand_sparse(rng, (3, 4), 0.5)
-        b = rand_sparse(rng, (5, 2), 0.5)
-        with pytest.raises(ValueError):
-            contract(a, 1, b, 0)
-
-    def test_matrix_product(self, rng):
-        a = rand_sparse(rng, (4, 3), 0.6)
-        b = rand_sparse(rng, (3, 5), 0.6)
-        got = contract(a, 1, b, 0)
-        want = a.to_dense() @ b.to_dense()
-        assert np.allclose(got, want, atol=1e-13)
-
-
-class TestTensorTimesMatrix:
-    def test_identity(self, rng):
-        t = rand_sparse(rng, (3, 4, 2), 0.4)
-        out = tensor_times_matrix(t, 1, np.eye(4))
-        assert np.allclose(out, t.to_dense(), atol=1e-14)
-
-    def test_against_einsum(self, rng):
-        t = rand_sparse(rng, (3, 4, 2), 0.4)
-        m = rng.standard_normal((4, 5))
-        out = tensor_times_matrix(t, 1, m)
-        want = np.einsum("ijk,jm->imk", t.to_dense(), m)
-        assert np.allclose(out, want, atol=1e-13)
-
-    def test_equals_contract(self, rng):
-        t = rand_sparse(rng, (3, 4, 2), 0.4)
-        m = rng.standard_normal((4, 5))
-        assert np.allclose(
-            tensor_times_matrix(t, 1, m), contract(t, 1, m, 0), atol=1e-13
-        )
 
 
 class TestNorm:

@@ -7,7 +7,6 @@ from sparsett import (
     SparseTensor,
     TTMatrix,
     TTTensor,
-    as_quasi_perm,
     build_structured_tt,
     matrix_from_tensorized,
     mpo_matvec,
@@ -16,7 +15,6 @@ from sparsett import (
     tensorize_matrix,
     tt_add,
     tt_entries,
-    tt_entry,
     tt_norm,
     tt_rank1,
     tt_right_orthogonalize,
@@ -53,17 +51,11 @@ class TestTTTensor:
 
 
 class TestEntriesAndFull:
-    def test_entry_matches_full(self, rng):
-        t = rand_tt(rng, (3, 4, 2, 3), (2, 4, 2))
-        full = tt_to_full(t)
-        for idx in [(0, 0, 0, 0), (2, 3, 1, 2), (1, 2, 0, 1)]:
-            assert tt_entry(t, idx) == pytest.approx(full[idx], rel=1e-12)
-
     def test_entries_batched(self, rng):
         t = rand_tt(rng, (4, 4, 4), (3, 3))
         coords = np.stack([rng.integers(0, 4, 300) for _ in range(3)], axis=1)
         got = tt_entries(t, coords, batch=64)
-        want = np.array([tt_entry(t, c) for c in coords])
+        want = tt_to_full(t)[tuple(coords.T)]
         assert np.allclose(got, want, atol=1e-12)
 
     def test_full_cap(self, rng):
@@ -136,30 +128,12 @@ class TestQuasiPerm:
         assert d.shape == (4, 3)
         assert d.sum() == 3.0
         assert d[2, 0] == d[0, 1] == d[2, 2] == 1.0
-        assert np.array_equal(q.to_sparse().toarray(), d)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             QuasiPermMatrix(2, 2, np.array([0, 2]))
         with pytest.raises(ValueError):
             QuasiPermMatrix(2, 2, np.array([-1, 0]))
-
-    def test_recognizer_accepts(self):
-        q = QuasiPermMatrix(5, 4, np.array([1, 1, 4, 0]))
-        got = as_quasi_perm(q.to_sparse())
-        assert got is not None
-        assert np.array_equal(got.col_to_row, q.col_to_row)
-        got = as_quasi_perm(q.to_dense())
-        assert np.array_equal(got.col_to_row, q.col_to_row)
-
-    def test_recognizer_rejects(self):
-        two = scipy.sparse.csc_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        assert as_quasi_perm(two) is None
-        scaled = scipy.sparse.csc_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        assert as_quasi_perm(scaled) is None
-        empty_col = scipy.sparse.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert as_quasi_perm(empty_col) is None
-
 
 class TestStructuredTT:
     def test_reconstruction_and_ranks(self, rng):
@@ -170,29 +144,6 @@ class TestStructuredTT:
             assert s.ranks == (1,) + (r,) * (t.ndim - 1) + (1,)
             full = tt_to_full(structured_to_tt(s))
             assert np.array_equal(full, t.to_dense())
-
-    def test_perm_cores_unfold_to_quasi_perms(self, rng):
-        t = rand_sparse(rng, (3, 4, 3, 2), 0.25)
-        s = build_structured_tt(t, 2)
-        tt = structured_to_tt(s)
-        for k, q in zip(
-            [k for k in range(t.ndim) if k != s.pivot], s.perm_cores
-        ):
-            r0, n, r1 = tt.cores[k].shape
-            if k < s.pivot:
-                m = tt.cores[k].reshape(r0 * n, r1)
-            else:
-                m = tt.cores[k].reshape(r0, n * r1).T
-            rec = as_quasi_perm(scipy.sparse.csc_matrix(m))
-            assert rec is not None
-            assert np.array_equal(rec.col_to_row, q.col_to_row)
-
-    def test_fiber_core_matches_values(self, rng):
-        t = rand_sparse(rng, (4, 5, 3), 0.3)
-        s = build_structured_tt(t, 1)
-        core = s.fiber_core.toarray()
-        assert core.shape == (s.num_fibers, t.shape[1])
-        assert np.array_equal(np.sort(core[core != 0.0]), np.sort(t.values))
 
     def test_cap(self, rng):
         t = rand_sparse(rng, (20, 20, 20), 0.05)

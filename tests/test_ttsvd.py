@@ -56,8 +56,12 @@ class TestTTSVD:
         assert np.allclose(tt_to_full(t), a, atol=1e-14)
 
     def test_rejects_bad_eps(self, rng):
-        with pytest.raises(ValueError):
-            tt_svd(rng.standard_normal((3, 3)), -0.1)
+        a = rng.standard_normal((3, 3))
+        for eps in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                tt_svd(a, eps)
+            with pytest.raises(ValueError):
+                tt_rounding(tt_svd(a, 0.0), eps)
 
 
 def tt_norm_is_zero(t) -> bool:
