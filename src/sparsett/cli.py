@@ -75,6 +75,17 @@ def _load_input(path: str, row_dims, col_dims):
 def _decompose_once(tensor: SparseTensor, args) -> tuple[dict, float, object]:
     """Run one decomposition; returns (document, eps_used, train)."""
     eps = args.eps if args.eps is not None else 1e-14
+    if not eps >= 0:
+        raise FormatError(f"--eps must be nonnegative, got {eps}")
+    if args.method == "ttsvd":
+        # The reference method has no pivot, rounding mode or rank targets.
+        for flag, given in (
+            ("--p", args.p is not None),
+            ("--mode", args.mode != "static"),
+            ("--ranks", args.ranks is not None),
+        ):
+            if given:
+                raise FormatError(f"--method ttsvd does not take {flag}")
     mode = "fixed_rank" if args.mode == "fixed" else args.mode
     ranks = _int_tuple(args.ranks) if args.ranks else None
     if mode == "fixed_rank" and ranks is None:
@@ -177,6 +188,8 @@ def _run_case(case: dict) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.threads < 1:
+        raise FormatError(f"--threads must be at least 1, got {args.threads}")
     with open(args.manifest, "r", encoding="ascii") as fh:
         try:
             manifest = json.load(fh)
@@ -187,8 +200,11 @@ def cmd_bench(args) -> int:
         raise FormatError(f"{args.manifest}: manifest needs a nonempty 'cases' list")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # Under the fork start method the pool starts all of its workers at
+    # the first submit, so it never gets more workers than cases.
+    workers = min(args.threads, len(cases))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_case, cases))
     else:
         results = [_run_case(c) for c in cases]

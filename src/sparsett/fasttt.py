@@ -4,12 +4,15 @@ The pipeline converts a sparse tensor exactly into train format without
 touching a dense unfolding, then compresses:
 
 1.  Group the nonzeros into fibers along a pivot mode
-    (:func:`build_structured_tt`).  The result is an exact train whose
-    non-pivot cores are quasi-permutations.
+    (:func:`build_structured_tt`).  The :class:`FiberSet` it returns is
+    the exact train in index form: its non-pivot cores are
+    quasi-permutations (:class:`QuasiPermMatrix`), so integer index maps
+    describe them completely.
 2.  Deparallelise those cores by pure index arithmetic
     (:func:`parallel_vector_round` via :func:`depar_quasi_perm`), still
     exact, shrinking every interior bond from the fiber count to at
-    most ``min(R, prod of extents on the short side)``.
+    most ``min(R, prod of extents on the short side)``, and write the
+    result out as a train with dense cores.
 3.  Round with truncated SVD sweeps that start at the pivot and move
     outward.  :func:`~sparsett.ttsvd.round_from_pivot` runs the sweeps;
     :func:`efficient_tt_rounding` (static per-step tolerance),
@@ -19,6 +22,8 @@ touching a dense unfolding, then compresses:
 
 :func:`fasttt` drives all three stages and reports what happened;
 :func:`select_p` picks the pivot by the SVD cost model.
+:func:`structured_to_tt` writes out the exact train before
+deparallelisation, as a reference for small cases.
 """
 
 from __future__ import annotations
@@ -31,16 +36,8 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import SVDResult, svd_truncate_delta, svd_truncate_rank
-from .tensor import (
-    SparseTensor,
-    check_shape,
-    extract_nonzero_fibers,
-    frobenius_norm,
-    linearize,
-)
+from .tensor import DENSE_CAP, SparseTensor, check_shape, frobenius_norm, linearize
 from .ttformat import (
-    QuasiPermMatrix,
-    StructuredTT,
     TTTensor,
     tt_add,
     tt_entries,
@@ -54,10 +51,13 @@ from .ttsvd import _check_pivot, flops_ttsvd, full_ranks, round_from_pivot
 __all__ = [
     "float_ops",
     "DecompositionReport",
+    "FiberSet",
+    "QuasiPermMatrix",
     "depar_general",
     "depar_quasi_perm",
     "build_structured_tt",
     "parallel_vector_round",
+    "structured_to_tt",
     "efficient_tt_rounding",
     "dynamic_tt_rounding",
     "fixed_rank_rounding",
@@ -92,6 +92,115 @@ class _FlopCounter:
 
 
 float_ops = _FlopCounter()
+
+
+class FiberSet:
+    """The exact train of a sparse tensor in index form: its nonzero
+    mode-``pivot`` fibers.
+
+    A fiber is the 1-d slice obtained by fixing every coordinate except
+    the pivot one.  Only fibers holding at least one nonzero are stored.
+    Fixed tuples are kept in lexicographic order; within a fiber the
+    pivot coordinates are ascending.  Storage is CSR-like: fiber ``i``
+    owns entries ``indptr[i]:indptr[i+1]``.
+
+    Read as a train, every interior bond equals the fiber count ``R``.
+    Non-pivot core ``k`` is the quasi-permutation that sends fiber ``i``
+    to row ``fixed_coords[i, k if k < pivot else k - 1]`` of its
+    unfolding, and the pivot core holds fiber ``i`` in diagonal slice
+    ``i``; nothing of size ``R * n * R`` is materialized.
+    """
+
+    __slots__ = ("shape", "pivot", "fixed_coords", "indptr", "pivot_index", "values")
+
+    def __init__(self, shape, pivot, fixed_coords, indptr, pivot_index, values):
+        dims = check_shape(shape)
+        d = len(dims)
+        _check_pivot(pivot, d)
+        fixed_coords = np.ascontiguousarray(fixed_coords, dtype=np.int64)
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        pivot_index = np.ascontiguousarray(pivot_index, dtype=np.int64)
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        r = fixed_coords.shape[0] if fixed_coords.ndim else 0
+        fixed_coords = fixed_coords.reshape(r, d - 1) if d > 1 else fixed_coords.reshape(r, 0)
+        if indptr.shape != (r + 1,) or indptr[0] != 0 or indptr[-1] != values.shape[0]:
+            raise ValueError("inconsistent fiber index pointers")
+        if (np.diff(indptr) < 1).any():
+            raise ValueError("every stored fiber must hold at least one nonzero")
+        if r > 1:
+            rest_dims = dims[:pivot] + dims[pivot + 1 :]
+            keys = linearize(rest_dims, fixed_coords) if rest_dims else np.zeros(r, np.int64)
+            if (np.diff(keys) <= 0).any():
+                raise ValueError("fixed tuples must be strictly increasing")
+        for a in (fixed_coords, indptr, pivot_index, values):
+            a.setflags(write=False)
+        object.__setattr__(self, "shape", dims)
+        object.__setattr__(self, "pivot", int(pivot))
+        object.__setattr__(self, "fixed_coords", fixed_coords)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "pivot_index", pivot_index)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiberSet is immutable")
+
+    @property
+    def num_fibers(self) -> int:
+        return self.fixed_coords.shape[0]
+
+    @property
+    def nnz(self) -> int:
+        return self.values.shape[0]
+
+    def to_tensor(self) -> SparseTensor:
+        """Reassemble the original tensor (index regrouping only)."""
+        d = len(self.shape)
+        coords = np.empty((self.nnz, d), dtype=np.int64)
+        rest = [k for k in range(d) if k != self.pivot]
+        per_entry = np.repeat(np.arange(self.num_fibers), np.diff(self.indptr))
+        coords[:, rest] = self.fixed_coords[per_entry]
+        coords[:, self.pivot] = self.pivot_index
+        return SparseTensor(self.shape, coords, self.values)
+
+
+class QuasiPermMatrix:
+    """A zero-one matrix with exactly one 1 per column.
+
+    Stored as the map from column to the row holding its 1, so products
+    and factorizations reduce to integer index arithmetic.
+    """
+
+    __slots__ = ("n_rows", "n_cols", "col_to_row")
+
+    def __init__(self, n_rows: int, n_cols: int, col_to_row):
+        n_rows = int(n_rows)
+        n_cols = int(n_cols)
+        col_to_row = np.ascontiguousarray(col_to_row, dtype=np.int64)
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError("matrix extents must be nonnegative")
+        if col_to_row.shape != (n_cols,):
+            raise ValueError(f"col_to_row must have shape ({n_cols},)")
+        if n_cols and (col_to_row.min() < 0 or col_to_row.max() >= n_rows):
+            raise ValueError("column map points outside the row range")
+        col_to_row.setflags(write=False)
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "n_cols", n_cols)
+        object.__setattr__(self, "col_to_row", col_to_row)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuasiPermMatrix is immutable")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n_rows, self.n_cols)
+
+    def to_dense(self) -> np.ndarray:
+        m = np.zeros((self.n_rows, self.n_cols))
+        m[self.col_to_row, np.arange(self.n_cols)] = 1.0
+        return m
+
+    def __repr__(self) -> str:
+        return f"QuasiPermMatrix(shape={self.shape})"
 
 
 def depar_general(m, tol: float = 1e-12):
@@ -168,52 +277,43 @@ def depar_quasi_perm(q: QuasiPermMatrix):
     return n, t
 
 
-def build_structured_tt(a: SparseTensor, pivot: int) -> StructuredTT:
-    """Exact structured train of ``a`` along the given pivot mode.
+def build_structured_tt(a: SparseTensor, pivot: int) -> FiberSet:
+    """Group the nonzeros of ``a`` into mode-``pivot`` fibers: the exact
+    train in index form.
 
-    An empty tensor yields a structure with zero fibers, which rounds to
-    the zero train downstream rather than raising.
+    Grouping is done by sorting with the pivot coordinate rotated to the
+    fastest position, so the fixed tuples come out in lexicographic
+    order.  The number of fibers is bounded by ``nnz`` and by the number
+    of possible fixed tuples.  An empty tensor yields zero fibers, which
+    round to the zero train downstream rather than raising.
     """
     if not isinstance(a, SparseTensor):
         raise TypeError("build_structured_tt expects a SparseTensor")
-    return StructuredTT(extract_nonzero_fibers(a, pivot))
+    d = a.ndim
+    _check_pivot(pivot, d)
+    rest = [k for k in range(d) if k != pivot]
+    fixed = a.coords[:, rest]
+    # lexsort: last key is primary.
+    keys = (a.coords[:, pivot],) + tuple(fixed[:, k] for k in range(d - 2, -1, -1))
+    order = np.lexsort(keys)
+    fixed = fixed[order]
+    boundary = np.ones(a.nnz, dtype=bool)
+    if a.nnz > 1:
+        boundary[1:] = (fixed[1:] != fixed[:-1]).any(axis=1)
+    starts = np.flatnonzero(boundary)
+    indptr = np.concatenate([starts, [a.nnz]]) if a.nnz else np.zeros(1, np.int64)
+    return FiberSet(
+        a.shape,
+        pivot,
+        fixed[starts] if a.nnz else np.zeros((0, max(d - 1, 0)), np.int64),
+        indptr,
+        a.coords[order, pivot],
+        a.values[order],
+    )
 
 
-def _index_sweeps(s: StructuredTT):
-    """Run the deparallelisation recursions on both sides of the pivot.
-
-    Returns the kept-row arrays per mode and the final fiber-to-rank
-    maps; everything is integer index data.
-    """
-    d = s.ndim
-    r_total = s.num_fibers
-    t_map = np.zeros(r_total, dtype=np.int64)
-    r_prev = 1
-    left: list[tuple[np.ndarray, int]] = []
-    for k in range(s.pivot):
-        key = t_map * s.shape[k] + s.mode_index(k)
-        n_fac, t_fac = depar_quasi_perm(
-            QuasiPermMatrix(r_prev * s.shape[k], r_total, key)
-        )
-        left.append((n_fac.col_to_row, r_prev))
-        t_map = t_fac.col_to_row
-        r_prev = n_fac.n_cols
-    s_map = np.zeros(r_total, dtype=np.int64)
-    r_next = 1
-    right: list[tuple[np.ndarray, int]] = []  # modes d-1 .. pivot+1
-    for k in range(d - 1, s.pivot, -1):
-        key = s.mode_index(k) * r_next + s_map
-        n_fac, t_fac = depar_quasi_perm(
-            QuasiPermMatrix(s.shape[k] * r_next, r_total, key)
-        )
-        right.append((n_fac.col_to_row, r_next))
-        s_map = t_fac.col_to_row
-        r_next = n_fac.n_cols
-    return left, t_map, r_prev, right, s_map, r_next
-
-
-def parallel_vector_round(s: StructuredTT) -> TTTensor:
-    """Losslessly compress the structured train by deparallelisation.
+def parallel_vector_round(s: FiberSet) -> TTTensor:
+    """Losslessly compress the exact train by deparallelisation.
 
     Sweeps inward from both edges toward the pivot, replacing each
     quasi-permutation core by its deparallelised factor and pushing the
@@ -222,29 +322,78 @@ def parallel_vector_round(s: StructuredTT) -> TTTensor:
     only placed), whose cores left of the pivot are left-orthonormal and
     right of it right-orthonormal.
     """
-    if not isinstance(s, StructuredTT):
-        raise TypeError("parallel_vector_round expects a StructuredTT")
-    dims = s.shape
-    d = s.ndim
-    if s.num_fibers == 0:
+    if not isinstance(s, FiberSet):
+        raise TypeError("parallel_vector_round expects a FiberSet")
+    dims, pivot, r_total = s.shape, s.pivot, s.num_fibers
+    d = len(dims)
+    if r_total == 0:
         return tt_zero(dims)
-    left, t_map, r_prev, right, s_map, r_next = _index_sweeps(s)
     cores: list[np.ndarray | None] = [None] * d
-    for k, (kept, rp) in enumerate(left):
+    # t_map / s_map send each fiber to its row of the bond left / right
+    # of the pivot core after the modes swept so far.
+    t_map = np.zeros(r_total, dtype=np.int64)
+    r_prev = 1
+    for k in range(pivot):
         n = dims[k]
-        core = np.zeros((rp, n, kept.size))
+        n_fac, t_fac = depar_quasi_perm(
+            QuasiPermMatrix(r_prev * n, r_total, t_map * n + s.fixed_coords[:, k])
+        )
+        kept = n_fac.col_to_row
+        core = np.zeros((r_prev, n, kept.size))
         core[kept // n, kept % n, np.arange(kept.size)] = 1.0
         cores[k] = core
-    for step, (kept, rn) in enumerate(right):
-        k = d - 1 - step
-        core = np.zeros((kept.size, dims[k], rn))
-        core[np.arange(kept.size), kept // rn, kept % rn] = 1.0
+        t_map, r_prev = t_fac.col_to_row, kept.size
+    s_map = np.zeros(r_total, dtype=np.int64)
+    r_next = 1
+    for k in range(d - 1, pivot, -1):
+        n = dims[k]
+        n_fac, t_fac = depar_quasi_perm(
+            QuasiPermMatrix(n * r_next, r_total, s.fixed_coords[:, k - 1] * r_next + s_map)
+        )
+        kept = n_fac.col_to_row
+        core = np.zeros((kept.size, n, r_next))
+        core[np.arange(kept.size), kept // r_next, kept % r_next] = 1.0
         cores[k] = core
-    f = s.fibers
-    pivot_core = np.zeros((r_prev, dims[s.pivot], r_next))
-    per_entry = np.repeat(np.arange(s.num_fibers), np.diff(f.indptr))
-    pivot_core[t_map[per_entry], f.pivot_index, s_map[per_entry]] = f.values
-    cores[s.pivot] = pivot_core
+        s_map, r_next = t_fac.col_to_row, kept.size
+    pivot_core = np.zeros((r_prev, dims[pivot], r_next))
+    per_entry = np.repeat(np.arange(r_total), np.diff(s.indptr))
+    pivot_core[t_map[per_entry], s.pivot_index, s_map[per_entry]] = s.values
+    cores[pivot] = pivot_core
+    return TTTensor(cores, copy=False)
+
+
+def structured_to_tt(s: FiberSet, cap: int | None = DENSE_CAP) -> TTTensor:
+    """Materialize the exact train with its undeparallelised dense cores.
+
+    Interior ranks all equal the fiber count, so this is only a
+    small-case reference; the total core size is guarded by ``cap``.
+    """
+    dims, pivot, r = s.shape, s.pivot, s.num_fibers
+    d = len(dims)
+    if r == 0:
+        return tt_zero(dims)
+    total = sum(
+        (r if k > 0 else 1) * dims[k] * (r if k < d - 1 else 1) for k in range(d)
+    )
+    if cap is not None and total > cap:
+        raise ValueError(f"core size {total} exceeds cap {cap}; raise cap explicitly")
+    beta = np.arange(r)
+    cores: list[np.ndarray] = []
+    for k in range(d):
+        r0 = r if k > 0 else 1
+        r1 = r if k < d - 1 else 1
+        core = np.zeros((r0, dims[k], r1))
+        if k == pivot:
+            per_entry = np.repeat(beta, np.diff(s.indptr))
+            left = per_entry if k > 0 else np.zeros(s.nnz, np.int64)
+            right = per_entry if k < d - 1 else np.zeros(s.nnz, np.int64)
+            core[left, s.pivot_index, right] = s.values
+        else:
+            ik = s.fixed_coords[:, k if k < pivot else k - 1]
+            left = beta if k > 0 else np.zeros(r, np.int64)
+            right = beta if k < d - 1 else np.zeros(r, np.int64)
+            core[left, ik, right] = 1.0
+        cores.append(core)
     return TTTensor(cores, copy=False)
 
 
@@ -543,9 +692,9 @@ def fasttt(
         eps_actual, method, inner = 0.0, "exact", 0.0
         flops_model, flops_ttsvd_model = 0.0, 0.0
     else:
-        structured = build_structured_tt(a, pivot)
-        exact = parallel_vector_round(structured)
-        num_fibers = structured.num_fibers
+        fibers = build_structured_tt(a, pivot)
+        exact = parallel_vector_round(fibers)
+        num_fibers = fibers.num_fibers
         ranks_lossless = exact.ranks[1:-1]
         if mode == "static":
             tt = efficient_tt_rounding(exact, pivot, eps)

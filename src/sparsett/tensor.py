@@ -1,4 +1,4 @@
-"""Sparse tensors in coordinate form and index-space operations on them.
+"""Sparse tensors in coordinate form and their linear indexing.
 
 Conventions used throughout the package:
 
@@ -23,12 +23,10 @@ from .errors import FormatError
 __all__ = [
     "DENSE_CAP",
     "SparseTensor",
-    "FiberSet",
     "check_shape",
     "linearize",
     "delinearize",
     "frobenius_norm",
-    "extract_nonzero_fibers",
 ]
 
 # Guard for any operation that materializes a dense array.
@@ -190,99 +188,3 @@ def frobenius_norm(t) -> float:
     if isinstance(t, SparseTensor):
         return float(np.linalg.norm(t.values))
     return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
-
-
-class FiberSet:
-    """Nonzero mode-``pivot`` fibers of a sparse tensor.
-
-    A fiber is the 1-d slice obtained by fixing every coordinate except
-    the pivot one.  Only fibers holding at least one nonzero are stored.
-    Fixed tuples are kept in lexicographic order; within a fiber the
-    pivot coordinates are ascending.  Storage is CSR-like: fiber ``i``
-    owns entries ``indptr[i]:indptr[i+1]``.
-    """
-
-    __slots__ = ("shape", "pivot", "fixed_coords", "indptr", "pivot_index", "values")
-
-    def __init__(self, shape, pivot, fixed_coords, indptr, pivot_index, values):
-        dims = check_shape(shape)
-        d = len(dims)
-        if not 0 <= pivot < d:
-            raise ValueError(f"pivot {pivot} out of range for {d} modes")
-        fixed_coords = np.ascontiguousarray(fixed_coords, dtype=np.int64)
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        pivot_index = np.ascontiguousarray(pivot_index, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        r = fixed_coords.shape[0] if fixed_coords.ndim else 0
-        fixed_coords = fixed_coords.reshape(r, d - 1) if d > 1 else fixed_coords.reshape(r, 0)
-        if indptr.shape != (r + 1,) or indptr[0] != 0 or indptr[-1] != values.shape[0]:
-            raise ValueError("inconsistent fiber index pointers")
-        if (np.diff(indptr) < 1).any():
-            raise ValueError("every stored fiber must hold at least one nonzero")
-        if r > 1:
-            rest_dims = dims[:pivot] + dims[pivot + 1 :]
-            keys = linearize(rest_dims, fixed_coords) if rest_dims else np.zeros(r, np.int64)
-            if (np.diff(keys) <= 0).any():
-                raise ValueError("fixed tuples must be strictly increasing")
-        for a in (fixed_coords, indptr, pivot_index, values):
-            a.setflags(write=False)
-        object.__setattr__(self, "shape", dims)
-        object.__setattr__(self, "pivot", int(pivot))
-        object.__setattr__(self, "fixed_coords", fixed_coords)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "pivot_index", pivot_index)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberSet is immutable")
-
-    @property
-    def num_fibers(self) -> int:
-        return self.fixed_coords.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self.values.shape[0]
-
-    def to_tensor(self) -> SparseTensor:
-        """Reassemble the original tensor (index regrouping only)."""
-        d = len(self.shape)
-        n = self.nnz
-        coords = np.empty((n, d), dtype=np.int64)
-        rest = [k for k in range(d) if k != self.pivot]
-        per_entry = np.repeat(np.arange(self.num_fibers), np.diff(self.indptr))
-        coords[:, rest] = self.fixed_coords[per_entry]
-        coords[:, self.pivot] = self.pivot_index
-        return SparseTensor(self.shape, coords, self.values)
-
-
-def extract_nonzero_fibers(t: SparseTensor, pivot: int) -> FiberSet:
-    """Group the nonzeros of ``t`` into mode-``pivot`` fibers.
-
-    Grouping is done by sorting with the pivot coordinate rotated to the
-    fastest position, so the fixed tuples come out in lexicographic
-    order.  The number of fibers is bounded by ``nnz`` and by the number
-    of possible fixed tuples.
-    """
-    d = t.ndim
-    if not 0 <= pivot < d:
-        raise ValueError(f"pivot {pivot} out of range for {d} modes")
-    rest = [k for k in range(d) if k != pivot]
-    fixed = t.coords[:, rest]
-    # lexsort: last key is primary.
-    keys = (t.coords[:, pivot],) + tuple(fixed[:, k] for k in range(d - 2, -1, -1))
-    order = np.lexsort(keys)
-    fixed = fixed[order]
-    boundary = np.ones(t.nnz, dtype=bool)
-    if t.nnz > 1:
-        boundary[1:] = (fixed[1:] != fixed[:-1]).any(axis=1)
-    starts = np.flatnonzero(boundary)
-    indptr = np.concatenate([starts, [t.nnz]]) if t.nnz else np.zeros(1, np.int64)
-    return FiberSet(
-        t.shape,
-        pivot,
-        fixed[starts] if t.nnz else np.zeros((0, max(d - 1, 0)), np.int64),
-        indptr,
-        t.coords[order, pivot],
-        t.values[order],
-    )

@@ -1,5 +1,5 @@
-"""Tensor-train values: dense-core trains, operator trains, and the
-structured (quasi-permutation) train a sparse tensor converts into.
+"""Tensor-train values with dense cores: trains, operator trains, and
+the matrix tensorization that turns a sparse matrix into a tensor.
 
 A train with cores ``G[0] .. G[d-1]`` (each ``(r_prev, n_k, r_next)``,
 edge ranks 1) represents
@@ -18,20 +18,11 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import qr_economic
-from .tensor import (
-    DENSE_CAP,
-    FiberSet,
-    SparseTensor,
-    check_shape,
-    delinearize,
-    linearize,
-)
+from .tensor import DENSE_CAP, SparseTensor, check_shape, delinearize, linearize
 
 __all__ = [
     "TTTensor",
     "TTMatrix",
-    "QuasiPermMatrix",
-    "StructuredTT",
     "tt_zero",
     "tt_entries",
     "tt_rank1",
@@ -40,7 +31,6 @@ __all__ = [
     "tt_to_full",
     "tt_norm",
     "tt_right_orthogonalize",
-    "structured_to_tt",
     "tensorize_matrix",
     "matrix_from_tensorized",
     "tt_split_mpo",
@@ -202,138 +192,6 @@ def tt_right_orthogonalize(t: TTTensor) -> TTTensor:
     right-orthonormal; the first core then carries the whole norm."""
     cores = [c.copy() for c in t.cores]
     _qr_sweep(cores, 0)
-    return TTTensor(cores, copy=False)
-
-
-class QuasiPermMatrix:
-    """A zero-one matrix with exactly one 1 per column.
-
-    Stored as the map from column to the row holding its 1, so products
-    and factorizations reduce to integer index arithmetic.
-    """
-
-    __slots__ = ("n_rows", "n_cols", "col_to_row")
-
-    def __init__(self, n_rows: int, n_cols: int, col_to_row):
-        n_rows = int(n_rows)
-        n_cols = int(n_cols)
-        col_to_row = np.ascontiguousarray(col_to_row, dtype=np.int64)
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("matrix extents must be nonnegative")
-        if col_to_row.shape != (n_cols,):
-            raise ValueError(f"col_to_row must have shape ({n_cols},)")
-        if n_cols and (col_to_row.min() < 0 or col_to_row.max() >= n_rows):
-            raise ValueError("column map points outside the row range")
-        col_to_row.setflags(write=False)
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "col_to_row", col_to_row)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuasiPermMatrix is immutable")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
-    def to_dense(self) -> np.ndarray:
-        m = np.zeros((self.n_rows, self.n_cols))
-        m[self.col_to_row, np.arange(self.n_cols)] = 1.0
-        return m
-
-    def __repr__(self) -> str:
-        return f"QuasiPermMatrix(shape={self.shape})"
-
-
-class StructuredTT:
-    """The exact train of a sparse tensor, kept in index form.
-
-    All interior bonds equal the fiber count ``R``.  Every non-pivot
-    core is a quasi-permutation in the appropriate unfolding (columns
-    left of the pivot, transposed rows right of it) and is stored as an
-    index map; the pivot core holds one fiber per diagonal slice and is
-    stored sparsely.  Nothing of size ``R * n * R`` is materialized.
-    """
-
-    __slots__ = ("fibers",)
-
-    def __init__(self, fibers: FiberSet):
-        if not isinstance(fibers, FiberSet):
-            raise TypeError("StructuredTT is built from a FiberSet")
-        object.__setattr__(self, "fibers", fibers)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StructuredTT is immutable")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.fibers.shape
-
-    @property
-    def pivot(self) -> int:
-        return self.fibers.pivot
-
-    @property
-    def num_fibers(self) -> int:
-        return self.fibers.num_fibers
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        d = self.ndim
-        return (1,) + (self.num_fibers,) * (d - 1) + (1,)
-
-    def mode_index(self, k: int) -> np.ndarray:
-        """Per-fiber coordinate of non-pivot mode ``k`` (length ``R``)."""
-        if k == self.pivot or not 0 <= k < self.ndim:
-            raise ValueError(f"mode {k} is the pivot or out of range")
-        col = k if k < self.pivot else k - 1
-        return self.fibers.fixed_coords[:, col]
-
-    def __repr__(self) -> str:
-        return (
-            f"StructuredTT(shape={self.shape}, pivot={self.pivot}, "
-            f"fibers={self.num_fibers})"
-        )
-
-
-def structured_to_tt(s: StructuredTT, cap: int | None = DENSE_CAP) -> TTTensor:
-    """Materialize the structured train with explicit dense cores.
-
-    Interior ranks all equal the fiber count, so this is only for small
-    instances; the total core size is guarded by ``cap``.
-    """
-    d = s.ndim
-    r = s.num_fibers
-    dims = s.shape
-    if r == 0:
-        return tt_zero(dims)
-    total = sum(
-        (r if k > 0 else 1) * dims[k] * (r if k < d - 1 else 1) for k in range(d)
-    )
-    if cap is not None and total > cap:
-        raise ValueError(f"core size {total} exceeds cap {cap}; raise cap explicitly")
-    beta = np.arange(r)
-    cores: list[np.ndarray] = []
-    for k in range(d):
-        r0 = r if k > 0 else 1
-        r1 = r if k < d - 1 else 1
-        core = np.zeros((r0, dims[k], r1))
-        if k == s.pivot:
-            f = s.fibers
-            per_entry = np.repeat(beta, np.diff(f.indptr))
-            left = per_entry if k > 0 else np.zeros(f.nnz, np.int64)
-            right = per_entry if k < d - 1 else np.zeros(f.nnz, np.int64)
-            core[left, f.pivot_index, right] = f.values
-        else:
-            ik = s.mode_index(k)
-            left = beta if k > 0 else np.zeros(r, np.int64)
-            right = beta if k < d - 1 else np.zeros(r, np.int64)
-            core[left, ik, right] = 1.0
-        cores.append(core)
     return TTTensor(cores, copy=False)
 
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from sparsett import gen_random_sparse, ingest_coo, load_tt, tt_to_full, write_coo
+from sparsett import SparseTensor, gen_random_sparse, ingest_coo, load_tt, tt_to_full, write_coo
+from sparsett import cli
 from sparsett.cli import main
 from conftest import rand_sparse
 
@@ -134,6 +135,30 @@ class TestDecompose:
             assert rc == 2
             assert not report.exists()
 
+    def test_bad_eps_rejected_before_densifying(self, tmp_path, capsys):
+        shape = (1000, 1000, 151)
+        assert np.prod(shape) > cli._TTSVD_DENSE_CAP
+        path = tmp_path / "huge.coo"
+        write_coo(SparseTensor(shape, [[0, 0, 0]], [1.0]), path)
+        for eps in ("nan", "-0.5"):
+            rc = main(["decompose", "--in", str(path), "--method", "ttsvd", f"--eps={eps}"])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "eps" in err and "cap" not in err
+
+    @pytest.mark.parametrize("flag", [
+        ("--p", "2"), ("--mode", "dynamic"), ("--mode", "fixed", "--ranks", "2"), ("--ranks", "2"),
+    ], ids=["p", "mode-dynamic", "mode-fixed", "ranks"])
+    def test_ttsvd_rejects_pipeline_flags(self, coo_file, tmp_path, capsys, flag):
+        report = tmp_path / "report.json"
+        rc = main([
+            "decompose", "--in", str(coo_file), "--method", "ttsvd", *flag,
+            "--report", str(report),
+        ])
+        assert rc == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestBench:
     def write_inputs(self, tmp_path, rng):
@@ -181,6 +206,40 @@ class TestBench:
         assert by_name["good"]["ok"] is True
         assert by_name["bad"]["ok"] is False
         assert "error" in by_name["bad"]
+
+    def test_pool_no_larger_than_case_count(self, tmp_path, rng, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            # Runs the cases in this process and records the requested size.
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        files = self.write_inputs(tmp_path, rng)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "cases": [{"name": f"c{i}", "file": f, "compare_ttsvd": False}
+                      for i, f in enumerate(files)]
+        }))
+        out_dir = str(tmp_path / "out")
+        args = ["bench", "--manifest", str(manifest), "--out", out_dir, "--threads"]
+        assert main(args + ["64"]) == 0
+        assert pools == [2]
+        assert main(args + ["1"]) == 0
+        assert pools == [2]
+        for bad in ("0", "-3"):
+            assert main(args + [bad]) == 2
+        assert pools == [2]
 
     def test_bad_manifest_exits_two(self, tmp_path):
         manifest = tmp_path / "manifest.json"

@@ -5,6 +5,7 @@ import pytest
 
 from sparsett import (
     ContractViolationError,
+    FiberSet,
     QuasiPermMatrix,
     SparseTensor,
     build_structured_tt,
@@ -25,6 +26,85 @@ from sparsett import (
     tt_to_full,
 )
 from conftest import rand_sparse
+
+
+class TestFiberExtraction:
+    def test_reconstruction_exact(self, rng):
+        t = rand_sparse(rng, (4, 3, 5, 2), 0.25)
+        for pivot in range(t.ndim):
+            fs = build_structured_tt(t, pivot)
+            back = fs.to_tensor()
+            assert np.array_equal(back.coords, t.coords)
+            assert np.array_equal(back.values, t.values)
+
+    def test_fiber_count_matches_set_oracle(self, rng):
+        t = rand_sparse(rng, (4, 3, 5, 2), 0.25)
+        for pivot in range(t.ndim):
+            fixed = {
+                tuple(np.delete(c, pivot)) for c in t.coords
+            }
+            fs = build_structured_tt(t, pivot)
+            assert fs.num_fibers == len(fixed)
+
+    def test_fixed_tuples_sorted_and_distinct(self, rng):
+        t = rand_sparse(rng, (5, 4, 3), 0.3)
+        fs = build_structured_tt(t, 1)
+        rows = fs.fixed_coords
+        keys = [tuple(r) for r in rows]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+    def test_each_fiber_nonempty(self, rng):
+        t = rand_sparse(rng, (6, 6), 0.2)
+        for pivot in (0, 1):
+            fs = build_structured_tt(t, pivot)
+            assert np.all(np.diff(fs.indptr) >= 1)
+
+    def test_bounds(self, rng):
+        t = rand_sparse(rng, (4, 5, 6), 0.1)
+        fs = build_structured_tt(t, 2)
+        assert fs.num_fibers <= t.nnz
+        assert fs.num_fibers <= 4 * 5
+
+    def test_empty_tensor(self):
+        t = SparseTensor((3, 4), np.zeros((0, 2), dtype=np.int64), np.zeros(0))
+        fs = build_structured_tt(t, 0)
+        assert fs.num_fibers == 0
+        assert fs.to_tensor().nnz == 0
+
+    def test_full_mode_grouping(self):
+        coords = np.array([[i, j] for i in range(3) for j in range(4)])
+        t = SparseTensor((3, 4), coords, np.arange(1.0, 13.0))
+        fs = build_structured_tt(t, 1)
+        assert fs.num_fibers == 3
+        assert np.all(np.diff(fs.indptr) == 4)
+
+
+class TestFiberSetValidation:
+    def test_inconsistent_indptr_rejected(self):
+        fixed = np.array([[0], [1]])
+        for indptr in ([0, 1], [1, 2, 3], [0, 1, 2]):
+            with pytest.raises(ValueError, match="index pointers"):
+                FiberSet((2, 3), 1, fixed, indptr, [0, 1, 2], [1.0, 2.0, 3.0])
+
+    def test_empty_fiber_rejected(self):
+        with pytest.raises(ValueError, match="at least one nonzero"):
+            FiberSet((2, 3), 1, [[0], [1]], [0, 2, 2], [0, 1], [1.0, 2.0])
+
+    def test_fixed_tuples_must_increase(self):
+        for fixed in ([[1], [0]], [[1], [1]]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                FiberSet((2, 3), 1, fixed, [0, 1, 2], [0, 1], [1.0, 2.0])
+
+    def test_build_rejects_non_sparse_input(self):
+        with pytest.raises(TypeError):
+            build_structured_tt(np.ones((2, 3)), 0)
+
+    def test_build_rejects_pivot_out_of_range(self, rng):
+        t = rand_sparse(rng, (3, 4, 2), 0.5)
+        for pivot in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                build_structured_tt(t, pivot)
 
 
 class TestDeparGeneral:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsett import FormatError, SparseTensor, extract_nonzero_fibers
+from sparsett import FormatError, SparseTensor
 from sparsett.tensor import check_shape, delinearize, frobenius_norm, linearize
 from conftest import rand_sparse
 
@@ -115,55 +115,3 @@ class TestNorm:
         assert frobenius_norm(t) == pytest.approx(
             np.linalg.norm(t.to_dense()), rel=1e-14
         )
-
-
-class TestFiberExtraction:
-    def test_reconstruction_exact(self, rng):
-        t = rand_sparse(rng, (4, 3, 5, 2), 0.25)
-        for pivot in range(t.ndim):
-            fs = extract_nonzero_fibers(t, pivot)
-            back = fs.to_tensor()
-            assert np.array_equal(back.coords, t.coords)
-            assert np.array_equal(back.values, t.values)
-
-    def test_fiber_count_matches_set_oracle(self, rng):
-        t = rand_sparse(rng, (4, 3, 5, 2), 0.25)
-        for pivot in range(t.ndim):
-            fixed = {
-                tuple(np.delete(c, pivot)) for c in t.coords
-            }
-            fs = extract_nonzero_fibers(t, pivot)
-            assert fs.num_fibers == len(fixed)
-
-    def test_fixed_tuples_sorted_and_distinct(self, rng):
-        t = rand_sparse(rng, (5, 4, 3), 0.3)
-        fs = extract_nonzero_fibers(t, 1)
-        rows = fs.fixed_coords
-        keys = [tuple(r) for r in rows]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
-
-    def test_each_fiber_nonempty(self, rng):
-        t = rand_sparse(rng, (6, 6), 0.2)
-        for pivot in (0, 1):
-            fs = extract_nonzero_fibers(t, pivot)
-            assert np.all(np.diff(fs.indptr) >= 1)
-
-    def test_bounds(self, rng):
-        t = rand_sparse(rng, (4, 5, 6), 0.1)
-        fs = extract_nonzero_fibers(t, 2)
-        assert fs.num_fibers <= t.nnz
-        assert fs.num_fibers <= 4 * 5
-
-    def test_empty_tensor(self):
-        t = SparseTensor((3, 4), np.zeros((0, 2), dtype=np.int64), np.zeros(0))
-        fs = extract_nonzero_fibers(t, 0)
-        assert fs.num_fibers == 0
-        assert fs.to_tensor().nnz == 0
-
-    def test_full_mode_grouping(self):
-        coords = np.array([[i, j] for i in range(3) for j in range(4)])
-        t = SparseTensor((3, 4), coords, np.arange(1.0, 13.0))
-        fs = extract_nonzero_fibers(t, 1)
-        assert fs.num_fibers == 3
-        assert np.all(np.diff(fs.indptr) == 4)

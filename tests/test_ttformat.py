@@ -140,8 +140,6 @@ class TestStructuredTT:
         t = rand_sparse(rng, (4, 3, 5), 0.3)
         for pivot in range(3):
             s = build_structured_tt(t, pivot)
-            r = s.num_fibers
-            assert s.ranks == (1,) + (r,) * (t.ndim - 1) + (1,)
             full = tt_to_full(structured_to_tt(s))
             assert np.array_equal(full, t.to_dense())
 
