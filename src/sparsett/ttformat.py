@@ -94,18 +94,45 @@ def tt_zero(dims) -> TTTensor:
     return TTTensor([np.zeros((1, n, 1)) for n in dims])
 
 
-def tt_entries(t: TTTensor, coords, batch: int = 1024) -> np.ndarray:
-    """Evaluate many entries; ``coords`` is ``(n, d)``, 0-based."""
+def tt_entries(t: TTTensor, coords, batch: int = 4096) -> np.ndarray:
+    """Evaluate many entries; ``coords`` is ``(n, d)``, 0-based.
+
+    The coordinates go in batches of ``batch`` rows.  Each batch carries
+    a ``(batch, r_k)`` block of partial products through the modes.  At
+    mode ``k >= 1`` the rows are stably sorted by ``coords[:, k]``, and
+    every run of rows with the same index ``i`` is multiplied by the
+    slice ``G[k][:, i, :]`` in one GEMM.  No ``r_k x batch x r_{k+1}``
+    gather of core slices is formed, so the working memory is
+    O(batch * max r_k) floats and every flop is BLAS-3.  A coordinate
+    outside ``[0, n_k)`` raises ``ValueError``.
+    """
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != t.ndim:
         raise ValueError(f"coords must be (n, {t.ndim})")
+    if batch < 1:
+        raise ValueError(f"batch must be positive, got {batch}")
+    if ((coords < 0) | (coords >= np.asarray(t.dims))).any():
+        raise ValueError(f"coords out of range for mode extents {t.dims}")
     out = np.empty(coords.shape[0])
     for lo in range(0, coords.shape[0], batch):
         c = coords[lo : lo + batch]
+        # Row j of ``v`` belongs to coordinate ``rows[j]`` of the batch.
+        rows = np.arange(c.shape[0])
         v = t.cores[0][0, c[:, 0], :]
         for k in range(1, t.ndim):
-            v = np.einsum("nr,rns->ns", v, t.cores[k][:, c[:, k], :])
-        out[lo : lo + c.shape[0]] = v[:, 0]
+            core = t.cores[k]
+            idx = c[rows, k]
+            order = idx.argsort(kind="stable")
+            idx = idx[order]
+            rows = rows[order]
+            v = v[order]
+            cuts = ((idx[1:] != idx[:-1]).nonzero()[0] + 1).tolist()
+            bounds = [0, *cuts, idx.size]
+            prod = np.empty((idx.size, core.shape[2]))
+            for s, e in zip(bounds[:-1], bounds[1:]):
+                np.matmul(v[s:e], core[:, idx[s], :], out=prod[s:e])
+            v = prod
+        out[lo + rows] = v[:, 0]
     return out
 
 
@@ -184,7 +211,7 @@ def _qr_sweep(cores: list[np.ndarray], stop: int) -> None:
         fac = qr_economic(cores[k].reshape(r0, n * r1).T)
         q = fac.q.shape[1]
         cores[k] = np.ascontiguousarray(fac.q.T).reshape(q, n, r1)
-        cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], fac.r)
+        cores[k - 1] = np.tensordot(cores[k - 1], fac.r, axes=(2, 1))
 
 
 def tt_right_orthogonalize(t: TTTensor) -> TTTensor:

@@ -118,7 +118,7 @@ def round_from_pivot(t: TTTensor, pivot: int, right_step, left_step) -> TTTensor
             return tt_zero(t.dims)
         cores[k] = np.ascontiguousarray(res.u.T).reshape(res.rank, n, r1)
         carry = res.vt.T * res.s  # (r0, rank)
-        cores[k - 1] = np.einsum("abc,cd->abd", cores[k - 1], carry)
+        cores[k - 1] = np.tensordot(cores[k - 1], carry, axes=(2, 0))
     return TTTensor(cores, copy=False)
 
 

@@ -29,6 +29,18 @@ def rand_tt(rng: np.random.Generator, dims, ranks):
     return TTTensor(cores)
 
 
+def einsum_qr_sweep(cores, stop):
+    """Reference right-to-left QR sweep: cores ``stop+1..d-1`` become
+    right-orthonormal in place, and einsum absorbs each R factor."""
+    from sparsett.linalg import qr_economic
+
+    for k in range(len(cores) - 1, stop, -1):
+        r0, n, r1 = cores[k].shape
+        fac = qr_economic(cores[k].reshape(r0, n * r1).T)
+        cores[k] = fac.q.T.reshape(-1, n, r1)
+        cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], fac.r)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1729)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -23,7 +25,7 @@ from sparsett import (
     tt_to_full,
     tt_zero,
 )
-from conftest import rand_sparse, rand_tt
+from conftest import einsum_qr_sweep, rand_sparse, rand_tt
 
 
 class TestTTTensor:
@@ -57,6 +59,59 @@ class TestEntriesAndFull:
         got = tt_entries(t, coords, batch=64)
         want = tt_to_full(t)[tuple(coords.T)]
         assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [1, 7, 64, 4096])
+    def test_entries_unsorted_repeated_mixed_ranks(self, rng, batch):
+        # Bond ranks 1, 5, 2, 7 around modes of different extents; the
+        # coordinates are unsorted and repeat, and 7 does not divide 250.
+        t = rand_tt(rng, (3, 5, 4, 6, 2), (1, 5, 2, 7))
+        coords = np.stack([rng.integers(0, n, 125) for n in t.dims], axis=1)
+        coords = np.concatenate([coords, coords[::-1]])
+        got = tt_entries(t, coords, batch=batch)
+        want = tt_to_full(t)[tuple(coords.T)]
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_entries_one_mode(self, rng):
+        t = rand_tt(rng, (9,), ())
+        coords = np.array([[4], [0], [8], [4]])
+        assert np.array_equal(tt_entries(t, coords, batch=3), t.cores[0][0, [4, 0, 8, 4], 0])
+
+    def test_entries_empty_coords(self, rng):
+        t = rand_tt(rng, (3, 4), (2,))
+        got = tt_entries(t, np.zeros((0, 2), dtype=np.int64))
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [[[-1, 0]], [[3, 0]], [[0, 4]], [[0, 0], [0, -4]]])
+    def test_entries_reject_out_of_range(self, rng, bad):
+        t = rand_tt(rng, (3, 4), (2,))
+        with pytest.raises(ValueError, match="out of range"):
+            tt_entries(t, bad)
+
+    def test_entries_reject_bad_shape_and_batch(self, rng):
+        t = rand_tt(rng, (3, 4), (2,))
+        with pytest.raises(ValueError):
+            tt_entries(t, [[0, 0, 0]])
+        for batch in (0, -1):
+            with pytest.raises(ValueError, match="batch"):
+                tt_entries(t, [[0, 0]], batch=batch)
+
+    def test_entries_memory_is_batch_times_rank(self, rng):
+        # Bonds of 300: a gather of r * batch * r slices would take
+        # 300 * 64 * 300 * 8 bytes = 46 MB, while the grouped products
+        # need a few (batch, r) blocks of 154 kB each.
+        r, batch = 300, 64
+        t = rand_tt(rng, (6, 6, 6), (r, r))
+        coords = np.stack([rng.integers(0, 6, 1000) for _ in range(3)], axis=1)
+        tt_entries(t, coords[:batch], batch=batch)
+        tracemalloc.start()
+        try:
+            got = tt_entries(t, coords, batch=batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * batch * r * 8
+        want = tt_to_full(t)[tuple(coords.T)]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_full_cap(self, rng):
         t = rand_tt(rng, (10, 10, 10), (1, 1))
@@ -119,6 +174,15 @@ class TestOrthogonalize:
             m = core.reshape(r0, n * r1)
             assert np.allclose(m @ m.T, np.eye(r0), atol=1e-12)
         assert np.linalg.norm(q.cores[0]) == pytest.approx(tt_norm(t), rel=1e-11)
+
+    def test_matches_einsum_sweep(self, rng):
+        t = rand_tt(rng, (3, 4, 5, 2, 3), (2, 6, 5, 3))
+        want = [c.copy() for c in t.cores]
+        einsum_qr_sweep(want, 0)
+        got = tt_right_orthogonalize(t)
+        for g, w in zip(got.cores, want):
+            assert g.shape == w.shape
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
 
 class TestQuasiPerm:

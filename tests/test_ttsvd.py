@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from sparsett import (
+    TTTensor,
     flops_ttsvd,
     full_ranks,
+    round_from_pivot,
     tt_add,
     tt_rank1,
     tt_rounding,
     tt_svd,
     tt_to_full,
 )
-from conftest import rand_tt
+from sparsett.linalg import qr_economic, svd_truncate_rank
+from conftest import einsum_qr_sweep, rand_tt
 
 
 class TestTTSVD:
@@ -98,6 +101,47 @@ class TestTTRounding:
         padded = tt_add(x, tt_scale_zero_like(x))
         r = tt_rounding(padded, 1e-13)
         assert r.ranks == (1, 1, 1, 1)
+
+
+class TestRoundFromPivot:
+    @pytest.mark.parametrize("pivot", [0, 2, 4])
+    def test_matches_einsum_carries(self, rng, pivot):
+        # Reference: the same sweeps with every carry and every R factor
+        # absorbed by einsum.  Fixed target ranks keep both truncations
+        # at the same rank.
+        t = rand_tt(rng, (3, 4, 5, 4, 3), (3, 9, 8, 3))
+        cores = [c.copy() for c in t.cores]
+        for k in range(pivot):
+            r0, n, r1 = cores[k].shape
+            fac = qr_economic(cores[k].reshape(r0 * n, r1))
+            cores[k] = fac.q.reshape(r0, n, -1)
+            cores[k + 1] = np.einsum("ab,bcd->acd", fac.r, cores[k + 1])
+        einsum_qr_sweep(cores, pivot)
+        orth = TTTensor(cores)
+
+        targets = (2, 5, 4, 2)
+        right = lambda k, m: svd_truncate_rank(m, targets[k])
+        left = lambda k, m: svd_truncate_rank(m, targets[k - 1])
+        got = round_from_pivot(orth, pivot, right, left)
+
+        want = [c.copy() for c in cores]
+        for k in range(pivot, len(want) - 1):
+            r0, n, r1 = want[k].shape
+            res = svd_truncate_rank(want[k].reshape(r0 * n, r1), targets[k])
+            want[k] = res.u.reshape(r0, n, res.rank)
+            want[k + 1] = np.einsum("ba,bcd->acd", res.vt.T * res.s, want[k + 1])
+        if pivot > 0:
+            einsum_qr_sweep(want, pivot)
+        for k in range(pivot, 0, -1):
+            r0, n, r1 = want[k].shape
+            res = svd_truncate_rank(want[k].reshape(r0, n * r1).T, targets[k - 1])
+            want[k] = res.u.T.reshape(res.rank, n, r1)
+            want[k - 1] = np.einsum("abc,cd->abd", want[k - 1], res.vt.T * res.s)
+
+        assert got.ranks == (1, 2, 5, 4, 2, 1)
+        for g, w in zip(got.cores, want):
+            assert g.shape == w.shape
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
 
 def tt_scale_zero_like(t):
