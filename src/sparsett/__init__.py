@@ -1,115 +1,26 @@
 """sparsett: tensor-train decomposition of large sparse tensors and
 matrices directly from their nonzeros."""
 
-from .errors import ContractViolationError, FormatError
-from .fasttt import (
-    DecompositionReport,
-    FiberSet,
-    QuasiPermMatrix,
-    build_structured_tt,
-    depar_general,
-    depar_quasi_perm,
-    dynamic_tt_rounding,
-    efficient_tt_rounding,
-    fasttt,
-    fixed_rank_rounding,
-    float_ops,
-    flops_fasttt,
-    parallel_vector_round,
-    select_p,
-    sparse_inner_error,
-    structured_to_tt,
-    tt_relative_error,
-)
-from .formats import (
-    ingest_coo,
-    ingest_matrix_market,
-    load_tt,
-    report_document,
-    save_tt,
-    write_coo,
-    write_report,
-)
-from .generators import gen_fdm, gen_random_sparse
-from .linalg import QRResult, SVDResult, qr_economic, svd_truncate_delta, svd_truncate_rank
-from .tensor import DENSE_CAP, SparseTensor, frobenius_norm
-from .ttformat import (
-    TTMatrix,
-    TTTensor,
-    matrix_from_tensorized,
-    mpo_matvec,
-    mpo_to_dense,
-    tensorize_matrix,
-    tt_add,
-    tt_entries,
-    tt_norm,
-    tt_rank1,
-    tt_right_orthogonalize,
-    tt_scale,
-    tt_split_mpo,
-    tt_to_full,
-    tt_zero,
-)
-from .ttsvd import flops_ttsvd, full_ranks, round_from_pivot, tt_rounding, tt_svd
+import sys as _sys
+
+from .errors import *
+from .fasttt import *
+from .formats import *
+from .generators import *
+from .linalg import *
+from .tensor import *
+from .ttformat import *
+from .ttsvd import *
 
 __version__ = "0.1.0"
 
+# The package exports exactly what its modules export.  The modules are
+# looked up in ``sys.modules`` because the ``fasttt`` function imported
+# above shadows the module of the same name.
 __all__ = [
-    "ContractViolationError",
-    "FormatError",
-    "DecompositionReport",
-    "FiberSet",
-    "QuasiPermMatrix",
-    "build_structured_tt",
-    "depar_general",
-    "depar_quasi_perm",
-    "dynamic_tt_rounding",
-    "efficient_tt_rounding",
-    "fasttt",
-    "fixed_rank_rounding",
-    "float_ops",
-    "flops_fasttt",
-    "parallel_vector_round",
-    "select_p",
-    "sparse_inner_error",
-    "structured_to_tt",
-    "tt_relative_error",
-    "ingest_coo",
-    "ingest_matrix_market",
-    "load_tt",
-    "report_document",
-    "save_tt",
-    "write_coo",
-    "write_report",
-    "gen_fdm",
-    "gen_random_sparse",
-    "QRResult",
-    "SVDResult",
-    "qr_economic",
-    "svd_truncate_delta",
-    "svd_truncate_rank",
-    "DENSE_CAP",
-    "SparseTensor",
-    "frobenius_norm",
-    "TTMatrix",
-    "TTTensor",
-    "matrix_from_tensorized",
-    "mpo_matvec",
-    "mpo_to_dense",
-    "tensorize_matrix",
-    "tt_add",
-    "tt_entries",
-    "tt_norm",
-    "tt_rank1",
-    "tt_right_orthogonalize",
-    "tt_scale",
-    "tt_split_mpo",
-    "tt_to_full",
-    "tt_zero",
-    "flops_ttsvd",
-    "full_ranks",
-    "round_from_pivot",
-    "tt_rounding",
-    "tt_svd",
-    "__version__",
-]
+    name
+    for module in (
+        "errors", "fasttt", "formats", "generators", "linalg", "tensor", "ttformat", "ttsvd"
+    )
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
+] + ["__version__"]

@@ -146,10 +146,35 @@ def cmd_decompose(args) -> int:
     return 0 if doc["eps_actual"] <= eps + 1e-12 else 1
 
 
+def _named_cases(cases: list, manifest) -> list[dict]:
+    """Check every case before any runs; returns them with their names.
+
+    A case is an object with a ``file``.  Its name, ``name`` or else the
+    file's stem, names its report file, so it must be a plain file name,
+    unique in the manifest and not ``summary``.
+    """
+    named = []
+    seen: dict[str, int] = {}
+    for i, case in enumerate(cases, 1):
+        if not isinstance(case, dict):
+            raise FormatError(f"{manifest}: case {i} is not an object: {case!r}")
+        if not isinstance(case.get("file"), str):
+            raise FormatError(f"{manifest}: case {i} needs a 'file' string")
+        name = case.get("name") or Path(case["file"]).stem
+        if not isinstance(name, str) or Path(name).name != name or name in ("", "..", "summary"):
+            raise FormatError(f"{manifest}: case {i} has a bad name {name!r}")
+        if name in seen:
+            raise FormatError(
+                f"{manifest}: cases {seen[name]} and {i} share the name {name!r}"
+            )
+        seen[name] = i
+        named.append({**case, "name": name})
+    return named
+
+
 def _run_case(case: dict) -> dict:
     """One benchmark case; never raises, failures are recorded."""
-    name = case.get("name") or Path(case.get("file", "case")).stem
-    result: dict = {"name": name, "ok": False}
+    result: dict = {"name": case["name"], "ok": False}
     try:
         ns = argparse.Namespace(
             input=case["file"],
@@ -195,9 +220,10 @@ def cmd_bench(args) -> int:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{args.manifest}: {exc}") from None
-    cases = manifest.get("cases")
+    cases = manifest.get("cases") if isinstance(manifest, dict) else None
     if not isinstance(cases, list) or not cases:
         raise FormatError(f"{args.manifest}: manifest needs a nonempty 'cases' list")
+    cases = _named_cases(cases, args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Under the fork start method the pool starts all of its workers at

@@ -22,7 +22,6 @@ from .tensor import SparseTensor, check_shape
 from .ttformat import TTTensor
 
 __all__ = [
-    "REPORT_SCHEMA_VERSION",
     "write_coo",
     "ingest_coo",
     "ingest_matrix_market",

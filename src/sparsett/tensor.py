@@ -23,9 +23,6 @@ from .errors import FormatError
 __all__ = [
     "DENSE_CAP",
     "SparseTensor",
-    "check_shape",
-    "linearize",
-    "delinearize",
     "frobenius_norm",
 ]
 
@@ -166,12 +163,6 @@ class SparseTensor:
 
     def __repr__(self) -> str:
         return f"SparseTensor(shape={self.shape}, nnz={self.nnz})"
-
-    @classmethod
-    def from_dense(cls, a) -> "SparseTensor":
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        coords = np.argwhere(a != 0.0)
-        return cls(a.shape, coords, a[tuple(coords.T)])
 
     def to_dense(self, cap: int | None = DENSE_CAP) -> np.ndarray:
         if cap is not None and self.size > cap:

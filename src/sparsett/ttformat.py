@@ -1,5 +1,5 @@
-"""Tensor-train values with dense cores: trains, operator trains, and
-the matrix tensorization that turns a sparse matrix into a tensor.
+"""Tensor-train values with dense cores, and the matrix tensorization
+that turns a sparse matrix into a tensor.
 
 A train with cores ``G[0] .. G[d-1]`` (each ``(r_prev, n_k, r_next)``,
 edge ranks 1) represents
@@ -18,24 +18,18 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import qr_economic
-from .tensor import DENSE_CAP, SparseTensor, check_shape, delinearize, linearize
+from .tensor import DENSE_CAP, SparseTensor, check_shape, delinearize
 
 __all__ = [
     "TTTensor",
-    "TTMatrix",
     "tt_zero",
     "tt_entries",
-    "tt_rank1",
     "tt_scale",
     "tt_add",
     "tt_to_full",
     "tt_norm",
     "tt_right_orthogonalize",
     "tensorize_matrix",
-    "matrix_from_tensorized",
-    "tt_split_mpo",
-    "mpo_matvec",
-    "mpo_to_dense",
 ]
 
 
@@ -136,17 +130,6 @@ def tt_entries(t: TTTensor, coords, batch: int = 4096) -> np.ndarray:
     return out
 
 
-def tt_rank1(vectors) -> TTTensor:
-    """Train of the outer product of the given mode vectors."""
-    cores = []
-    for v in vectors:
-        v = np.asarray(v, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("each factor must be a nonempty vector")
-        cores.append(v.reshape(1, -1, 1))
-    return TTTensor(cores)
-
-
 def tt_scale(t: TTTensor, alpha: float) -> TTTensor:
     """Multiply by a scalar (absorbed into the first core)."""
     cores = list(t.cores)
@@ -217,7 +200,7 @@ def _qr_sweep(cores: list[np.ndarray], stop: int) -> None:
 def tt_right_orthogonalize(t: TTTensor) -> TTTensor:
     """Sweep QR factors right-to-left so cores ``1..d-1`` become
     right-orthonormal; the first core then carries the whole norm."""
-    cores = [c.copy() for c in t.cores]
+    cores = list(t.cores)
     _qr_sweep(cores, 0)
     return TTTensor(cores, copy=False)
 
@@ -251,118 +234,3 @@ def tensorize_matrix(m, row_dims, col_dims) -> SparseTensor:
     fused = x * np.asarray(col_dims, dtype=np.int64) + y
     dims = tuple(a * b for a, b in zip(row_dims, col_dims))
     return SparseTensor(dims, fused, m.data)
-
-
-def matrix_from_tensorized(t: SparseTensor, row_dims, col_dims) -> scipy.sparse.csr_matrix:
-    """Inverse of :func:`tensorize_matrix`."""
-    row_dims = check_shape(row_dims)
-    col_dims = check_shape(col_dims)
-    dims = tuple(a * b for a, b in zip(row_dims, col_dims))
-    if t.shape != dims:
-        raise ValueError(f"tensor shape {t.shape} does not match fused dims {dims}")
-    cd = np.asarray(col_dims, dtype=np.int64)
-    x = t.coords // cd
-    y = t.coords % cd
-    rows = linearize(row_dims, x)
-    cols = linearize(col_dims, y)
-    return scipy.sparse.csr_matrix(
-        (t.values, (rows, cols)),
-        shape=(math.prod(row_dims), math.prod(col_dims)),
-    )
-
-
-class TTMatrix:
-    """Operator train: 4-way cores ``(r_prev, m_k, n_k, r_next)``."""
-
-    __slots__ = ("cores",)
-
-    def __init__(self, cores, copy: bool = True):
-        cores = [np.asarray(c, dtype=np.float64) for c in cores]
-        if not cores:
-            raise ValueError("an operator train needs at least one core")
-        for k, c in enumerate(cores):
-            if c.ndim != 4:
-                raise ValueError(f"core {k} must be 4-way, got shape {c.shape}")
-        if cores[0].shape[0] != 1 or cores[-1].shape[3] != 1:
-            raise ValueError("edge ranks must be 1")
-        for k in range(len(cores) - 1):
-            if cores[k].shape[3] != cores[k + 1].shape[0]:
-                raise ValueError(f"bond mismatch between cores {k} and {k + 1}")
-        if copy:
-            cores = [np.ascontiguousarray(c) for c in cores]
-            for c in cores:
-                c.setflags(write=False)
-        object.__setattr__(self, "cores", tuple(cores))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TTMatrix is immutable")
-
-    @property
-    def ndim(self) -> int:
-        return len(self.cores)
-
-    @property
-    def row_dims(self) -> tuple[int, ...]:
-        return tuple(c.shape[1] for c in self.cores)
-
-    @property
-    def col_dims(self) -> tuple[int, ...]:
-        return tuple(c.shape[2] for c in self.cores)
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(c.shape[3] for c in self.cores)
-
-    @property
-    def num_params(self) -> int:
-        return sum(c.size for c in self.cores)
-
-    def __repr__(self) -> str:
-        return (
-            f"TTMatrix(row_dims={self.row_dims}, col_dims={self.col_dims}, "
-            f"ranks={self.ranks})"
-        )
-
-
-def tt_split_mpo(t: TTTensor, row_dims, col_dims) -> TTMatrix:
-    """Split the fused modes of a train back into (row, col) leg pairs."""
-    row_dims = check_shape(row_dims)
-    col_dims = check_shape(col_dims)
-    dims = tuple(a * b for a, b in zip(row_dims, col_dims))
-    if t.dims != dims:
-        raise ValueError(f"train dims {t.dims} do not match fused dims {dims}")
-    cores = []
-    for c, mk, nk in zip(t.cores, row_dims, col_dims):
-        r0, _, r1 = c.shape
-        cores.append(c.reshape(r0, mk, nk, r1))
-    return TTMatrix(cores)
-
-
-def mpo_matvec(m: TTMatrix, v: TTTensor) -> TTTensor:
-    """Apply an operator train to a train; bond ranks multiply."""
-    if m.col_dims != v.dims:
-        raise ValueError(f"operator col dims {m.col_dims} do not match {v.dims}")
-    cores = []
-    for a, b in zip(m.cores, v.cores):
-        ra0, mk, nk, ra1 = a.shape
-        rb0, _, rb1 = b.shape
-        c = np.einsum("amnb,cnd->acmbd", a, b, optimize=True)
-        cores.append(c.reshape(ra0 * rb0, mk, ra1 * rb1))
-    return TTTensor(cores, copy=False)
-
-
-def mpo_to_dense(m: TTMatrix, cap: int | None = DENSE_CAP) -> np.ndarray:
-    """Contract an operator train into an ordinary matrix (size-guarded)."""
-    fused = TTTensor(
-        [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in m.cores],
-        copy=False,
-    )
-    full = tt_to_full(fused, cap=cap)
-    d = m.ndim
-    interleaved = full.reshape(
-        tuple(x for pair in zip(m.row_dims, m.col_dims) for x in pair)
-    )
-    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    return np.transpose(interleaved, perm).reshape(
-        math.prod(m.row_dims), math.prod(m.col_dims)
-    )

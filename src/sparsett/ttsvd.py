@@ -1,12 +1,10 @@
-"""Classical dense train construction and rounding.
+"""Classical dense train construction, and the one rounding sweep.
 
-These are the reference algorithms: sequential truncated SVDs over the
-unfoldings for construction, and the orthogonalize-then-truncate sweep
-pair for rounding an existing train.  Both honor the usual error
-contract: the result is within ``eps`` of the input in relative
-Frobenius norm.  :func:`round_from_pivot` is the one rounding sweep;
-classical rounding runs it at pivot 0 and the sparse pipeline at its
-own pivot.
+:func:`tt_svd` is the reference construction: sequential truncated SVDs
+over the unfoldings, with a result within ``eps`` of the input in
+relative Frobenius norm.  :func:`round_from_pivot` is the one rounding
+sweep; the sparse pipeline runs it at its own pivot, with the step
+rules of :mod:`sparsett.fasttt`.
 """
 
 from __future__ import annotations
@@ -18,9 +16,9 @@ import numpy as np
 from .errors import ContractViolationError
 from .linalg import svd_truncate_delta
 from .tensor import check_shape
-from .ttformat import TTTensor, _qr_sweep, tt_right_orthogonalize, tt_zero
+from .ttformat import TTTensor, _qr_sweep, tt_zero
 
-__all__ = ["tt_svd", "round_from_pivot", "tt_rounding", "flops_ttsvd", "full_ranks"]
+__all__ = ["tt_svd", "round_from_pivot", "flops_ttsvd", "full_ranks"]
 
 
 def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
@@ -99,7 +97,7 @@ def round_from_pivot(t: TTTensor, pivot: int, right_step, left_step) -> TTTensor
     d = t.ndim
     _check_pivot(pivot, d)
     _check_pivot_orthogonal(t, pivot)
-    cores = [c.copy() for c in t.cores]
+    cores = list(t.cores)
     for k in range(pivot, d - 1):
         r0, n, r1 = cores[k].shape
         res = right_step(k, cores[k].reshape(r0 * n, r1))
@@ -120,21 +118,6 @@ def round_from_pivot(t: TTTensor, pivot: int, right_step, left_step) -> TTTensor
         carry = res.vt.T * res.s  # (r0, rank)
         cores[k - 1] = np.tensordot(cores[k - 1], carry, axes=(2, 0))
     return TTTensor(cores, copy=False)
-
-
-def tt_rounding(t: TTTensor, eps: float) -> TTTensor:
-    """Recompress a train to relative tolerance ``eps``.
-
-    Right-to-left orthogonalization first, then :func:`round_from_pivot`
-    at pivot 0 with per-step tolerance ``eps / sqrt(d-1) * norm``.
-    """
-    if not eps >= 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    orth = tt_right_orthogonalize(t)
-    # After orthogonalization the first core carries the full norm.
-    delta = eps / math.sqrt(max(t.ndim - 1, 1)) * float(np.linalg.norm(orth.cores[0].ravel()))
-    step = lambda k, m: svd_truncate_delta(m, delta)
-    return round_from_pivot(orth, 0, step, step)
 
 
 def full_ranks(shape, ranks) -> tuple[int, ...]:

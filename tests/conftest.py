@@ -29,6 +29,13 @@ def rand_tt(rng: np.random.Generator, dims, ranks):
     return TTTensor(cores)
 
 
+def rank1_tt(vectors):
+    """Train of the outer product of the given mode vectors."""
+    from sparsett import TTTensor
+
+    return TTTensor([np.asarray(v, dtype=np.float64).reshape(1, -1, 1) for v in vectors])
+
+
 def einsum_qr_sweep(cores, stop):
     """Reference right-to-left QR sweep: cores ``stop+1..d-1`` become
     right-orthonormal in place, and einsum absorbs each R factor."""

@@ -207,6 +207,41 @@ class TestBench:
         assert by_name["bad"]["ok"] is False
         assert "error" in by_name["bad"]
 
+    def run_manifest(self, tmp_path, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out_dir = tmp_path / "out"
+        return main(["bench", "--manifest", str(path), "--out", str(out_dir)]), out_dir
+
+    def test_duplicate_names_refused_before_running(self, tmp_path, rng, capsys):
+        # Both cases would be named after the file and share one report.
+        files = self.write_inputs(tmp_path, rng)
+        rc, out_dir = self.run_manifest(tmp_path, {"cases": [
+            {"file": files[0], "compare_ttsvd": False},
+            {"file": files[0], "eps": 0.1, "compare_ttsvd": False},
+        ]})
+        assert rc == 2
+        assert not out_dir.exists()
+        assert "cases 1 and 2 share the name 'case0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["sub/b", "..", "summary"])
+    def test_name_that_is_no_plain_file_name_refused(self, tmp_path, rng, capsys, name):
+        files = self.write_inputs(tmp_path, rng)
+        rc, out_dir = self.run_manifest(tmp_path, {"cases": [
+            {"name": "a", "file": files[0], "compare_ttsvd": False},
+            {"name": name, "file": files[1], "compare_ttsvd": False},
+        ]})
+        assert rc == 2
+        assert not out_dir.exists()
+        assert f"case 2 has a bad name {name!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", [{"cases": ["t.coo"]}, {"cases": [{"eps": 0.1}]}, ["t.coo"]])
+    def test_malformed_case_refused(self, tmp_path, capsys, manifest):
+        rc, out_dir = self.run_manifest(tmp_path, manifest)
+        assert rc == 2
+        assert not out_dir.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_pool_no_larger_than_case_count(self, tmp_path, rng, monkeypatch):
         pools = []
 

@@ -7,24 +7,19 @@ import scipy.sparse
 from sparsett import (
     QuasiPermMatrix,
     SparseTensor,
-    TTMatrix,
     TTTensor,
     build_structured_tt,
-    matrix_from_tensorized,
-    mpo_matvec,
-    mpo_to_dense,
     structured_to_tt,
     tensorize_matrix,
     tt_add,
     tt_entries,
     tt_norm,
-    tt_rank1,
     tt_right_orthogonalize,
     tt_scale,
-    tt_split_mpo,
     tt_to_full,
     tt_zero,
 )
+from sparsett.tensor import linearize
 from conftest import einsum_qr_sweep, rand_sparse, rand_tt
 
 
@@ -120,13 +115,6 @@ class TestEntriesAndFull:
 
 
 class TestAlgebra:
-    def test_rank1(self, rng):
-        vecs = [rng.standard_normal(n) for n in (3, 4, 2)]
-        t = tt_rank1(vecs)
-        assert t.ranks == (1, 1, 1, 1)
-        want = np.einsum("i,j,k->ijk", *vecs)
-        assert np.allclose(tt_to_full(t), want, atol=1e-13)
-
     def test_zero(self):
         z = tt_zero((3, 4))
         assert np.array_equal(tt_to_full(z), np.zeros((3, 4)))
@@ -219,8 +207,12 @@ class TestTensorize:
         m = scipy.sparse.random(12, 30, density=0.2, random_state=7, format="coo")
         t = tensorize_matrix(m, (3, 4), (5, 6))
         assert t.shape == (15, 24)
-        back = matrix_from_tensorized(t, (3, 4), (5, 6))
-        assert np.allclose(back.toarray(), m.toarray(), atol=0)
+        # Unfuse f_i = x_i * col_dims[i] + y_i, then relinearize rows and columns.
+        x, y = np.divmod(t.coords, np.array([5, 6]))
+        back = scipy.sparse.coo_matrix(
+            (t.values, (linearize((3, 4), x), linearize((5, 6), y))), shape=m.shape
+        )
+        assert np.array_equal(back.toarray(), m.toarray())
 
     def test_entry_mapping(self):
         m = scipy.sparse.coo_matrix(
@@ -246,29 +238,3 @@ class TestTensorize:
         with pytest.raises(ValueError):
             tensorize_matrix(m, (4, 2), (2, 3))
 
-
-class TestMPO:
-    def test_split_and_reassemble(self, rng):
-        m = scipy.sparse.random(24, 24, density=0.15, random_state=3, format="coo")
-        t = tensorize_matrix(m, (4, 6), (4, 6))
-        s = build_structured_tt(t, 0)
-        mpo = tt_split_mpo(structured_to_tt(s), (4, 6), (4, 6))
-        assert mpo.row_dims == (4, 6)
-        assert mpo.col_dims == (4, 6)
-        assert np.allclose(mpo_to_dense(mpo), m.toarray(), atol=1e-13)
-
-    def test_matvec_matches_dense(self, rng):
-        m = scipy.sparse.random(24, 36, density=0.2, random_state=5, format="coo")
-        t = tensorize_matrix(m, (4, 6), (6, 6))
-        mpo = tt_split_mpo(structured_to_tt(build_structured_tt(t, 0)), (4, 6), (6, 6))
-        v = rand_tt(rng, (6, 6), (3,))
-        got = tt_to_full(mpo_matvec(mpo, v)).ravel()
-        want = m.toarray() @ tt_to_full(v).ravel()
-        assert np.allclose(got, want, atol=1e-11)
-
-    def test_matvec_ranks_multiply(self, rng):
-        cores = [rng.standard_normal((1, 3, 4, 2)), rng.standard_normal((2, 3, 4, 1))]
-        mpo = TTMatrix(cores)
-        v = rand_tt(rng, (4, 4), (3,))
-        out = mpo_matvec(mpo, v)
-        assert out.ranks == (1, 6, 1)

@@ -3,17 +3,36 @@ import pytest
 
 from sparsett import (
     TTTensor,
+    efficient_tt_rounding,
     flops_ttsvd,
     full_ranks,
     round_from_pivot,
     tt_add,
-    tt_rank1,
-    tt_rounding,
+    tt_right_orthogonalize,
     tt_svd,
     tt_to_full,
 )
 from sparsett.linalg import qr_economic, svd_truncate_rank
-from conftest import einsum_qr_sweep, rand_tt
+from conftest import einsum_qr_sweep, rand_tt, rank1_tt
+
+
+def classical_rounding(t, eps):
+    """Orthogonalize right to left, then round from pivot 0 with the
+    per-step tolerance ``eps * norm / sqrt(d - 1)``."""
+    return efficient_tt_rounding(tt_right_orthogonalize(t), 0, eps)
+
+
+def orthogonalized_cores(t, pivot):
+    """Cores of ``t`` orthogonalized around ``pivot``: QR sweeps from both
+    ends, with every R factor absorbed by einsum."""
+    cores = [c.copy() for c in t.cores]
+    for k in range(pivot):
+        r0, n, r1 = cores[k].shape
+        fac = qr_economic(cores[k].reshape(r0 * n, r1))
+        cores[k] = fac.q.reshape(r0, n, -1)
+        cores[k + 1] = np.einsum("ab,bcd->acd", fac.r, cores[k + 1])
+    einsum_qr_sweep(cores, pivot)
+    return cores
 
 
 class TestTTSVD:
@@ -63,8 +82,6 @@ class TestTTSVD:
         for eps in (-0.1, float("nan")):
             with pytest.raises(ValueError):
                 tt_svd(a, eps)
-            with pytest.raises(ValueError):
-                tt_rounding(tt_svd(a, 0.0), eps)
 
 
 def tt_norm_is_zero(t) -> bool:
@@ -76,14 +93,14 @@ class TestTTRounding:
         a = rng.standard_normal((4, 5, 6))
         x = tt_svd(a, 1e-13)
         doubled = tt_add(x, x)
-        r = tt_rounding(doubled, 1e-13)
+        r = classical_rounding(doubled, 1e-13)
         assert r.ranks == x.ranks
         assert np.allclose(tt_to_full(r), 2.0 * a, atol=1e-11 * np.linalg.norm(a))
 
     def test_minimal_ranks_stable(self, rng):
         a = rng.standard_normal((4, 4, 4))
         x = tt_svd(a, 0.3)
-        r = tt_rounding(x, 1e-13)
+        r = classical_rounding(x, 1e-13)
         assert r.ranks == x.ranks
         assert np.allclose(tt_to_full(r), tt_to_full(x), atol=1e-12)
 
@@ -91,15 +108,15 @@ class TestTTRounding:
         t = rand_tt(rng, (5, 6, 4), (4, 4))
         full = tt_to_full(t)
         for eps in (0.5, 0.1, 0.01):
-            r = tt_rounding(t, eps)
+            r = classical_rounding(t, eps)
             rel = np.linalg.norm(tt_to_full(r) - full) / np.linalg.norm(full)
             assert rel <= eps + 1e-12
 
     def test_rank_one_pad(self, rng):
         vecs = [rng.standard_normal(n) for n in (3, 4, 5)]
-        x = tt_rank1(vecs)
+        x = rank1_tt(vecs)
         padded = tt_add(x, tt_scale_zero_like(x))
-        r = tt_rounding(padded, 1e-13)
+        r = classical_rounding(padded, 1e-13)
         assert r.ranks == (1, 1, 1, 1)
 
 
@@ -110,13 +127,7 @@ class TestRoundFromPivot:
         # absorbed by einsum.  Fixed target ranks keep both truncations
         # at the same rank.
         t = rand_tt(rng, (3, 4, 5, 4, 3), (3, 9, 8, 3))
-        cores = [c.copy() for c in t.cores]
-        for k in range(pivot):
-            r0, n, r1 = cores[k].shape
-            fac = qr_economic(cores[k].reshape(r0 * n, r1))
-            cores[k] = fac.q.reshape(r0, n, -1)
-            cores[k + 1] = np.einsum("ab,bcd->acd", fac.r, cores[k + 1])
-        einsum_qr_sweep(cores, pivot)
+        cores = orthogonalized_cores(t, pivot)
         orth = TTTensor(cores)
 
         targets = (2, 5, 4, 2)
@@ -142,6 +153,23 @@ class TestRoundFromPivot:
         for g, w in zip(got.cores, want):
             assert g.shape == w.shape
             assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("dims, ranks", [((6,), ()), ((3, 4, 5, 4, 3), (3, 9, 8, 3))])
+    def test_writable_input_cores_unchanged(self, rng, dims, ranks):
+        # The sweeps only rebind their list of cores; neither they nor
+        # the right-to-left orthogonalization may write into a core of
+        # the input, even when its cores are writable.
+        d = len(dims)
+        step = lambda k, m: svd_truncate_rank(m, 2)
+        for pivot in sorted({0, d // 2, d - 1}):
+            cores = orthogonalized_cores(rand_tt(rng, dims, ranks), pivot)
+            t = TTTensor(cores, copy=False)
+            assert all(c is g and g.flags.writeable for c, g in zip(cores, t.cores))
+            before = [c.copy() for c in cores]
+            round_from_pivot(t, pivot, step, step)
+            tt_right_orthogonalize(t)
+            for c, b in zip(cores, before):
+                assert np.array_equal(c, b)
 
 
 def tt_scale_zero_like(t):
