@@ -77,6 +77,7 @@ def _decompose_once(tensor: SparseTensor, args) -> tuple[dict, float, object]:
     eps = args.eps if args.eps is not None else 1e-14
     if not eps >= 0:
         raise FormatError(f"--eps must be nonnegative, got {eps}")
+    mode = "fixed_rank" if args.mode == "fixed" else args.mode
     if args.method == "ttsvd":
         # The reference method has no pivot, rounding mode or rank targets.
         for flag, given in (
@@ -86,7 +87,8 @@ def _decompose_once(tensor: SparseTensor, args) -> tuple[dict, float, object]:
         ):
             if given:
                 raise FormatError(f"--method ttsvd does not take {flag}")
-    mode = "fixed_rank" if args.mode == "fixed" else args.mode
+    elif mode != "fixed_rank" and args.ranks is not None:
+        raise FormatError("--ranks needs --mode fixed")
     ranks = _int_tuple(args.ranks) if args.ranks else None
     if mode == "fixed_rank" and ranks is None:
         raise FormatError("--mode fixed needs --ranks")

@@ -277,36 +277,39 @@ def depar_quasi_perm(q: QuasiPermMatrix):
     return n, t
 
 
+def _fiber_keys(shape, lin: np.ndarray, pivot: int) -> np.ndarray:
+    """Each nonzero's mode-``pivot`` fiber key: the C-order linear index
+    of its fixed (non-pivot) coordinates, from its linear index ``lin``.
+
+    Sorting by this key orders fibers by their fixed tuples
+    lexicographically.
+    """
+    inner = math.prod(shape[pivot + 1 :])
+    return lin // (shape[pivot] * inner) * inner + lin % inner
+
+
 def build_structured_tt(a: SparseTensor, pivot: int) -> FiberSet:
     """Group the nonzeros of ``a`` into mode-``pivot`` fibers: the exact
     train in index form.
 
-    Grouping is done by sorting with the pivot coordinate rotated to the
-    fastest position, so the fixed tuples come out in lexicographic
-    order.  The number of fibers is bounded by ``nnz`` and by the number
-    of possible fixed tuples.  An empty tensor yields zero fibers, which
-    round to the zero train downstream rather than raising.
+    One stable sort by fiber key groups them.  The tensor is stored in
+    linear order, so the fixed tuples come out in lexicographic order
+    and the pivot coordinates ascend within each fiber.  The number of
+    fibers is bounded by ``nnz`` and by the number of possible fixed
+    tuples.  An empty tensor yields zero fibers, which round to the zero
+    train downstream rather than raising.
     """
     if not isinstance(a, SparseTensor):
         raise TypeError("build_structured_tt expects a SparseTensor")
-    d = a.ndim
-    _check_pivot(pivot, d)
-    rest = [k for k in range(d) if k != pivot]
-    fixed = a.coords[:, rest]
-    # lexsort: last key is primary.
-    keys = (a.coords[:, pivot],) + tuple(fixed[:, k] for k in range(d - 2, -1, -1))
-    order = np.lexsort(keys)
-    fixed = fixed[order]
-    boundary = np.ones(a.nnz, dtype=bool)
-    if a.nnz > 1:
-        boundary[1:] = (fixed[1:] != fixed[:-1]).any(axis=1)
-    starts = np.flatnonzero(boundary)
-    indptr = np.concatenate([starts, [a.nnz]]) if a.nnz else np.zeros(1, np.int64)
+    _check_pivot(pivot, a.ndim)
+    keys = _fiber_keys(a.shape, linearize(a.shape, a.coords), pivot)
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
     return FiberSet(
         a.shape,
         pivot,
-        fixed[starts] if a.nnz else np.zeros((0, max(d - 1, 0)), np.int64),
-        indptr,
+        np.delete(a.coords[order[starts]], pivot, axis=1),
+        np.append(starts, a.nnz),
         a.coords[order, pivot],
         a.values[order],
     )
@@ -449,18 +452,22 @@ def dynamic_tt_rounding(t: TTTensor, pivot: int, eps: float) -> TTTensor:
     )
 
 
+def _rank_targets(shape, ranks) -> tuple[int, ...]:
+    # Full-length bond targets; every interior one must be positive.
+    targets = full_ranks(shape, ranks)
+    if any(r < 1 for r in targets[1:-1]):
+        raise ValueError("interior rank targets must be positive")
+    return targets
+
+
 def fixed_rank_rounding(t: TTTensor, pivot: int, ranks) -> TTTensor:
     """Round to prescribed interior bond ranks.
 
-    ``ranks`` is one target for every bond or a vector of them; each
-    bond is truncated to ``min(target, achievable)`` and no error budget
-    is involved.
+    ``ranks`` is one target for every bond, the interior targets or the
+    full vector with unit edges; each bond is truncated to
+    ``min(target, achievable)`` and no error budget is involved.
     """
-    if isinstance(ranks, (int, np.integer)):
-        ranks = (int(ranks),) * (t.ndim - 1)
-    targets = full_ranks(t.dims, ranks)
-    if any(r < 1 for r in targets[1:-1]):
-        raise ValueError("interior rank targets must be positive")
+    targets = _rank_targets(t.dims, ranks)
     return round_from_pivot(
         t,
         pivot,
@@ -469,13 +476,13 @@ def fixed_rank_rounding(t: TTTensor, pivot: int, ranks) -> TTTensor:
     )
 
 
-def flops_fasttt(shape, pivot: int, ranks_lossless, ranks_final, c_svd: float = 1.0) -> float:
+def flops_fasttt(shape, pivot: int, ranks_lossless, ranks_final) -> float:
     """Cost model for the pipeline's SVD work at a given pivot.
 
     ``ranks_lossless`` are the bond ranks after lossless
     deparallelisation, ``ranks_final`` the bond ranks after rounding
     (both interior or full vectors).  An ``m x n`` SVD is charged
-    ``c_svd * m * n * min(m, n)``.
+    ``m * n * min(m, n)``.
     """
     dims = check_shape(shape)
     d = len(dims)
@@ -494,73 +501,43 @@ def flops_fasttt(shape, pivot: int, ranks_lossless, ranks_final, c_svd: float = 
         total += f(r[i - 1] * dims[i - 1], rt[i])
     for i in range(2, p + 1):
         total += f(rt[i - 1], dims[i - 1] * r[i])
-    return c_svd * float(total)
+    return float(total)
 
 
-def _upper_bond_bounds(dims, pivot: int, num_fibers: int) -> tuple[int, ...]:
-    # Bound on the lossless bond ranks: fiber count capped by the dense
-    # extent of whichever side of the bond faces the pivot.
-    d = len(dims)
-    left = [1] * (d + 1)
-    for k in range(1, d + 1):
-        left[k] = left[k - 1] * dims[k - 1]
-    size = left[d]
-    bounds = []
-    for k in range(1, d):  # bond k sits after the first k modes
-        if k < pivot + 1:
-            bounds.append(min(num_fibers, left[k]))
-        else:
-            bounds.append(min(num_fibers, size // left[k]))
-    return tuple(bounds)
-
-
-def select_p(a: SparseTensor, target_ranks=None, c_svd: float = 1.0) -> int:
+def select_p(a: SparseTensor, target_ranks=None) -> int:
     """Pick the pivot mode that minimizes the modeled SVD cost.
 
     For every candidate pivot the fiber count is computed from the data
-    and the lossless bond ranks are estimated by their upper bound.
-    Final ranks are estimated as ``min(target, lossless, feasible)``.
-    Ties go to the smaller mode index.
+    and the lossless bond ranks are estimated by their upper bound: the
+    fiber count capped by the dense extent of the side of the bond that
+    faces the pivot.  Final ranks are estimated as ``min(target,
+    lossless, feasible)``; ``target_ranks`` takes whatever
+    :func:`~sparsett.ttsvd.full_ranks` does.  Ties go to the smaller
+    mode index.
     """
     if not isinstance(a, SparseTensor):
         raise TypeError("select_p expects a SparseTensor")
-    d = a.ndim
+    dims = a.shape
+    d = len(dims)
+    targets = None if target_ranks is None else full_ranks(dims, target_ranks)
     if d == 1:
         return 0
-    dims = a.shape
-    left = [1] * (d + 1)
-    for k in range(1, d + 1):
-        left[k] = left[k - 1] * dims[k - 1]
+    left = [math.prod(dims[:k]) for k in range(d + 1)]  # extent of the first k modes
     size = left[d]
-    if target_ranks is None:
-        targets = None
-    elif isinstance(target_ranks, (int, np.integer)):
-        targets = (int(target_ranks),) * (d - 1)
-    else:
-        targets = tuple(int(r) for r in target_ranks)
-        if len(targets) != d - 1:
-            raise ValueError(f"need {d - 1} interior rank targets")
-    best_pivot = 0
-    best_cost = math.inf
+    lin = linearize(dims, a.coords)
+    best_pivot, best_cost = 0, math.inf
     for pivot in range(d):
-        rest = [k for k in range(d) if k != pivot]
-        rest_dims = tuple(dims[k] for k in rest)
-        if a.nnz:
-            keys = linearize(rest_dims, a.coords[:, rest])
-            num_fibers = int(np.unique(keys).size)
-        else:
-            num_fibers = 0
-        rt = _upper_bond_bounds(dims, pivot, num_fibers)
-        r_est = []
-        for k in range(1, d):
-            feas = min(rt[k - 1], left[k], size // left[k])
-            if targets is not None:
-                feas = min(feas, targets[k - 1])
-            r_est.append(feas)
-        cost = flops_fasttt(dims, pivot, rt, tuple(r_est), c_svd)
+        keys = np.sort(_fiber_keys(dims, lin, pivot))
+        num_fibers = int(np.count_nonzero(np.diff(keys, prepend=-1)))
+        rt, r_est = [], []
+        for k in range(1, d):  # bond k sits after the first k modes
+            bound = min(num_fibers, left[k] if k <= pivot else size // left[k])
+            rt.append(bound)
+            feas = min(bound, left[k], size // left[k])
+            r_est.append(feas if targets is None else min(feas, targets[k]))
+        cost = flops_fasttt(dims, pivot, rt, r_est)
         if cost < best_cost:
-            best_cost = cost
-            best_pivot = pivot
+            best_pivot, best_cost = pivot, cost
     return best_pivot
 
 
@@ -661,7 +638,8 @@ def fasttt(
         ``"static"``, ``"dynamic"``, or ``"fixed_rank"`` (``"fixed"``
         is accepted as an alias).
     fixed_ranks:
-        Interior bond targets for fixed-rank mode.
+        Bond targets, for fixed-rank mode only: one int for every bond,
+        the interior targets or the full vector with unit edges.
 
     Returns ``(train, report)``.
     """
@@ -677,12 +655,16 @@ def fasttt(
         mode = "fixed_rank"
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode == "fixed_rank" and fixed_ranks is None:
-        raise ValueError("fixed_rank mode needs fixed_ranks")
+    if mode == "fixed_rank":
+        if fixed_ranks is None:
+            raise ValueError("fixed_rank mode needs fixed_ranks")
+        fixed_ranks = _rank_targets(a.shape, fixed_ranks)
+    elif fixed_ranks is not None:
+        raise ValueError(f"fixed_ranks apply only in fixed_rank mode, not {mode!r}")
     d = a.ndim
     notes: list[str] = []
     if pivot is None:
-        pivot = select_p(a, target_ranks=fixed_ranks if mode == "fixed_rank" else None)
+        pivot = select_p(a, target_ranks=fixed_ranks)
     _check_pivot(pivot, d)
 
     if a.nnz == 0:

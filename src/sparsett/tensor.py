@@ -105,7 +105,13 @@ class SparseTensor:
 
     def __init__(self, shape, coords, values):
         dims = check_shape(shape)
-        coords = np.ascontiguousarray(coords, dtype=np.int64)
+        raw = np.asarray(coords)
+        if raw.dtype.kind == "f":
+            frac = ~(np.isfinite(raw) & (raw == np.round(raw)))
+            if frac.any():
+                first = np.atleast_2d(raw)[np.nonzero(np.atleast_2d(frac))[0][0]]
+                raise FormatError(f"coordinate {tuple(first.tolist())} is not integral")
+        coords = np.ascontiguousarray(raw, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         if coords.size == 0:
             coords = coords.reshape(0, len(dims))

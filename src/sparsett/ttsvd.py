@@ -123,11 +123,13 @@ def round_from_pivot(t: TTTensor, pivot: int, right_step, left_step) -> TTTensor
 def full_ranks(shape, ranks) -> tuple[int, ...]:
     """Normalize a rank vector to full length ``d+1`` with unit edges.
 
-    Accepts either the interior ranks (length ``d-1``) or the full
-    vector.
+    Accepts one int for every interior bond, the interior ranks (length
+    ``d-1``) or the full vector.
     """
     dims = check_shape(shape)
     d = len(dims)
+    if isinstance(ranks, (int, np.integer)):
+        ranks = (ranks,) * (d - 1)
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) == d - 1:
         ranks = (1,) + ranks + (1,)
@@ -142,11 +144,11 @@ def full_ranks(shape, ranks) -> tuple[int, ...]:
     return ranks
 
 
-def flops_ttsvd(shape, ranks, c_svd: float = 1.0) -> float:
+def flops_ttsvd(shape, ranks) -> float:
     """Cost model for :func:`tt_svd`.
 
     One truncated SVD of an ``m x n`` matrix is charged
-    ``c_svd * m * n * min(m, n)``; step ``k`` factorizes the
+    ``m * n * min(m, n)``; step ``k`` factorizes the
     ``(r_{k-1} n_k) x (n_{k+1} ... n_d)`` unfolding.
     """
     dims = check_shape(shape)
@@ -157,4 +159,4 @@ def flops_ttsvd(shape, ranks, c_svd: float = 1.0) -> float:
         rows = r[k - 1] * dims[k - 1]
         cols = math.prod(dims[k:])
         total += rows * cols * min(rows, cols)
-    return c_svd * float(total)
+    return float(total)

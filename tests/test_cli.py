@@ -159,6 +159,17 @@ class TestDecompose:
         assert flag[0] in capsys.readouterr().err
         assert not report.exists()
 
+    def test_ranks_without_fixed_mode_exits_two(self, coo_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        for mode in ([], ["--mode", "dynamic"]):
+            rc = main([
+                "decompose", "--in", str(coo_file), "--ranks", "2", "--eps", "0.3",
+                *mode, "--report", str(report),
+            ])
+            assert rc == 2
+            assert "--ranks" in capsys.readouterr().err
+            assert not report.exists()
+
 
 class TestBench:
     def write_inputs(self, tmp_path, rng):
@@ -188,6 +199,24 @@ class TestBench:
         assert (out_dir / "b.json").exists()
         table = capsys.readouterr().out
         assert "a" in table and "b" in table
+
+    def test_ranks_without_fixed_mode_fail_their_case(self, tmp_path, rng):
+        files = self.write_inputs(tmp_path, rng)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "cases": [
+                {"name": "fixed", "file": files[0], "mode": "fixed", "ranks": [2, 2]},
+                {"name": "static", "file": files[0], "eps": 0.3, "ranks": [2, 2]},
+            ]
+        }))
+        out_dir = tmp_path / "out"
+        rc = main(["bench", "--manifest", str(manifest), "--out", str(out_dir)])
+        assert rc == 1
+        summary = json.loads((out_dir / "summary.json").read_text())
+        by_name = {c["name"]: c for c in summary["cases"]}
+        assert by_name["fixed"]["ok"] is True
+        assert by_name["static"]["ok"] is False
+        assert "--ranks" in by_name["static"]["error"]
 
     def test_failed_case_recorded(self, tmp_path, rng):
         files = self.write_inputs(tmp_path, rng)

@@ -28,6 +28,19 @@ from sparsett import (
 from conftest import rand_sparse
 
 
+def fiber_cases(rng):
+    """Tensors of the shapes fiber grouping must handle: one and two
+    modes, extent-1 modes, empty, full and six modes."""
+    yield rand_sparse(rng, (4, 3, 5, 2), 0.25)
+    yield rand_sparse(rng, (5, 4, 3), 0.3)
+    yield rand_sparse(rng, (7,), 0.5)
+    yield rand_sparse(rng, (6, 5), 0.3)
+    yield rand_sparse(rng, (1, 4, 1, 3), 0.5)
+    yield rand_sparse(rng, (3, 4, 2), 0.0)
+    yield rand_sparse(rng, (3, 2, 4), 1.0)
+    yield rand_sparse(rng, (3, 2, 3, 2, 2, 3), 0.2)
+
+
 class TestFiberExtraction:
     def test_reconstruction_exact(self, rng):
         t = rand_sparse(rng, (4, 3, 5, 2), 0.25)
@@ -38,21 +51,26 @@ class TestFiberExtraction:
             assert np.array_equal(back.values, t.values)
 
     def test_fiber_count_matches_set_oracle(self, rng):
-        t = rand_sparse(rng, (4, 3, 5, 2), 0.25)
-        for pivot in range(t.ndim):
-            fixed = {
-                tuple(np.delete(c, pivot)) for c in t.coords
-            }
-            fs = build_structured_tt(t, pivot)
-            assert fs.num_fibers == len(fixed)
+        for t in fiber_cases(rng):
+            for pivot in range(t.ndim):
+                fibers = {}
+                for c, v in zip(t.coords.tolist(), t.values.tolist()):
+                    fibers.setdefault(tuple(np.delete(c, pivot)), []).append((c[pivot], v))
+                fs = build_structured_tt(t, pivot)
+                assert fs.num_fibers == len(fibers)
+                for i, fixed in enumerate(sorted(fibers)):
+                    lo, hi = fs.indptr[i], fs.indptr[i + 1]
+                    assert tuple(fs.fixed_coords[i]) == fixed
+                    assert list(zip(fs.pivot_index[lo:hi], fs.values[lo:hi])) == sorted(
+                        fibers[fixed]
+                    )
 
     def test_fixed_tuples_sorted_and_distinct(self, rng):
-        t = rand_sparse(rng, (5, 4, 3), 0.3)
-        fs = build_structured_tt(t, 1)
-        rows = fs.fixed_coords
-        keys = [tuple(r) for r in rows]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        for t in fiber_cases(rng):
+            for pivot in range(t.ndim):
+                keys = [tuple(r) for r in build_structured_tt(t, pivot).fixed_coords]
+                assert keys == sorted(keys)
+                assert len(set(keys)) == len(keys)
 
     def test_each_fiber_nonempty(self, rng):
         t = rand_sparse(rng, (6, 6), 0.2)
@@ -439,6 +457,28 @@ class TestFastTTDriver:
             with pytest.raises(ValueError):
                 fasttt(t, mode="fixed_rank")
 
+    def test_rank_target_forms_agree_at_auto_pivot(self, rng):
+        t = rand_sparse(rng, (4, 5, 4), 0.2)
+        pivot = select_p(t, target_ranks=2)
+        want, _ = fasttt(t, eps=None, pivot=pivot, mode="fixed_rank", fixed_ranks=2)
+        for ranks in (2, (2, 2), (1, 2, 2, 1)):
+            for p in (None, pivot):
+                tt, rep = fasttt(t, eps=None, pivot=p, mode="fixed_rank", fixed_ranks=ranks)
+                assert rep.pivot == pivot
+                assert all(np.array_equal(a, b) for a, b in zip(tt.cores, want.cores))
+
+    def test_rank_targets_outside_fixed_mode_rejected(self, rng):
+        t = rand_sparse(rng, (4, 5, 4), 0.2)
+        for mode in ("static", "dynamic"):
+            with pytest.raises(ValueError, match="fixed_rank mode"):
+                fasttt(t, eps=0.3, mode=mode, fixed_ranks=(2, 2))
+
+    def test_rank_targets_checked_even_when_empty(self, rng):
+        empty = SparseTensor((3, 4, 5), np.zeros((0, 3), dtype=np.int64), np.zeros(0))
+        for t in (empty, rand_sparse(rng, (3, 4, 5), 0.2)):
+            with pytest.raises(ValueError, match="positive"):
+                fasttt(t, mode="fixed_rank", fixed_ranks=(0, 2))
+
     def test_single_mode_round_trip(self):
         t = SparseTensor((7,), np.array([[1], [4], [6]]), np.array([2.0, -1.0, 0.5]))
         for mode, ranks in (("static", None), ("dynamic", None), ("fixed_rank", ())):
@@ -503,9 +543,17 @@ class TestSelectP:
 
     def test_matches_independent_model(self, rng):
         shapes = [(4, 9, 3), (2, 12, 2, 6), (7, 3, 5), (3, 4, 5, 2, 3)]
-        for i, shape in enumerate(shapes):
-            t = rand_sparse(np.random.default_rng(100 + i), shape, 0.08)
+        tensors = [
+            rand_sparse(np.random.default_rng(100 + i), shape, 0.08)
+            for i, shape in enumerate(shapes)
+        ]
+        for t in tensors + list(fiber_cases(rng)):
+            interior = tuple(1 + k % 3 for k in range(t.ndim - 1))
             assert select_p(t) == brute_select(t)
+            assert select_p(t, target_ranks=2) == brute_select(t, (2,) * (t.ndim - 1))
+            assert select_p(t, target_ranks=interior) == brute_select(t, interior)
+            full = (1,) + interior + (1,)
+            assert select_p(t, target_ranks=full) == brute_select(t, interior)
 
     def test_target_ranks_respected(self, rng):
         t = rand_sparse(rng, (4, 8, 3, 5), 0.1)
@@ -533,10 +581,6 @@ class TestFlopsModel:
     def test_single_mode_is_free(self):
         assert flops_fasttt((9,), 0, (), ()) == 0.0
 
-    def test_c_svd_scales(self):
-        a = flops_fasttt((4, 5, 6), 1, (3, 3), (2, 2))
-        b = flops_fasttt((4, 5, 6), 1, (3, 3), (2, 2), c_svd=3.0)
-        assert b == 3.0 * a
 
 
 class TestErrorMeasures:

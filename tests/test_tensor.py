@@ -78,6 +78,15 @@ class TestSparseTensor:
         with pytest.raises(FormatError):
             SparseTensor((2, 2), np.array([[-1, 0]]), np.array([1.0]))
 
+    def test_non_integral_coordinate_rejected(self):
+        with pytest.raises(FormatError, match=r"\(1\.7, 0\.2\) is not integral"):
+            SparseTensor((3, 3), [[1.7, 0.2]], [1.0])
+        with pytest.raises(FormatError, match=r"\(1\.5, 0\.0\) is not integral"):
+            SparseTensor((3, 3), [[1.5, 0], [1.2, 0]], [1.0, 2.0])
+        t = SparseTensor((3, 3), np.array([[2.0, 1.0], [0.0, 2.0]]), [1.0, 2.0])
+        assert t.coords.tolist() == [[0, 2], [2, 1]]
+        assert SparseTensor((3, 3), np.zeros((0, 2)), np.zeros(0)).nnz == 0
+
     def test_non_finite_rejected(self):
         with pytest.raises(FormatError):
             SparseTensor((2,), np.array([[0]]), np.array([np.nan]))

@@ -182,6 +182,10 @@ class TestFullRanks:
     def test_interior(self):
         assert full_ranks((3, 4, 5), (2, 6)) == (1, 2, 6, 1)
 
+    def test_one_int_for_every_bond(self):
+        assert full_ranks((3, 4, 5), 2) == (1, 2, 2, 1)
+        assert full_ranks((7,), np.int64(3)) == (1, 1)
+
     def test_already_full(self):
         assert full_ranks((3, 4, 5), (1, 2, 6, 1)) == (1, 2, 6, 1)
 
@@ -205,11 +209,6 @@ class TestFlopsTTSVD:
         r1, r2 = 2, 3
         want = 3 * 20 * 3 + (r1 * 4) * 5 * min(r1 * 4, 5)
         assert flops_ttsvd((3, 4, 5), (r1, r2)) == want
-
-    def test_c_svd_scales(self):
-        assert flops_ttsvd((3, 4, 5), (2, 3), c_svd=2.0) == 2.0 * flops_ttsvd(
-            (3, 4, 5), (2, 3)
-        )
 
     def test_single_mode(self):
         assert flops_ttsvd((9,), ()) == 0.0
