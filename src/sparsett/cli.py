@@ -75,8 +75,8 @@ def _load_input(path: str, row_dims, col_dims):
 def _decompose_once(tensor: SparseTensor, args) -> tuple[dict, float, object]:
     """Run one decomposition; returns (document, eps_used, train)."""
     eps = args.eps if args.eps is not None else 1e-14
-    if not eps >= 0:
-        raise FormatError(f"--eps must be nonnegative, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise FormatError(f"--eps must be finite and nonnegative, got {eps}")
     mode = "fixed_rank" if args.mode == "fixed" else args.mode
     if args.method == "ttsvd":
         # The reference method has no pivot, rounding mode or rank targets.
@@ -334,13 +334,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractViolationError as exc:

@@ -40,10 +40,11 @@ _PIPELINE_ONLY = ("p", "R", "r_tilde", "eps_actual_inner_identity", "flops_fastt
 def write_coo(t: SparseTensor, path) -> None:
     """Write a sparse tensor as text: a shape header, then one line per
     nonzero with 1-based coordinates."""
+    line = "%d " * t.ndim + "%.17g\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# shape " + " ".join(str(n) for n in t.shape) + "\n")
-        for c, v in zip(t.coords, t.values):
-            fh.write(" ".join(str(i + 1) for i in c) + f" {v:.17g}\n")
+        for c, v in zip((t.coords + 1).tolist(), t.values.tolist()):
+            fh.write(line % (*c, v))
 
 
 def ingest_coo(path) -> SparseTensor:
@@ -133,7 +134,6 @@ def report_document(
     report: DecompositionReport,
     method: str = "fasttt",
     source: str | None = None,
-    extra: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Flatten a run report into the versioned JSON document schema.
 
@@ -171,8 +171,6 @@ def report_document(
     for key in _PIPELINE_ONLY:
         if doc[key] is None:
             del doc[key]
-    if extra:
-        doc.update(extra)
     return doc
 
 

@@ -8,7 +8,12 @@ singular-vector signs, and reported truncation errors.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -145,3 +150,53 @@ def qr_economic(m) -> QRResult:
     q = q * d
     r = d[:, None] * r
     return QRResult(q=q, r=r)
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` thread-count functions of the OpenBLAS bundled with
+    NumPy, or ``None`` when NumPy uses another BLAS."""
+    root = Path(np.__file__).resolve().parent
+    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+            get = getattr(lib, name.format("get_num_threads"), None)
+            set_ = getattr(lib, name.format("set_num_threads"), None)
+            if get is not None and set_ is not None:
+                return get, set_
+    return None
+
+
+# Shared by overlapping ``one_blas_thread`` blocks.
+_scope_lock = threading.Lock()
+_scope = {"depth": 0, "saved": 0}
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with NumPy's OpenBLAS on one thread.
+
+    After a threaded call, OpenBLAS workers spin for about 0.1 s, which
+    costs a decomposition of a few milliseconds far more CPU than the
+    second thread saves.  The count is process-wide, so BLAS calls from
+    other threads inside the block also run on one thread; the last
+    overlapping block to end restores it.  Does nothing when NumPy uses
+    another BLAS.
+    """
+    get, set_ = _openblas_threads() or (lambda: 1, lambda n: None)
+    with _scope_lock:
+        if _scope["depth"] == 0:
+            _scope["saved"] = get()
+            set_(1)
+        _scope["depth"] += 1
+    try:
+        yield
+    finally:
+        with _scope_lock:
+            _scope["depth"] -= 1
+            if _scope["depth"] == 0:
+                set_(_scope["saved"])

@@ -23,7 +23,6 @@ from .errors import FormatError
 __all__ = [
     "DENSE_CAP",
     "SparseTensor",
-    "frobenius_norm",
 ]
 
 # Guard for any operation that materializes a dense array.
@@ -53,6 +52,17 @@ def check_shape(shape) -> tuple[int, ...]:
         if size >= _INT63:
             raise ValueError(f"shape {dims} overflows 64-bit indexing")
     return dims
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only, C-contiguous view of ``a`` as ``dtype``.
+
+    The array is copied only when its dtype or layout differs; the
+    caller's own array keeps its flags.
+    """
+    view = np.ascontiguousarray(a, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
 
 
 def _strides(dims) -> np.ndarray:
@@ -144,13 +154,9 @@ class SparseTensor:
         if dup.size:
             where = tuple(coords[order[dup[0] + 1]])
             raise FormatError(f"duplicate coordinate {where}")
-        coords = np.ascontiguousarray(coords[order])
-        values = np.ascontiguousarray(values[order])
-        coords.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "shape", dims)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "coords", _frozen(coords[order], np.int64))
+        object.__setattr__(self, "values", _frozen(values[order], np.float64))
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseTensor is immutable")
@@ -178,10 +184,3 @@ class SparseTensor:
         out = np.zeros(self.size)
         out[linearize(self.shape, self.coords)] = self.values
         return out.reshape(self.shape)
-
-
-def frobenius_norm(t) -> float:
-    """Frobenius norm of a sparse or dense tensor."""
-    if isinstance(t, SparseTensor):
-        return float(np.linalg.norm(t.values))
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))

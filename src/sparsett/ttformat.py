@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import qr_economic
-from .tensor import DENSE_CAP, SparseTensor, check_shape, delinearize
+from .tensor import DENSE_CAP, SparseTensor, _frozen, check_shape, delinearize
 
 __all__ = [
     "TTTensor",
@@ -34,12 +34,17 @@ __all__ = [
 
 
 class TTTensor:
-    """Tensor in train format: a list of 3-way cores with matching bonds."""
+    """Tensor in train format: a list of 3-way cores with matching bonds.
+
+    The train is immutable.  It holds read-only views of the cores it is
+    given: C-contiguous float64 cores are not copied, and the caller's
+    arrays keep their flags.
+    """
 
     __slots__ = ("cores",)
 
-    def __init__(self, cores, copy: bool = True):
-        cores = [np.asarray(c, dtype=np.float64) for c in cores]
+    def __init__(self, cores):
+        cores = [_frozen(c, np.float64) for c in cores]
         if not cores:
             raise ValueError("a train needs at least one core")
         for k, c in enumerate(cores):
@@ -53,10 +58,6 @@ class TTTensor:
                     f"bond mismatch between cores {k} and {k + 1}: "
                     f"{cores[k].shape[2]} vs {cores[k + 1].shape[0]}"
                 )
-        if copy:
-            cores = [np.ascontiguousarray(c) for c in cores]
-            for c in cores:
-                c.setflags(write=False)
         object.__setattr__(self, "cores", tuple(cores))
 
     def __setattr__(self, name, value):
@@ -182,7 +183,7 @@ def tt_norm(t: TTTensor) -> float:
     """Frobenius norm by contracting the train with itself."""
     w = np.ones((1, 1))
     for c in t.cores:
-        w = np.einsum("ab,aic,bid->cd", w, c, c, optimize=True)
+        w = np.tensordot(np.tensordot(w, c, axes=(0, 0)), c, axes=((0, 1), (0, 1)))
     return float(np.sqrt(max(w[0, 0], 0.0)))
 
 
@@ -202,7 +203,7 @@ def tt_right_orthogonalize(t: TTTensor) -> TTTensor:
     right-orthonormal; the first core then carries the whole norm."""
     cores = list(t.cores)
     _qr_sweep(cores, 0)
-    return TTTensor(cores, copy=False)
+    return TTTensor(cores)
 
 
 def _check_factors(dims, total: int, what: str) -> tuple[int, ...]:

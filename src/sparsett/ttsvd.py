@@ -47,7 +47,7 @@ def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
         c = res.s[:, None] * res.vt
         r = res.rank
     cores.append(c.reshape(r, dims[-1], 1))
-    return TTTensor(cores, copy=False)
+    return TTTensor(cores)
 
 
 def _check_pivot(pivot: int, d: int) -> None:
@@ -55,13 +55,13 @@ def _check_pivot(pivot: int, d: int) -> None:
         raise ValueError(f"pivot {pivot} out of range for {d} modes")
 
 
-def _check_pivot_orthogonal(t: TTTensor, pivot: int, tol: float = 1e-8) -> None:
+def _check_pivot_orthogonal(t: TTTensor, pivot: int) -> None:
     # The outward sweeps assume the cores left of the pivot are
     # column-orthonormal and those right of it row-orthonormal.
     for k in range(pivot):
         r0, n, r1 = t.cores[k].shape
         m = t.cores[k].reshape(r0 * n, r1)
-        if np.abs(m.T @ m - np.eye(r1)).max() > tol:
+        if np.abs(m.T @ m - np.eye(r1)).max() > 1e-8:
             raise ContractViolationError(
                 f"core {k} is not left-orthonormal; the train is not "
                 f"orthogonalized around pivot {pivot}"
@@ -69,7 +69,7 @@ def _check_pivot_orthogonal(t: TTTensor, pivot: int, tol: float = 1e-8) -> None:
     for k in range(pivot + 1, t.ndim):
         r0, n, r1 = t.cores[k].shape
         m = t.cores[k].reshape(r0, n * r1)
-        if np.abs(m @ m.T - np.eye(r0)).max() > tol:
+        if np.abs(m @ m.T - np.eye(r0)).max() > 1e-8:
             raise ContractViolationError(
                 f"core {k} is not right-orthonormal; the train is not "
                 f"orthogonalized around pivot {pivot}"
@@ -107,7 +107,7 @@ def round_from_pivot(t: TTTensor, pivot: int, right_step, left_step) -> TTTensor
         carry = res.vt.T * res.s  # (r1, rank)
         cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=(0, 0))
     if pivot == 0:
-        return TTTensor(cores, copy=False)
+        return TTTensor(cores)
     _qr_sweep(cores, pivot)
     for k in range(pivot, 0, -1):
         r0, n, r1 = cores[k].shape
@@ -117,7 +117,7 @@ def round_from_pivot(t: TTTensor, pivot: int, right_step, left_step) -> TTTensor
         cores[k] = np.ascontiguousarray(res.u.T).reshape(res.rank, n, r1)
         carry = res.vt.T * res.s  # (r0, rank)
         cores[k - 1] = np.tensordot(cores[k - 1], carry, axes=(2, 0))
-    return TTTensor(cores, copy=False)
+    return TTTensor(cores)
 
 
 def full_ranks(shape, ranks) -> tuple[int, ...]:

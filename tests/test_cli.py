@@ -125,22 +125,25 @@ class TestDecompose:
     def test_pivot_out_of_range_exits_two(self, coo_file):
         assert main(["decompose", "--in", str(coo_file), "--p", "9"]) == 2
 
-    def test_nan_eps_exits_two(self, coo_file, tmp_path):
+    def test_nan_eps_exits_two(self, coo_file, tmp_path, capsys):
         report = tmp_path / "report.json"
         for method in ("fasttt", "ttsvd"):
-            rc = main([
-                "decompose", "--in", str(coo_file), "--method", method,
-                "--eps", "nan", "--report", str(report),
-            ])
-            assert rc == 2
-            assert not report.exists()
+            for eps in ("nan", "inf"):
+                rc = main([
+                    "decompose", "--in", str(coo_file), "--method", method,
+                    "--eps", eps, "--report", str(report),
+                ])
+                assert rc == 2
+                out, err = capsys.readouterr()
+                assert out == "" and "--eps" in err
+                assert not report.exists()
 
     def test_bad_eps_rejected_before_densifying(self, tmp_path, capsys):
         shape = (1000, 1000, 151)
         assert np.prod(shape) > cli._TTSVD_DENSE_CAP
         path = tmp_path / "huge.coo"
         write_coo(SparseTensor(shape, [[0, 0, 0]], [1.0]), path)
-        for eps in ("nan", "-0.5"):
+        for eps in ("nan", "inf", "-0.5"):
             rc = main(["decompose", "--in", str(path), "--method", "ttsvd", f"--eps={eps}"])
             assert rc == 2
             err = capsys.readouterr().err

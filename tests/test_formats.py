@@ -42,6 +42,18 @@ class TestCOORoundTrip:
         write_coo(t, path)
         assert np.array_equal(ingest_coo(path).values, t.values)
 
+    def test_golden_bytes(self, tmp_path):
+        coords = [[0, 0, 0], [1, 2, 3], [0, 1, 2]]
+        t = SparseTensor((2, 3, 4), coords, [0.1, -1.2345678901234567e30, 5e-324])
+        path = tmp_path / "g.coo"
+        write_coo(t, path)
+        assert path.read_bytes() == (
+            b"# shape 2 3 4\n"
+            b"1 1 1 0.10000000000000001\n"
+            b"1 2 3 4.9406564584124654e-324\n"
+            b"2 3 4 -1.2345678901234567e+30\n"
+        )
+
     def test_header_is_one_based_friendly(self, tmp_path):
         path = tmp_path / "m.coo"
         path.write_text("# shape 2 3\n1 1 5.0\n2 3 -1.0\n")

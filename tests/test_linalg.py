@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from sparsett.linalg import (
     _fix_signs,
+    _openblas_threads,
+    one_blas_thread,
     qr_economic,
     svd_truncate_delta,
     svd_truncate_rank,
@@ -161,3 +165,44 @@ class TestQR:
         b = qr_economic(m.copy())
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.r, b.r)
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas(self):
+        ctl = _openblas_threads()
+        if ctl is None:
+            pytest.skip("NumPy does not use a bundled OpenBLAS")
+        get, set_ = ctl
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_one_thread_inside_and_restored_after(self, blas):
+        with one_blas_thread():
+            assert blas() == 1
+        assert blas() == 2
+        with pytest.raises(RuntimeError), one_blas_thread():
+            raise RuntimeError("boom")
+        assert blas() == 2
+
+    def test_overlapping_scopes_restore_once_both_end(self, blas):
+        entered, release = threading.Event(), threading.Event()
+
+        def other():
+            with one_blas_thread():
+                entered.set()
+                release.wait(10)
+
+        worker = threading.Thread(target=other)
+        worker.start()
+        try:
+            assert entered.wait(10)
+            with one_blas_thread():
+                assert blas() == 1
+            assert blas() == 1  # the other thread's scope is still open
+        finally:
+            release.set()
+            worker.join(10)
+        assert blas() == 2

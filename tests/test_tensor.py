@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsett import FormatError, SparseTensor
-from sparsett.tensor import check_shape, delinearize, frobenius_norm, linearize
+from sparsett.tensor import check_shape, delinearize, linearize
 from conftest import rand_sparse
 
 
@@ -117,11 +117,3 @@ class TestSparseTensor:
         t = rand_sparse(rng, (10, 10), 0.1)
         with pytest.raises(ValueError):
             t.to_dense(cap=50)
-
-
-class TestNorm:
-    def test_matches_dense(self, rng):
-        t = rand_sparse(rng, (4, 5, 3), 0.3)
-        assert frobenius_norm(t) == pytest.approx(
-            np.linalg.norm(t.to_dense()), rel=1e-14
-        )

@@ -9,6 +9,11 @@ from sparsett import (
     SparseTensor,
     TTTensor,
     build_structured_tt,
+    fasttt,
+    load_tt,
+    parallel_vector_round,
+    round_from_pivot,
+    save_tt,
     structured_to_tt,
     tensorize_matrix,
     tt_add,
@@ -17,8 +22,10 @@ from sparsett import (
     tt_right_orthogonalize,
     tt_scale,
     tt_to_full,
+    tt_svd,
     tt_zero,
 )
+from sparsett.linalg import svd_truncate_rank
 from sparsett.tensor import linearize
 from conftest import einsum_qr_sweep, rand_sparse, rand_tt
 
@@ -41,10 +48,32 @@ class TestTTTensor:
         with pytest.raises(ValueError):
             TTTensor(cores)
 
-    def test_immutable(self, rng):
-        t = rand_tt(rng, (3, 3), (2,))
+    def test_immutable(self, rng, tmp_path):
+        cores = [rng.standard_normal(shape) for shape in ((1, 3, 2), (2, 4, 3), (3, 5, 1))]
+        t = TTTensor(cores)
         with pytest.raises(AttributeError):
             t.cores = []
+        for c, g in zip(cores, t.cores):
+            assert c.flags.writeable and np.shares_memory(c, g)
+
+        # Every producer of trains hands out read-only cores.
+        a = rand_sparse(rng, (4, 3, 5), 0.4)
+        exact = parallel_vector_round(build_structured_tt(a, 1))
+        save_tt(exact, tmp_path / "t.npz")
+        step = lambda k, m: svd_truncate_rank(m, 2)
+        trains = [
+            t,
+            fasttt(a)[0],
+            tt_svd(a.to_dense(), 0.1),
+            exact,
+            round_from_pivot(exact, 1, step, step),
+            tt_right_orthogonalize(t),
+            load_tt(tmp_path / "t.npz"),
+        ]
+        for train in trains:
+            for g in train.cores:
+                with pytest.raises(ValueError, match="read-only"):
+                    g[...] = 7.0
 
 
 class TestEntriesAndFull:
@@ -180,6 +209,15 @@ class TestQuasiPerm:
         assert d.shape == (4, 3)
         assert d.sum() == 3.0
         assert d[2, 0] == d[0, 1] == d[2, 2] == 1.0
+
+    def test_immutable(self):
+        col_to_row = np.array([2, 0, 2])
+        q = QuasiPermMatrix(4, 3, col_to_row)
+        assert col_to_row.flags.writeable and np.shares_memory(col_to_row, q.col_to_row)
+        with pytest.raises(ValueError, match="read-only"):
+            q.col_to_row[0] = 1
+        with pytest.raises(AttributeError):
+            q.n_rows = 5
 
     def test_validation(self):
         with pytest.raises(ValueError):

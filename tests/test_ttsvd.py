@@ -156,15 +156,18 @@ class TestRoundFromPivot:
 
     @pytest.mark.parametrize("dims, ranks", [((6,), ()), ((3, 4, 5, 4, 3), (3, 9, 8, 3))])
     def test_writable_input_cores_unchanged(self, rng, dims, ranks):
-        # The sweeps only rebind their list of cores; neither they nor
-        # the right-to-left orthogonalization may write into a core of
-        # the input, even when its cores are writable.
+        # The train holds read-only views of the caller's writable cores;
+        # neither the sweeps nor the right-to-left orthogonalization may
+        # write into those cores.
         d = len(dims)
         step = lambda k, m: svd_truncate_rank(m, 2)
         for pivot in sorted({0, d // 2, d - 1}):
             cores = orthogonalized_cores(rand_tt(rng, dims, ranks), pivot)
-            t = TTTensor(cores, copy=False)
-            assert all(c is g and g.flags.writeable for c, g in zip(cores, t.cores))
+            cores = [np.ascontiguousarray(c) for c in cores]
+            t = TTTensor(cores)
+            for c, g in zip(cores, t.cores):
+                assert np.shares_memory(c, g)
+                assert c.flags.writeable and not g.flags.writeable
             before = [c.copy() for c in cores]
             round_from_pivot(t, pivot, step, step)
             tt_right_orthogonalize(t)
