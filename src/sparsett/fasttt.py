@@ -46,7 +46,7 @@ from .ttformat import (
     tt_scale,
     tt_zero,
 )
-from .ttsvd import _check_pivot, flops_ttsvd, full_ranks, round_from_pivot
+from .ttsvd import _check_eps, _check_pivot, flops_ttsvd, full_ranks, round_from_pivot
 
 __all__ = [
     "float_ops",
@@ -73,6 +73,12 @@ _MODES = ("static", "dynamic", "fixed_rank")
 # Largest total core count for which the exact-difference error measure
 # is materialized; beyond it the inner-product identity is used instead.
 _ERROR_MEASURE_CAP = 20_000_000
+
+# Smallest eps that the inner-product identity can check.  Its
+# cancellation leaves readings up to 8.5e-8 on exact trains (the QTT
+# Laplacian), so below this floor a reading tells a met contract from a
+# broken one no better than noise, and the error counts as not verified.
+_INNER_IDENTITY_FLOOR = 1e-6
 
 # Exact trains up to this many parameters are rounded and measured on one
 # BLAS thread.  On a 2-core machine one thread matched two in wall time up
@@ -127,13 +133,23 @@ class FiberSet:
         pivot_index = _frozen(pivot_index, np.int64)
         values = _frozen(values, np.float64)
         r = fixed_coords.shape[0] if fixed_coords.ndim else 0
-        fixed_coords = fixed_coords.reshape(r, d - 1) if d > 1 else fixed_coords.reshape(r, 0)
+        fixed_coords = fixed_coords.reshape(r, d - 1)
         if indptr.shape != (r + 1,) or indptr[0] != 0 or indptr[-1] != values.shape[0]:
             raise ValueError("inconsistent fiber index pointers")
+        if pivot_index.shape != values.shape:
+            raise ValueError("pivot_index and values must hold one entry per nonzero")
         if (np.diff(indptr) < 1).any():
             raise ValueError("every stored fiber must hold at least one nonzero")
+        rest_dims = dims[:pivot] + dims[pivot + 1 :]
+        if ((fixed_coords < 0) | (fixed_coords >= np.array(rest_dims, np.int64))).any():
+            raise ValueError(f"fixed coordinates out of range for shape {dims}")
+        if ((pivot_index < 0) | (pivot_index >= dims[pivot])).any():
+            raise ValueError(f"pivot indices out of range for extent {dims[pivot]}")
+        steps = np.diff(pivot_index)
+        steps[indptr[1:-1] - 1] = 1  # each new fiber may restart low
+        if (steps <= 0).any():
+            raise ValueError("pivot indices must be strictly increasing within each fiber")
         if r > 1:
-            rest_dims = dims[:pivot] + dims[pivot + 1 :]
             keys = linearize(rest_dims, fixed_coords) if rest_dims else np.zeros(r, np.int64)
             if (np.diff(keys) <= 0).any():
                 raise ValueError("fixed tuples must be strictly increasing")
@@ -154,16 +170,6 @@ class FiberSet:
     @property
     def nnz(self) -> int:
         return self.values.shape[0]
-
-    def to_tensor(self) -> SparseTensor:
-        """Reassemble the original tensor (index regrouping only)."""
-        d = len(self.shape)
-        coords = np.empty((self.nnz, d), dtype=np.int64)
-        rest = [k for k in range(d) if k != self.pivot]
-        per_entry = np.repeat(np.arange(self.num_fibers), np.diff(self.indptr))
-        coords[:, rest] = self.fixed_coords[per_entry]
-        coords[:, self.pivot] = self.pivot_index
-        return SparseTensor(self.shape, coords, self.values)
 
 
 class QuasiPermMatrix:
@@ -406,8 +412,7 @@ def _unit_allowance(t: TTTensor, pivot: int, eps: float) -> float:
     norm.  Spending this much on each of the ``d - 1`` steps keeps the
     accumulated error within ``eps * norm``.
     """
-    if not eps >= 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    _check_eps(eps)
     d = t.ndim
     _check_pivot(pivot, d)
     if d == 1:
@@ -566,6 +571,11 @@ def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float | None 
     return num / norm if norm > 0 else (0.0 if num == 0.0 else math.inf)
 
 
+def _error_verified(method: str, eps: float) -> bool:
+    """Whether an error measured by ``method`` can be held against ``eps``."""
+    return method != "inner_identity" or eps >= _INNER_IDENTITY_FLOOR
+
+
 def sparse_inner_error(a: SparseTensor, approx: TTTensor) -> float:
     """Relative error via ``norm(a)^2 - 2 <a, b> + norm(b)^2``.
 
@@ -634,8 +644,7 @@ def fasttt(
     pivot:
         Pivot mode; ``None`` lets :func:`select_p` choose.
     mode:
-        ``"static"``, ``"dynamic"``, or ``"fixed_rank"`` (``"fixed"``
-        is accepted as an alias).
+        ``"static"``, ``"dynamic"`` or ``"fixed_rank"``.
     fixed_ranks:
         Bond targets, for fixed-rank mode only: one int for every bond,
         the interior targets or the full vector with unit edges.
@@ -648,10 +657,7 @@ def fasttt(
     cpu0 = time.process_time()
     if eps is None or eps == 0.0:
         eps = 1e-14
-    if not eps >= 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    if mode == "fixed":
-        mode = "fixed_rank"
+    _check_eps(eps)
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode == "fixed_rank":
@@ -698,6 +704,11 @@ def fasttt(
                     "exact-difference error measure too large; reported value is the "
                     "inner-product identity (resolution ~1e-8)"
                 )
+                if not _error_verified(method, eps):
+                    notes.append(
+                        f"eps {eps:.1e} is below the inner identity's floor "
+                        f"{_INNER_IDENTITY_FLOOR:.0e}; the error is not verified"
+                    )
         flops_model = flops_fasttt(a.shape, pivot, ranks_lossless, tt.ranks)
         flops_ttsvd_model = flops_ttsvd(a.shape, tt.ranks)
     report = DecompositionReport(

@@ -9,6 +9,7 @@ significant digits so write/read round-trips are bit-exact for float64.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from typing import Any
 
@@ -142,9 +143,6 @@ def report_document(
     Report fields left at ``None`` (those only the sparse pipeline
     knows) are left out of the document.
     """
-    size = 1
-    for n in report.shape:
-        size *= n
     doc: dict[str, Any] = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "generator": "sparsett",
@@ -152,7 +150,7 @@ def report_document(
         "source": source,
         "shape": list(report.shape),
         "nnz": report.nnz,
-        "sigma": report.nnz / size,
+        "sigma": report.nnz / math.prod(report.shape),
         "eps": report.eps,
         "mode": report.mode,
         "p": None if report.pivot is None else report.pivot + 1,

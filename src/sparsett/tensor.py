@@ -46,11 +46,8 @@ def check_shape(shape) -> tuple[int, ...]:
         raise ValueError("shape needs at least one mode")
     if any(n < 1 for n in dims):
         raise ValueError(f"shape extents must be positive, got {dims}")
-    size = 1
-    for n in dims:
-        size *= n
-        if size >= _INT63:
-            raise ValueError(f"shape {dims} overflows 64-bit indexing")
+    if math.prod(dims) >= _INT63:
+        raise ValueError(f"shape {dims} overflows 64-bit indexing")
     return dims
 
 
@@ -65,32 +62,18 @@ def _frozen(a, dtype) -> np.ndarray:
     return view
 
 
-def _strides(dims) -> np.ndarray:
-    # C-order strides: last mode fastest.
-    s = np.ones(len(dims), dtype=np.int64)
-    for k in range(len(dims) - 2, -1, -1):
-        s[k] = s[k + 1] * dims[k + 1]
-    return s
-
-
 def linearize(shape, coords: np.ndarray) -> np.ndarray:
     """Map multi-indices (rows of ``coords``) to C-order linear indices."""
     dims = check_shape(shape)
     coords = np.asarray(coords, dtype=np.int64)
-    return coords @ _strides(dims)
+    return np.ravel_multi_index(tuple(coords.T), dims)
 
 
 def delinearize(shape, lin: np.ndarray) -> np.ndarray:
     """Inverse of :func:`linearize`; returns an ``(n, d)`` coordinate array."""
     dims = check_shape(shape)
     lin = np.asarray(lin, dtype=np.int64)
-    out = np.empty((lin.shape[0], len(dims)), dtype=np.int64)
-    rem = lin
-    strides = _strides(dims)
-    for k in range(len(dims)):
-        out[:, k] = rem // strides[k]
-        rem = rem % strides[k]
-    return out
+    return np.stack(np.unravel_index(lin, dims), axis=1).astype(np.int64, copy=False)
 
 
 class SparseTensor:

@@ -26,8 +26,7 @@ def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
     ``eps / sqrt(d-1) * norm(a)``, which keeps the total relative error
     within ``eps``."""
     a = np.ascontiguousarray(a, dtype=np.float64)
-    if not eps >= 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    _check_eps(eps)
     dims = a.shape
     d = a.ndim
     if d == 0:
@@ -48,6 +47,11 @@ def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
         r = res.rank
     cores.append(c.reshape(r, dims[-1], 1))
     return TTTensor(cores)
+
+
+def _check_eps(eps: float) -> None:
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
 
 
 def _check_pivot(pivot: int, d: int) -> None:

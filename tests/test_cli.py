@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -86,6 +87,21 @@ class TestDecompose:
             "--mode", "fixed", "--ranks", "1", "--eps", "1e-14",
         ])
         assert rc == 1
+
+    def test_inner_identity_below_floor_not_verified(self, coo_file, capsys, monkeypatch):
+        # Force the inner-identity fallback and plant its reading.
+        pipeline = importlib.import_module("sparsett.fasttt")
+        monkeypatch.setattr(pipeline, "_ERROR_MEASURE_CAP", 0)
+        monkeypatch.setattr(pipeline, "sparse_inner_error", lambda a, tt: 2.2e-8)
+        assert main(["decompose", "--in", str(coo_file), "--eps", "1e-14"]) == 0
+        out, err = capsys.readouterr()
+        assert "not verified" in err
+        assert "eps_actual 2.200e-08  not verified" in out
+        # Above the floor the gate still holds the reading against eps.
+        monkeypatch.setattr(pipeline, "sparse_inner_error", lambda a, tt: 0.5)
+        assert main(["decompose", "--in", str(coo_file), "--eps", "0.01"]) == 1
+        out, err = capsys.readouterr()
+        assert "not verified" not in out + err
 
     def test_fixed_mode_without_eps_skips_gate(self, tmp_path, rng):
         t = rand_sparse(rng, (4, 4, 4), 0.8)

@@ -43,14 +43,6 @@ def fiber_cases(rng):
 
 
 class TestFiberExtraction:
-    def test_reconstruction_exact(self, rng):
-        t = rand_sparse(rng, (4, 3, 5, 2), 0.25)
-        for pivot in range(t.ndim):
-            fs = build_structured_tt(t, pivot)
-            back = fs.to_tensor()
-            assert np.array_equal(back.coords, t.coords)
-            assert np.array_equal(back.values, t.values)
-
     def test_fiber_count_matches_set_oracle(self, rng):
         for t in fiber_cases(rng):
             for pivot in range(t.ndim):
@@ -89,7 +81,6 @@ class TestFiberExtraction:
         t = SparseTensor((3, 4), np.zeros((0, 2), dtype=np.int64), np.zeros(0))
         fs = build_structured_tt(t, 0)
         assert fs.num_fibers == 0
-        assert fs.to_tensor().nnz == 0
 
     def test_full_mode_grouping(self):
         coords = np.array([[i, j] for i in range(3) for j in range(4)])
@@ -125,6 +116,18 @@ class TestFiberSetValidation:
     def test_empty_fiber_rejected(self):
         with pytest.raises(ValueError, match="at least one nonzero"):
             FiberSet((2, 3), 1, [[0], [1]], [0, 2, 2], [0, 1], [1.0, 2.0])
+
+    def test_fixed_coords_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            FiberSet((2, 3), 0, [[5]], [0, 1], [0], [1.0])
+
+    def test_pivot_index_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            FiberSet((2, 3), 0, [[1]], [0, 1], [-1], [1.0])
+
+    def test_pivot_index_must_increase_within_fiber(self):
+        with pytest.raises(ValueError, match="strictly increasing within"):
+            FiberSet((2, 3), 0, [[1]], [0, 2], [0, 0], [1.0, 2.0])
 
     def test_fixed_tuples_must_increase(self):
         for fixed in ([[1], [0]], [[1], [1]]):
@@ -380,7 +383,7 @@ class TestRoundingModes:
 
     def test_negative_eps_rejected(self, exact_train):
         t, pivot, tt = exact_train
-        for eps in (-1.0, float("nan")):
+        for eps in (-1.0, float("nan"), math.inf):
             with pytest.raises(ValueError):
                 efficient_tt_rounding(tt, pivot, eps)
             with pytest.raises(ValueError):
@@ -481,11 +484,10 @@ class TestFastTTDriver:
                 assert rep.eps_actual <= eps + 1e-12
                 assert rep.mode == mode
 
-    def test_fixed_mode_alias(self, rng):
+    def test_fixed_mode_has_one_spelling(self, rng):
         t = rand_sparse(rng, (4, 5, 4), 0.2)
-        tt, rep = fasttt(t, eps=None, mode="fixed", fixed_ranks=(2, 2))
-        assert rep.mode == "fixed_rank"
-        assert all(r <= 2 for r in tt.ranks[1:-1])
+        with pytest.raises(ValueError, match="mode must be one of"):
+            fasttt(t, eps=None, mode="fixed", fixed_ranks=(2, 2))
 
     def test_empty_input(self):
         t = SparseTensor((3, 4, 5), np.zeros((0, 3), dtype=np.int64), np.zeros(0))

@@ -79,7 +79,7 @@ class TestTTSVD:
 
     def test_rejects_bad_eps(self, rng):
         a = rng.standard_normal((3, 3))
-        for eps in (-0.1, float("nan")):
+        for eps in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 tt_svd(a, eps)
 
