@@ -136,8 +136,8 @@ def cmd_decompose(args) -> int:
         print(f"r_tilde      {doc['r_tilde']}")
     print(f"r            {doc['r']}")
     verified = _error_verified(doc["eps_actual_method"], eps)
-    mark = "" if verified else "  not verified"
-    print(f"eps          {doc['eps']:.3e}   eps_actual {doc['eps_actual']:.3e}{mark}")
+    actual = f"{doc['eps_actual']:.3e}" if verified else "  not verified"
+    print(f"eps          {doc['eps']:.3e}   eps_actual {actual}")
     print(f"cpu_time_s   {doc['cpu_time_s']:.3f}")
     if args.report:
         write_report(doc, args.report)

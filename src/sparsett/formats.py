@@ -57,17 +57,61 @@ def ingest_coo(path) -> SparseTensor:
     coordinates are an error; a file with no entries yields the zero
     tensor with a warning.
     """
+    dims, coords, values = _coo_arrays(path) or _coo_lines(path)
+    if not len(values):
+        warnings.warn(f"{path}: no entries, reading the zero tensor", stacklevel=2)
+    try:
+        return SparseTensor(dims, coords, values)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _coo_header(path, line: str) -> tuple[int, ...]:
+    head = line.split()
+    if len(head) < 3 or head[0] != "#" or head[1] != "shape":
+        raise FormatError(f"{path}:1: expected header '# shape n1 ... nd'")
+    try:
+        return check_shape(int(tok) for tok in head[2:])
+    except ValueError as exc:
+        raise FormatError(f"{path}:1: bad shape header: {exc}") from None
+
+
+def _coo_arrays(path):
+    """Parse a COO file with one NumPy pass over its body.
+
+    Returns the shape, 0-based coordinates and values, or None when the
+    file needs :func:`_coo_lines` to accept it or to name its fault.
+    ``comments=None`` makes a ``#`` line a parse error rather than a
+    skipped line.  Warnings count as failures: loadtxt warns on an empty
+    body, and NumPy 1.x warns where it reads an integer through a float
+    (``1.0``), which the line loop refuses.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dims = _coo_header(path, fh.readline())
+            rows = np.loadtxt(
+                fh,
+                dtype=[("c", np.int64, (len(dims),)), ("v", np.float64)],
+                comments=None,
+                ndmin=1,
+            )
+    except (ValueError, OverflowError, Warning):
+        return None
+    coords, values = rows["c"], rows["v"]
+    if not ((coords >= 1).all() and (coords <= dims).all() and np.isfinite(values).all()):
+        return None
+    return dims, coords - 1, values
+
+
+def _coo_lines(path):
+    """Parse a COO file line by line: the accepted grammar, and every
+    :class:`FormatError` that names a line."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
     if not lines:
         raise FormatError(f"{path}: empty file, missing shape header")
-    head = lines[0].split()
-    if len(head) < 3 or head[0] != "#" or head[1] != "shape":
-        raise FormatError(f"{path}:1: expected header '# shape n1 ... nd'")
-    try:
-        dims = check_shape(int(tok) for tok in head[2:])
-    except ValueError as exc:
-        raise FormatError(f"{path}:1: bad shape header: {exc}") from None
+    dims = _coo_header(path, lines[0])
     d = len(dims)
     coords: list[list[int]] = []
     values: list[float] = []
@@ -94,12 +138,7 @@ def ingest_coo(path) -> SparseTensor:
             raise FormatError(f"{path}:{lineno}: non-finite value {tok[d]}")
         coords.append([i - 1 for i in idx])
         values.append(val)
-    if not values:
-        warnings.warn(f"{path}: no entries, reading the zero tensor", stacklevel=2)
-    try:
-        return SparseTensor(dims, np.asarray(coords, np.int64).reshape(len(values), d), values)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return dims, np.asarray(coords, np.int64).reshape(len(values), d), values
 
 
 def ingest_matrix_market(path) -> scipy.sparse.coo_matrix:

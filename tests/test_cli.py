@@ -96,12 +96,16 @@ class TestDecompose:
         assert main(["decompose", "--in", str(coo_file), "--eps", "1e-14"]) == 0
         out, err = capsys.readouterr()
         assert "not verified" in err
-        assert "eps_actual 2.200e-08  not verified" in out
+        # The unverified reading is not printed, only the verdict.
+        line = next(ln for ln in out.splitlines() if "eps_actual" in ln)
+        assert line.endswith("eps_actual   not verified")
+        assert "e-08" not in out and "0.000e+00" not in out
         # Above the floor the gate still holds the reading against eps.
         monkeypatch.setattr(pipeline, "sparse_inner_error", lambda a, tt: 0.5)
         assert main(["decompose", "--in", str(coo_file), "--eps", "0.01"]) == 1
         out, err = capsys.readouterr()
         assert "not verified" not in out + err
+        assert "eps_actual 5.000e-01" in out
 
     def test_fixed_mode_without_eps_skips_gate(self, tmp_path, rng):
         t = rand_sparse(rng, (4, 4, 4), 0.8)

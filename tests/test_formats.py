@@ -1,11 +1,15 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sparsett import formats
 from sparsett import (
     FormatError,
     SparseTensor,
@@ -113,6 +117,105 @@ class TestCOOErrors:
             t = ingest_coo(path)
         assert t.nnz == 0
         assert t.shape == (3, 4)
+
+
+# Finite floats, with the edges of the format named so they come up often.
+_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072009e-308, 1.7e308, -1.7e308]
+)
+_BLANK = st.sampled_from(["", " ", "\t", " \t  "])
+
+
+@st.composite
+def coo_texts(draw):
+    """A valid ``.coo`` file in any spelling the line parser accepts."""
+    dims = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+    size = math.prod(dims)
+    lin = draw(st.lists(st.integers(0, size - 1), unique=True, min_size=1, max_size=12))
+    coords = np.stack(np.unravel_index(lin, dims), axis=1) + 1
+    lines = ["# shape " + " ".join(map(str, dims))]
+    for c in coords.tolist():
+        lines += draw(st.lists(_BLANK, max_size=2))
+        fields = [draw(st.sampled_from(["%d", "+%d", "%03d"])) % i for i in c]
+        value = draw(_VALUES)
+        fields.append(draw(st.sampled_from(["%r", "%.17g", "%+.17e", "%.17E"])) % value)
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        lines.append(draw(_BLANK) + sep.join(fields) + draw(_BLANK))
+    lines += draw(st.lists(_BLANK, max_size=2))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestCOOArrayParse:
+    """The one-pass NumPy parse against the line parser."""
+
+    @given(text=coo_texts())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_matches_line_parse(self, tmp_path, text):
+        path = tmp_path / "h.coo"
+        path.write_bytes(text.encode("ascii"))
+        fast = formats._coo_arrays(path)
+        assert fast is not None  # every spelling drawn takes the array path
+        # The reference is the line loop, the parser that names bad lines.
+        dims, coords, values = formats._coo_lines(path)
+        assert fast[0] == dims
+        assert np.array_equal(fast[1], coords)
+        assert np.array_equal(fast[2].view(np.int64), np.asarray(values).view(np.int64))
+        got, want = ingest_coo(path), SparseTensor(dims, coords, values)
+        assert got.shape == want.shape
+        assert np.array_equal(got.coords, want.coords)
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+    def test_underscored_numbers_still_read(self, tmp_path):
+        # Python's int and float take '1_0'; NumPy does not, so the line
+        # loop reads the file.
+        path = tmp_path / "u.coo"
+        path.write_text("# shape 12 2\n1_0 1 1_0\n")
+        t = ingest_coo(path)
+        assert t.coords.tolist() == [[9, 0]]
+        assert t.values.tolist() == [10.0]
+
+    @pytest.mark.parametrize(
+        "body, msg",
+        [
+            # comments=None: a '#' line is a parse error, not a skipped line.
+            ("1 1 5.0\n# a b\n", ":3: unparsable entry '# a b'"),
+            ("1 1 5.0\n#\n", ":3: expected 2 indices and a value, got 1 fields"),
+            ("1.0 1 5.0\n", ":2: unparsable entry '1.0 1 5.0'"),
+            ("1 1 5.0\n1e0 2 5.0\n", ":3: unparsable entry '1e0 2 5.0'"),
+            (
+                "1 1 5.0\n12345678901234567890 1 2.0\n",
+                ":3: index 12345678901234567890 out of range 1..2 in mode 1",
+            ),
+            ("1 1 5.0\n\n2 2 nan\n", ":4: non-finite value nan"),
+            ("1 1 -inf\n", ":2: non-finite value -inf"),
+            ("1 1 1e400\n", ":2: non-finite value 1e400"),
+            ("1 1 5.0\r\n1 2 1 5.0\r\n", ":3: expected 2 indices and a value, got 4 fields"),
+            ("1 5.0\n", ":2: expected 2 indices and a value, got 2 fields"),
+        ],
+    )
+    def test_refused_with_line_number(self, tmp_path, body, msg):
+        path = tmp_path / "bad.coo"
+        path.write_bytes(("# shape 2 2\n" + body).encode("ascii"))
+        with pytest.raises(FormatError) as info:
+            ingest_coo(path)
+        assert str(info.value) == f"{path}{msg}"
+
+    @pytest.mark.parametrize("body", ["", "\n", " \t\n\n"])
+    def test_empty_body_warns_once_at_caller(self, tmp_path, body):
+        path = tmp_path / "zero.coo"
+        path.write_text("# shape 3 4\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            t = ingest_coo(path)
+        assert t.nnz == 0 and t.shape == (3, 4)
+        assert [w.category for w in caught] == [UserWarning]
+        assert "zero tensor" in str(caught[0].message)
+        assert caught[0].filename == __file__
 
 
 class TestMatrixMarket:
