@@ -2,9 +2,11 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsett import linalg
 from sparsett.linalg import (
     _fix_signs,
     _openblas_threads,
@@ -145,6 +147,171 @@ class TestSVDTruncateRank:
         res = svd_truncate_rank(m, 0)
         assert res.rank == 0
         assert res.trunc_error == pytest.approx(np.linalg.norm(m), rel=1e-12)
+
+
+def conditioned(rng, rows: int, cols: int, cond: float, rank: int | None = None) -> np.ndarray:
+    """Random singular vectors, singular values log-spaced from 1 down to
+    ``1 / cond`` and zero from index ``rank`` on."""
+    u, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    s = np.logspace(0.0, -np.log10(cond), cols)
+    if rank is not None:
+        s[rank:] = 0.0
+    return (u * s) @ v.T
+
+
+def gesdd_result(m: np.ndarray, rank: int):
+    """What the LAPACK path returns: ``_truncated`` of NumPy's gesdd."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return linalg._truncated(u, s, vt, rank)
+
+
+def assert_matches_oracle(m: np.ndarray, res, tol: float = 1e-13):
+    s0 = scipy.linalg.svd(m, compute_uv=False)
+    norm = np.linalg.norm(m)
+    assert np.abs(res.s - s0[: res.rank]).max(initial=0.0) <= tol * s0[0]
+    assert abs(res.trunc_error - np.sqrt(np.sum(s0[res.rank:] ** 2))) <= tol * norm
+    assert np.linalg.norm(res.u.T @ res.u - np.eye(res.rank), 2) <= tol
+    assert abs(np.linalg.norm(m - (res.u * res.s) @ res.vt) - res.trunc_error) <= tol * norm
+    # sign rule: the first largest-magnitude entry of each column of u is >= 0
+    top = np.argmax(np.abs(res.u), axis=0)
+    assert np.all(res.u[top, np.arange(res.rank)] >= 0.0)
+
+
+def assert_same_result(a, b):
+    assert a.rank == b.rank
+    for name in ("u", "s", "vt"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.trunc_error == b.trunc_error
+
+
+@pytest.fixture
+def lapack_shapes(monkeypatch):
+    """Shapes of the matrices that reach ``np.linalg.svd``."""
+    shapes, svd = [], np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+class TestTallSkinnyPath:
+    """Matrices with rows >= 32 * cols and at least 2**18 entries take
+    CholeskyQR2 and a small SVD unless a guard sends them to LAPACK."""
+
+    def test_well_conditioned_matches_oracle(self, rng, lapack_shapes):
+        m = conditioned(rng, 20000, 40, 1e3)
+        s0 = scipy.linalg.svd(m, compute_uv=False)
+        tails = np.sqrt(np.cumsum((s0**2)[::-1])[::-1])
+        # deltas halfway (geometrically) between the tails of ranks r and r - 1
+        deltas = [0.0] + [float(np.sqrt(tails[r] * tails[r - 1])) for r in (1, 5, 20, 39)]
+        for delta in deltas:
+            res = svd_truncate_delta(m, delta)
+            assert res.rank == (40 if delta == 0.0 else oracle_rank(s0, delta))
+            assert_matches_oracle(m, res)
+        for r in (0, 7, 40, 50):
+            res = svd_truncate_rank(m, r)
+            assert res.rank == min(r, 40)
+            assert_matches_oracle(m, res)
+        assert (40, 40) in lapack_shapes
+        assert m.shape not in lapack_shapes
+
+    def test_second_pass_restores_orthogonality(self, rng, lapack_shapes):
+        m = conditioned(rng, 20000, 60, 1e7)
+        d = np.diag(np.linalg.cholesky(m.T @ m, upper=True))
+        assert d.max() <= 1e6 * d.min()  # passes the diagonal guard
+        res = svd_truncate_rank(m, 60)
+        assert m.shape not in lapack_shapes
+        assert np.linalg.norm(res.u.T @ res.u - np.eye(60), 2) <= 1e-13
+        assert_matches_oracle(m, res)
+
+    @pytest.mark.parametrize("rank, cond", [(5, 1.0), (None, 1e9)])
+    def test_singular_or_ill_conditioned_falls_back(self, rng, lapack_shapes, rank, cond):
+        m = conditioned(rng, 20000, 60, cond, rank)
+        res = svd_truncate_delta(m, 0.0)
+        assert m.shape in lapack_shapes
+        if rank is not None:
+            assert res.rank == rank
+        assert_same_result(res, gesdd_result(m, res.rank))
+
+    def test_column_scaling_trips_diagonal_guard(self, rng, lapack_shapes):
+        q, _ = np.linalg.qr(rng.standard_normal((20000, 60)))
+        m = q * np.logspace(0.0, -7.0, 60)
+        res = svd_truncate_rank(m, 60)
+        assert m.shape in lapack_shapes
+        assert_same_result(res, gesdd_result(m, 60))
+
+    def test_inverse_growth_guard(self, rng, lapack_shapes):
+        # R1 has a unit diagonal and a condition number near 3e7: Cholesky,
+        # the diagonal guard and the orthogonality guard all pass, but
+        # forming Q1 with R1's inverse would lose about 1e-11 of the norm.
+        q, _ = np.linalg.qr(rng.standard_normal((20000, 60)))
+        m = q @ (np.eye(60) - 0.3 * np.triu(np.ones((60, 60)), 1))
+        r1 = np.linalg.cholesky(m.T @ m, upper=True)
+        assert np.abs(np.diag(r1) - 1.0).max() < 1e-3
+        q1 = m @ scipy.linalg.solve_triangular(r1, np.eye(60))
+        assert np.abs(q1.T @ q1 - np.eye(60)).max() < 0.1
+        res = svd_truncate_rank(m, 60)
+        assert m.shape in lapack_shapes
+        assert_same_result(res, gesdd_result(m, 60))
+        assert_matches_oracle(m, res)
+
+    @pytest.mark.parametrize(
+        "guard, value",
+        [("_MAX_DIAG_SPAN", 1.0), ("_MAX_INVERSE_GROWTH", 1.0), ("_MAX_ORTH_DEFECT", 1e-6)],
+    )
+    def test_each_guard_gives_the_lapack_result(
+        self, rng, lapack_shapes, monkeypatch, guard, value
+    ):
+        m = conditioned(rng, 20000, 60, 1e7)
+        monkeypatch.setattr(linalg, guard, value)
+        res = svd_truncate_delta(m, 1e-5)
+        assert m.shape in lapack_shapes
+        assert_same_result(res, gesdd_result(m, res.rank))
+
+    @pytest.mark.parametrize("shape", [(20000, 626), (20000, 12), (8000, 32)])
+    def test_shape_rule(self, rng, lapack_shapes, shape):
+        # Too square, or too few entries: straight to LAPACK.
+        m = rng.standard_normal(shape)
+        svd_truncate_rank(m, 3)
+        assert lapack_shapes == [shape]
+
+
+class TestGesvdFallback:
+    """When gesdd does not converge, gesvd gives the same decomposition."""
+
+    @pytest.fixture(autouse=True)
+    def gesdd_fails(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rng.standard_normal((12, 9)),
+            lambda rng: conditioned(rng, 20000, 40, 1e3),
+            lambda rng: conditioned(rng, 20000, 60, 1.0, rank=5),
+        ],
+        ids=["small", "tall", "tall-rank-5"],
+    )
+    def test_matches_oracle(self, rng, make):
+        m = make(rng)
+        s0 = scipy.linalg.svd(m, compute_uv=False)
+        delta = 0.5 * np.linalg.norm(m)
+        res = svd_truncate_delta(m, delta)
+        assert res.rank == oracle_rank(s0, delta)
+        assert_matches_oracle(m, res)
+        res = svd_truncate_delta(m, 0.0)
+        assert res.rank == np.linalg.matrix_rank(m)
+        assert_matches_oracle(m, res)
+        res = svd_truncate_rank(m, 3)
+        assert res.rank == 3
+        assert_matches_oracle(m, res)
 
 
 class TestQR:
