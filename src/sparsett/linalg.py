@@ -81,8 +81,10 @@ _MAX_ORTH_DEFECT = 0.1
 
 
 def _upper_cholesky(g: np.ndarray):
+    # The transpose of the lower factor; ``cholesky(g, upper=True)`` needs
+    # NumPy 2.
     try:
-        return np.linalg.cholesky(g, upper=True)
+        return np.linalg.cholesky(g).T
     except np.linalg.LinAlgError:
         return None
 
@@ -120,15 +122,16 @@ def _cholesky_qr2_svd(a: np.ndarray):
 
 
 def _full_svd(m: np.ndarray):
-    # CholeskyQR2 does four products with the m-by-n matrix and one
-    # n-by-n SVD.  It squares the condition number in a^T a, so the nearer
-    # to square a matrix is, the likelier a guard rejects it after a^T a
-    # and a Cholesky were spent.  Its gain is large only when the matrix
-    # is tall: on random matrices (2-core VM) it ran 2.4-5x as fast as
-    # gesdd at aspect 32 and above, but 1.1-1.2x at 957x300 and 2800x639.
-    # On tiny matrices its fixed cost loses (44 us against 9 us at 64x2);
-    # the 2**18 floor leaves every step whose saving is under a few
-    # milliseconds on gesdd.
+    # CholeskyQR2 does four products with the m-by-n matrix, and a^T a
+    # squares its condition number, so its edge over gesdd shrinks as the
+    # matrix nears square; it is never used there.  The cutoffs are the
+    # crossover measured on random matrices (2-vCPU VM) with an earlier
+    # variant of this kernel that did its triangular steps in SciPy: at
+    # 300 columns it ran 1.39x as fast as gesdd at aspect 32 and 1.06x at
+    # aspect 16, but 0.70x at 957x300 and 0.82x at 2800x639; 7680x30, just
+    # under 2**18 entries, broke even.  The present kernel also wins on
+    # some matrices below the rule, so the cutoffs are conservative; they
+    # are kept because lowering them moves other steps onto this path.
     rows, cols = m.shape
     if rows >= 32 * cols and rows * cols >= 2**18:
         usv = _cholesky_qr2_svd(m)

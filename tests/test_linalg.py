@@ -221,7 +221,7 @@ class TestTallSkinnyPath:
 
     def test_second_pass_restores_orthogonality(self, rng, lapack_shapes):
         m = conditioned(rng, 20000, 60, 1e7)
-        d = np.diag(np.linalg.cholesky(m.T @ m, upper=True))
+        d = np.diag(np.linalg.cholesky(m.T @ m).T)
         assert d.max() <= 1e6 * d.min()  # passes the diagonal guard
         res = svd_truncate_rank(m, 60)
         assert m.shape not in lapack_shapes
@@ -250,7 +250,7 @@ class TestTallSkinnyPath:
         # forming Q1 with R1's inverse would lose about 1e-11 of the norm.
         q, _ = np.linalg.qr(rng.standard_normal((20000, 60)))
         m = q @ (np.eye(60) - 0.3 * np.triu(np.ones((60, 60)), 1))
-        r1 = np.linalg.cholesky(m.T @ m, upper=True)
+        r1 = np.linalg.cholesky(m.T @ m).T
         assert np.abs(np.diag(r1) - 1.0).max() < 1e-3
         q1 = m @ scipy.linalg.solve_triangular(r1, np.eye(60))
         assert np.abs(q1.T @ q1 - np.eye(60)).max() < 0.1
@@ -278,6 +278,16 @@ class TestTallSkinnyPath:
         m = rng.standard_normal(shape)
         svd_truncate_rank(m, 3)
         assert lapack_shapes == [shape]
+
+    def test_numpy_1_cholesky_signature(self, rng, lapack_shapes, monkeypatch):
+        # NumPy 1.x's cholesky takes no ``upper`` keyword; the path must
+        # not need it, or every tall matrix would raise TypeError there.
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: cholesky(a))
+        m = conditioned(rng, 20000, 40, 1e3)
+        res = svd_truncate_rank(m, 40)
+        assert m.shape not in lapack_shapes
+        assert_matches_oracle(m, res)
 
 
 class TestGesvdFallback:
