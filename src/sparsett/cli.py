@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``decompose`` (one input, one report), ``bench`` (a
-manifest of cases, with optional process-level parallelism), and the
-generators ``gen-fdm`` / ``gen-random``.
+manifest of cases, each run as ``decompose`` runs it, one after
+another), and the generators ``gen-fdm`` / ``gen-random``.
 
 Exit codes: 0 on success (error within tolerance, or an eps below what
 the error measure resolves), 1 when the decomposition violates its
@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ from .formats import (
 )
 from .generators import gen_fdm, gen_random_sparse
 from .tensor import SparseTensor
-from .ttformat import tensorize_matrix, tt_to_full
+from .ttformat import TTTensor, tensorize_matrix, tt_to_full
 from .ttsvd import flops_ttsvd, tt_svd
 
 __all__ = ["main"]
@@ -73,8 +72,31 @@ def _load_input(path: str, row_dims, col_dims):
     return ingest_coo(path), None
 
 
-def _decompose_once(tensor: SparseTensor, args) -> tuple[dict, float, object]:
-    """Run one decomposition; returns (document, eps_used, train)."""
+def _reference_run(tensor: SparseTensor, eps: float) -> tuple[TTTensor, DecompositionReport]:
+    """TT-SVD of the densified input, timed with its dense error measure."""
+    wall0 = time.perf_counter()
+    cpu0 = time.process_time()
+    dense = tensor.to_dense(cap=_TTSVD_DENSE_CAP)
+    tt = tt_svd(dense, eps)
+    norm = float(np.linalg.norm(dense.ravel()))
+    err = float(np.linalg.norm((dense - tt_to_full(tt, cap=None)).ravel()))
+    report = DecompositionReport(
+        shape=tensor.shape,
+        nnz=tensor.nnz,
+        mode="static",
+        eps=eps,
+        ranks=tt.ranks[1:-1],
+        eps_actual=err / norm if norm else 0.0,
+        eps_actual_method="dense",
+        flops_ttsvd_model=flops_ttsvd(tensor.shape, tt.ranks),
+        wall_time_s=time.perf_counter() - wall0,
+        cpu_time_s=time.process_time() - cpu0,
+    )
+    return tt, report
+
+
+def _decompose_once(tensor: SparseTensor, args) -> tuple[TTTensor, DecompositionReport]:
+    """Check the options against ``tensor`` and run one decomposition."""
     eps = args.eps if args.eps is not None else 1e-14
     if not 0 <= eps < np.inf:
         raise FormatError(f"--eps must be finite and nonnegative, got {eps}")
@@ -88,46 +110,39 @@ def _decompose_once(tensor: SparseTensor, args) -> tuple[dict, float, object]:
         ):
             if given:
                 raise FormatError(f"--method ttsvd does not take {flag}")
-    elif mode != "fixed_rank" and args.ranks is not None:
+        return _reference_run(tensor, eps)
+    if mode != "fixed_rank" and args.ranks is not None:
         raise FormatError("--ranks needs --mode fixed")
+    if args.p is not None and not 1 <= args.p <= tensor.ndim:
+        raise FormatError(f"--p must be in 1..{tensor.ndim}, got {args.p}")
     ranks = _int_tuple(args.ranks) if args.ranks else None
     if mode == "fixed_rank" and ranks is None:
         raise FormatError("--mode fixed needs --ranks")
     if ranks is not None and len(ranks) == 1:
         ranks = ranks[0]
-    if args.method == "fasttt":
-        pivot = args.p - 1 if args.p is not None else None
-        tt, report = fasttt(tensor, eps=eps, pivot=pivot, mode=mode, fixed_ranks=ranks)
-        doc = report_document(report, method="fasttt", source=args.input)
-        return doc, eps, tt
-    # Reference method: densify and run the classical construction.
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
-    dense = tensor.to_dense(cap=_TTSVD_DENSE_CAP)
-    tt = tt_svd(dense, eps)
-    norm = float(np.linalg.norm(dense.ravel()))
-    err = float(np.linalg.norm((dense - tt_to_full(tt, cap=None)).ravel()))
-    eps_actual = err / norm if norm else 0.0
-    report = DecompositionReport(
-        shape=tensor.shape,
-        nnz=tensor.nnz,
-        mode="static",
-        eps=eps,
-        ranks=tt.ranks[1:-1],
-        eps_actual=eps_actual,
-        eps_actual_method="dense",
-        flops_ttsvd_model=flops_ttsvd(tensor.shape, tt.ranks),
-        wall_time_s=time.perf_counter() - wall0,
-        cpu_time_s=time.process_time() - cpu0,
-    )
-    doc = report_document(report, method="ttsvd", source=args.input)
-    return doc, eps, tt
+    pivot = args.p - 1 if args.p is not None else None
+    return fasttt(tensor, eps=eps, pivot=pivot, mode=mode, fixed_ranks=ranks)
+
+
+def _contract_breach(report: DecompositionReport, args) -> str | None:
+    """Why the run breaks its error contract, or ``None`` if it keeps it.
+
+    Fixed mode without ``--eps`` asks for no contract, and a reading the
+    measure cannot resolve at ``eps`` can break none.
+    """
+    if args.mode == "fixed" and args.eps is None:
+        return None
+    verified = _error_verified(report.eps_actual_method, report.eps)
+    if not verified or report.eps_actual <= report.eps + 1e-12:
+        return None
+    return f"eps_actual {report.eps_actual:.3e} exceeds eps {report.eps:.3e}"
 
 
 def cmd_decompose(args) -> int:
     tensor, matrix_dims = _load_input(args.input, args.row_dims, args.col_dims)
-    doc, eps, tt = _decompose_once(tensor, args)
-    for note in doc.get("warnings", []):
+    tt, report = _decompose_once(tensor, args)
+    doc = report_document(report, method=args.method, source=args.input)
+    for note in doc["warnings"]:
         print(f"warning: {note}", file=sys.stderr)
     print(f"method       {doc['method']}")
     print(f"shape        {tuple(doc['shape'])}  nnz {doc['nnz']}  sigma {doc['sigma']:.3e}")
@@ -135,7 +150,7 @@ def cmd_decompose(args) -> int:
         print(f"pivot p      {doc['p']}   fibers R {doc['R']}")
         print(f"r_tilde      {doc['r_tilde']}")
     print(f"r            {doc['r']}")
-    verified = _error_verified(doc["eps_actual_method"], eps)
+    verified = _error_verified(report.eps_actual_method, report.eps)
     actual = f"{doc['eps_actual']:.3e}" if verified else "  not verified"
     print(f"eps          {doc['eps']:.3e}   eps_actual {actual}")
     print(f"cpu_time_s   {doc['cpu_time_s']:.3f}")
@@ -146,9 +161,10 @@ def cmd_decompose(args) -> int:
         if matrix_dims:
             meta = {"row_dims": list(matrix_dims[0]), "col_dims": list(matrix_dims[1])}
         save_tt(tt, args.save_tt, **meta)
-    if not verified or (args.mode == "fixed" and args.eps is None):
-        return 0  # no error contract was requested, or none can be checked
-    return 0 if doc["eps_actual"] <= eps + 1e-12 else 1
+    breach = _contract_breach(report, args)
+    if breach:
+        raise ContractViolationError(breach)  # exit 1
+    return 0
 
 
 def _named_cases(cases: list, manifest) -> list[dict]:
@@ -188,29 +204,22 @@ def _run_case(case: dict) -> dict:
             p=case.get("p"),
             mode=case.get("mode", "static"),
             ranks=case.get("ranks"),
-            row_dims=case.get("row_dims"),
-            col_dims=case.get("col_dims"),
-            report=None,
-            save_tt=None,
         )
-        tensor, _ = _load_input(ns.input, ns.row_dims, ns.col_dims)
-        doc, eps, _ = _decompose_once(tensor, ns)
-        result["report"] = doc
-        result["fasttt_cpu_s"] = doc["cpu_time_s"]
+        tensor, _ = _load_input(ns.input, case.get("row_dims"), case.get("col_dims"))
+        _, report = _decompose_once(tensor, ns)
+        result["report"] = report_document(report, source=ns.input)
+        result["fasttt_cpu_s"] = report.cpu_time_s
         if case.get("compare_ttsvd", True):
-            cpu0 = time.process_time()
-            dense = tensor.to_dense(cap=_TTSVD_DENSE_CAP)
-            ref = tt_svd(dense, eps)
-            ttsvd_cpu = time.process_time() - cpu0
-            result["ttsvd_cpu_s"] = ttsvd_cpu
-            result["ttsvd_r"] = list(ref.ranks[1:-1])
-            if doc["cpu_time_s"] > 0:
-                result["speedup"] = ttsvd_cpu / doc["cpu_time_s"]
-            result["flop_ratio"] = (
-                flops_ttsvd(tensor.shape, ref.ranks) / doc["flops_fasttt_model"]
-                if doc.get("flops_fasttt_model")
-                else None
-            )
+            _, ref = _reference_run(tensor, report.eps)
+            result["ttsvd_cpu_s"] = ref.cpu_time_s
+            result["ttsvd_r"] = list(ref.ranks)
+            if report.cpu_time_s > 0:
+                result["speedup"] = ref.cpu_time_s / report.cpu_time_s
+            fasttt_flops = report.flops_fasttt_model
+            result["flop_ratio"] = ref.flops_ttsvd_model / fasttt_flops if fasttt_flops else None
+        breach = _contract_breach(report, ns)
+        if breach:
+            raise ContractViolationError(breach)
         result["ok"] = True
     except Exception as exc:  # recorded, the run continues
         result["error"] = f"{type(exc).__name__}: {exc}"
@@ -218,8 +227,6 @@ def _run_case(case: dict) -> dict:
 
 
 def cmd_bench(args) -> int:
-    if args.threads < 1:
-        raise FormatError(f"--threads must be at least 1, got {args.threads}")
     with open(args.manifest, "r", encoding="ascii") as fh:
         try:
             manifest = json.load(fh)
@@ -231,18 +238,13 @@ def cmd_bench(args) -> int:
     cases = _named_cases(cases, args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Under the fork start method the pool starts all of its workers at
-    # the first submit, so it never gets more workers than cases.
-    workers = min(args.threads, len(cases))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_case, cases))
-    else:
-        results = [_run_case(c) for c in cases]
+    results = [_run_case(c) for c in cases]
     header = f"{'case':<20} {'ok':<4} {'cpu_s':>9} {'speedup':>9} {'flops x':>9}"
     print(header)
     print("-" * len(header))
     for res in results:
+        if "report" in res:
+            write_report(res["report"], out_dir / f"{res['name']}.json")
         if res["ok"]:
             speed = res.get("speedup")
             ratio = res.get("flop_ratio")
@@ -251,7 +253,6 @@ def cmd_bench(args) -> int:
                 f"{speed if speed is not None else float('nan'):>9.2f} "
                 f"{ratio if ratio is not None else float('nan'):>9.2f}"
             )
-            write_report(res["report"], out_dir / f"{res['name']}.json")
         else:
             print(f"{res['name']:<20} {'no':<4}  {res['error']}")
     summary = {
@@ -309,10 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="run a manifest of benchmark cases")
     ben.add_argument("--manifest", required=True, help="JSON manifest with a 'cases' list")
     ben.add_argument("--out", default="bench-out", help="directory for reports")
-    ben.add_argument(
-        "--threads", type=int, default=1,
-        help="independent cases run in this many processes",
-    )
     ben.set_defaults(func=cmd_bench)
 
     gfd = sub.add_parser("gen-fdm", help="generate a finite-difference matrix (.mtx)")

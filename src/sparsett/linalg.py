@@ -267,7 +267,9 @@ def one_blas_thread():
     second thread saves.  The count is process-wide, so BLAS calls from
     other threads inside the block also run on one thread; the last
     overlapping block to end restores it.  Does nothing when NumPy uses
-    another BLAS.
+    another BLAS.  SciPy's wheel bundles its own OpenBLAS, which this
+    leaves alone: ``_lapack_svd``'s ``gesvd`` fallback keeps that
+    library's thread pool even inside the block.
     """
     get, set_ = _openblas_threads() or (lambda: 1, lambda n: None)
     with _scope_lock:

@@ -89,28 +89,29 @@ def tt_zero(dims) -> TTTensor:
     return TTTensor([np.zeros((1, n, 1)) for n in dims])
 
 
-def tt_entries(t: TTTensor, coords, batch: int = 4096) -> np.ndarray:
+_ENTRIES_BATCH = 4096
+
+
+def tt_entries(t: TTTensor, coords) -> np.ndarray:
     """Evaluate many entries; ``coords`` is ``(n, d)``, 0-based.
 
-    The coordinates go in batches of ``batch`` rows.  Each batch carries
-    a ``(batch, r_k)`` block of partial products through the modes.  At
-    mode ``k >= 1`` the rows are stably sorted by ``coords[:, k]``, and
-    every run of rows with the same index ``i`` is multiplied by the
-    slice ``G[k][:, i, :]`` in one GEMM.  No ``r_k x batch x r_{k+1}``
-    gather of core slices is formed, so the working memory is
-    O(batch * max r_k) floats and every flop is BLAS-3.  A coordinate
-    outside ``[0, n_k)`` raises ``ValueError``.
+    The coordinates go in batches of ``batch = _ENTRIES_BATCH`` rows.
+    Each batch carries a ``(batch, r_k)`` block of partial products
+    through the modes.  At mode ``k >= 1`` the rows are stably sorted by
+    ``coords[:, k]``, and every run of rows with the same index ``i`` is
+    multiplied by the slice ``G[k][:, i, :]`` in one GEMM.  No
+    ``r_k x batch x r_{k+1}`` gather of core slices is formed, so the
+    working memory is O(batch * max r_k) floats and every flop is
+    BLAS-3.  A coordinate outside ``[0, n_k)`` raises ``ValueError``.
     """
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != t.ndim:
         raise ValueError(f"coords must be (n, {t.ndim})")
-    if batch < 1:
-        raise ValueError(f"batch must be positive, got {batch}")
     if ((coords < 0) | (coords >= np.asarray(t.dims))).any():
         raise ValueError(f"coords out of range for mode extents {t.dims}")
     out = np.empty(coords.shape[0])
-    for lo in range(0, coords.shape[0], batch):
-        c = coords[lo : lo + batch]
+    for lo in range(0, coords.shape[0], _ENTRIES_BATCH):
+        c = coords[lo : lo + _ENTRIES_BATCH]
         # Row j of ``v`` belongs to coordinate ``rows[j]`` of the batch.
         rows = np.arange(c.shape[0])
         v = t.cores[0][0, c[:, 0], :]

@@ -142,8 +142,12 @@ class TestDecompose:
     def test_fixed_without_ranks_exits_two(self, coo_file):
         assert main(["decompose", "--in", str(coo_file), "--mode", "fixed"]) == 2
 
-    def test_pivot_out_of_range_exits_two(self, coo_file):
-        assert main(["decompose", "--in", str(coo_file), "--p", "9"]) == 2
+    def test_pivot_out_of_range_exits_two(self, coo_file, capsys):
+        # Pivots are 1-based on the command line; the message says so.
+        for p in ("0", "4", "9"):
+            assert main(["decompose", "--in", str(coo_file), "--p", p]) == 2
+            assert capsys.readouterr().err == f"error: --p must be in 1..3, got {p}\n"
+        assert main(["decompose", "--in", str(coo_file), "--p", "3"]) == 0
 
     def test_nan_eps_exits_two(self, coo_file, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -294,39 +298,59 @@ class TestBench:
         assert not out_dir.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_pool_no_larger_than_case_count(self, tmp_path, rng, monkeypatch):
-        pools = []
-
-        class RecordingPool:
-            # Runs the cases in this process and records the requested size.
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_threads_option_is_gone(self, tmp_path, rng):
         files = self.write_inputs(tmp_path, rng)
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({
-            "cases": [{"name": f"c{i}", "file": f, "compare_ttsvd": False}
-                      for i, f in enumerate(files)]
-        }))
-        out_dir = str(tmp_path / "out")
-        args = ["bench", "--manifest", str(manifest), "--out", out_dir, "--threads"]
-        assert main(args + ["64"]) == 0
-        assert pools == [2]
-        assert main(args + ["1"]) == 0
-        assert pools == [2]
-        for bad in ("0", "-3"):
-            assert main(args + [bad]) == 2
-        assert pools == [2]
+        manifest.write_text(json.dumps({"cases": [{"file": files[0]}]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--manifest", str(manifest), "--threads", "2"])
+        assert exc.value.code == 2
+
+    def test_contract_breach_fails_its_case(self, tmp_path, capsys):
+        # Rank 1 cannot meet eps 1e-3 here: decompose exits 1, and so must
+        # the bench case, with the reading and the budget in its error.
+        path = tmp_path / "t.coo"
+        write_coo(gen_random_sparse((6, 7, 8), 0.3, seed=3), path)
+        fixed = ["--mode", "fixed", "--ranks", "1", "--eps", "1e-3"]
+        assert main(["decompose", "--in", str(path), *fixed]) == 1
+        assert "eps_actual 8.63" in capsys.readouterr().err
+        rc, out_dir = self.run_manifest(tmp_path, {"cases": [
+            {"name": "breach", "file": str(path), "mode": "fixed", "ranks": [1], "eps": 1e-3},
+        ]})
+        assert rc == 1
+        (case,) = json.loads((out_dir / "summary.json").read_text())["cases"]
+        assert case["ok"] is False
+        assert "eps_actual 8.63" in case["error"] and "eps 1.000e-03" in case["error"]
+        doc = json.loads((out_dir / "breach.json").read_text())
+        assert doc["r"] == [1, 1] and doc["eps_actual"] > 0.8
+        assert "breach" in capsys.readouterr().out
+
+    def test_ttsvd_reference_matches_decompose(self, tmp_path, rng):
+        files = self.write_inputs(tmp_path, rng)
+        report = tmp_path / "t.json"
+        assert main([
+            "decompose", "--in", files[0], "--method", "ttsvd", "--eps", "0.1",
+            "--report", str(report),
+        ]) == 0
+        rc, out_dir = self.run_manifest(tmp_path, {"cases": [
+            {"name": "a", "file": files[0], "eps": 0.1},
+        ]})
+        assert rc == 0
+        (case,) = json.loads((out_dir / "summary.json").read_text())["cases"]
+        assert case["ttsvd_r"] == json.loads(report.read_text())["r"]
+        assert case["ttsvd_cpu_s"] > 0
+
+    def test_pivot_out_of_range_fails_its_case(self, tmp_path, rng):
+        files = self.write_inputs(tmp_path, rng)
+        rc, out_dir = self.run_manifest(tmp_path, {"cases": [
+            {"name": f"p{p}", "file": files[0], "p": p, "compare_ttsvd": False}
+            for p in (0, 1, 3, 4)
+        ]})
+        assert rc == 1
+        cases = json.loads((out_dir / "summary.json").read_text())["cases"]
+        assert [c["ok"] for c in cases] == [False, True, True, False]
+        assert cases[0]["error"] == "FormatError: --p must be in 1..3, got 0"
+        assert cases[3]["error"] == "FormatError: --p must be in 1..3, got 4"
 
     def test_bad_manifest_exits_two(self, tmp_path):
         manifest = tmp_path / "manifest.json"

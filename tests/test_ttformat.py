@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import sparsett.ttformat as ttformat
+
 from sparsett import (
     QuasiPermMatrix,
     SparseTensor,
@@ -77,28 +79,31 @@ class TestTTTensor:
 
 
 class TestEntriesAndFull:
-    def test_entries_batched(self, rng):
+    def test_entries_batched(self, rng, monkeypatch):
+        monkeypatch.setattr(ttformat, "_ENTRIES_BATCH", 64)
         t = rand_tt(rng, (4, 4, 4), (3, 3))
         coords = np.stack([rng.integers(0, 4, 300) for _ in range(3)], axis=1)
-        got = tt_entries(t, coords, batch=64)
+        got = tt_entries(t, coords)
         want = tt_to_full(t)[tuple(coords.T)]
         assert np.allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("batch", [1, 7, 64, 4096])
-    def test_entries_unsorted_repeated_mixed_ranks(self, rng, batch):
+    def test_entries_unsorted_repeated_mixed_ranks(self, rng, monkeypatch, batch):
+        monkeypatch.setattr(ttformat, "_ENTRIES_BATCH", batch)
         # Bond ranks 1, 5, 2, 7 around modes of different extents; the
         # coordinates are unsorted and repeat, and 7 does not divide 250.
         t = rand_tt(rng, (3, 5, 4, 6, 2), (1, 5, 2, 7))
         coords = np.stack([rng.integers(0, n, 125) for n in t.dims], axis=1)
         coords = np.concatenate([coords, coords[::-1]])
-        got = tt_entries(t, coords, batch=batch)
+        got = tt_entries(t, coords)
         want = tt_to_full(t)[tuple(coords.T)]
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
-    def test_entries_one_mode(self, rng):
+    def test_entries_one_mode(self, rng, monkeypatch):
+        monkeypatch.setattr(ttformat, "_ENTRIES_BATCH", 3)
         t = rand_tt(rng, (9,), ())
         coords = np.array([[4], [0], [8], [4]])
-        assert np.array_equal(tt_entries(t, coords, batch=3), t.cores[0][0, [4, 0, 8, 4], 0])
+        assert np.array_equal(tt_entries(t, coords), t.cores[0][0, [4, 0, 8, 4], 0])
 
     def test_entries_empty_coords(self, rng):
         t = rand_tt(rng, (3, 4), (2,))
@@ -111,25 +116,23 @@ class TestEntriesAndFull:
         with pytest.raises(ValueError, match="out of range"):
             tt_entries(t, bad)
 
-    def test_entries_reject_bad_shape_and_batch(self, rng):
+    def test_entries_reject_bad_shape(self, rng):
         t = rand_tt(rng, (3, 4), (2,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coords must be"):
             tt_entries(t, [[0, 0, 0]])
-        for batch in (0, -1):
-            with pytest.raises(ValueError, match="batch"):
-                tt_entries(t, [[0, 0]], batch=batch)
 
-    def test_entries_memory_is_batch_times_rank(self, rng):
+    def test_entries_memory_is_batch_times_rank(self, rng, monkeypatch):
         # Bonds of 300: a gather of r * batch * r slices would take
         # 300 * 64 * 300 * 8 bytes = 46 MB, while the grouped products
         # need a few (batch, r) blocks of 154 kB each.
         r, batch = 300, 64
+        monkeypatch.setattr(ttformat, "_ENTRIES_BATCH", batch)
         t = rand_tt(rng, (6, 6, 6), (r, r))
         coords = np.stack([rng.integers(0, 6, 1000) for _ in range(3)], axis=1)
-        tt_entries(t, coords[:batch], batch=batch)
+        tt_entries(t, coords[:batch])
         tracemalloc.start()
         try:
-            got = tt_entries(t, coords, batch=batch)
+            got = tt_entries(t, coords)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
