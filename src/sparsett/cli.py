@@ -44,11 +44,9 @@ __all__ = ["main"]
 _TTSVD_DENSE_CAP = 150_000_000
 
 
-def _int_tuple(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
+def _int_tuple(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in str(text).replace(",", " ").split())
+        return tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         raise FormatError(f"expected comma-separated integers, got {text!r}") from None
 
@@ -167,21 +165,61 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _named_cases(cases: list, manifest) -> list[dict]:
-    """Check every case before any runs; returns them with their names.
+# Bench-case field -> the ``decompose`` flag it stands for.
+_CASE_FLAGS = {
+    "file": "--in",
+    "eps": "--eps",
+    "p": "--p",
+    "mode": "--mode",
+    "ranks": "--ranks",
+    "row_dims": "--row-dims",
+    "col_dims": "--col-dims",
+}
 
-    A case is an object with a ``file``.  Its name, ``name`` or else the
+
+class _CaseParser(argparse.ArgumentParser):
+    """The ``decompose`` options, raising where the CLI would exit."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
+def _named_cases(cases: list, manifest) -> list[argparse.Namespace]:
+    """Parse every case as ``decompose`` parses its flags, before any runs.
+
+    A case is an object whose fields stand for ``decompose`` flags
+    (``_CASE_FLAGS``; a list is joined by commas), plus ``name`` and the
+    JSON boolean ``compare_ttsvd``.  Its name, ``name`` or else the
     file's stem, names its report file, so it must be a plain file name,
-    unique in the manifest and not ``summary``.
+    unique in the manifest and not ``summary``.  Returns the parsed
+    flags with ``name`` and ``compare_ttsvd`` set.
     """
-    named = []
+    parser = _CaseParser(add_help=False)
+    _add_decompose_options(parser)
+    parsed = []
     seen: dict[str, int] = {}
     for i, case in enumerate(cases, 1):
         if not isinstance(case, dict):
             raise FormatError(f"{manifest}: case {i} is not an object: {case!r}")
-        if not isinstance(case.get("file"), str):
-            raise FormatError(f"{manifest}: case {i} needs a 'file' string")
-        name = case.get("name") or Path(case["file"]).stem
+        fields = dict(case)
+        name = fields.pop("name", None)
+        compare = fields.pop("compare_ttsvd", True)
+        if not isinstance(compare, bool):
+            raise FormatError(
+                f"{manifest}: case {i}: 'compare_ttsvd' must be true or false, got {compare!r}"
+            )
+        argv = []
+        for field, value in fields.items():
+            if field not in _CASE_FLAGS:
+                raise FormatError(f"{manifest}: case {i}: unknown field {field!r}")
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            argv.append(f"{_CASE_FLAGS[field]}={value}")
+        try:
+            args = parser.parse_args(argv)
+        except FormatError as exc:
+            raise FormatError(f"{manifest}: case {i}: {exc}") from None
+        name = name or Path(args.input).stem
         if not isinstance(name, str) or Path(name).name != name or name in ("", "..", "summary"):
             raise FormatError(f"{manifest}: case {i} has a bad name {name!r}")
         if name in seen:
@@ -189,27 +227,20 @@ def _named_cases(cases: list, manifest) -> list[dict]:
                 f"{manifest}: cases {seen[name]} and {i} share the name {name!r}"
             )
         seen[name] = i
-        named.append({**case, "name": name})
-    return named
+        args.name, args.compare_ttsvd = name, compare
+        parsed.append(args)
+    return parsed
 
 
-def _run_case(case: dict) -> dict:
+def _run_case(args: argparse.Namespace) -> dict:
     """One benchmark case; never raises, failures are recorded."""
-    result: dict = {"name": case["name"], "ok": False}
+    result: dict = {"name": args.name, "ok": False}
     try:
-        ns = argparse.Namespace(
-            input=case["file"],
-            method="fasttt",
-            eps=case.get("eps"),
-            p=case.get("p"),
-            mode=case.get("mode", "static"),
-            ranks=case.get("ranks"),
-        )
-        tensor, _ = _load_input(ns.input, case.get("row_dims"), case.get("col_dims"))
-        _, report = _decompose_once(tensor, ns)
-        result["report"] = report_document(report, source=ns.input)
+        tensor, _ = _load_input(args.input, args.row_dims, args.col_dims)
+        _, report = _decompose_once(tensor, args)
+        result["report"] = report_document(report, source=args.input)
         result["fasttt_cpu_s"] = report.cpu_time_s
-        if case.get("compare_ttsvd", True):
+        if args.compare_ttsvd:
             _, ref = _reference_run(tensor, report.eps)
             result["ttsvd_cpu_s"] = ref.cpu_time_s
             result["ttsvd_r"] = list(ref.ranks)
@@ -217,7 +248,7 @@ def _run_case(case: dict) -> dict:
                 result["speedup"] = ref.cpu_time_s / report.cpu_time_s
             fasttt_flops = report.flops_fasttt_model
             result["flop_ratio"] = ref.flops_ttsvd_model / fasttt_flops if fasttt_flops else None
-        breach = _contract_breach(report, ns)
+        breach = _contract_breach(report, args)
         if breach:
             raise ContractViolationError(breach)
         result["ok"] = True
@@ -287,6 +318,20 @@ def cmd_gen_random(args) -> int:
     return 0
 
 
+def _add_decompose_options(parser: argparse.ArgumentParser) -> None:
+    """The ``decompose`` flags, which bench cases take as fields too."""
+    parser.add_argument("--in", dest="input", required=True, help=".coo or .mtx input")
+    parser.add_argument("--method", choices=("fasttt", "ttsvd"), default="fasttt")
+    parser.add_argument("--eps", type=float, default=None, help="relative error budget (default 1e-14)")
+    parser.add_argument("--p", type=int, default=None, help="pivot mode, 1-based (default: auto)")
+    parser.add_argument("--mode", choices=("static", "dynamic", "fixed"), default="static")
+    parser.add_argument("--ranks", default=None, help="interior rank targets for --mode fixed")
+    parser.add_argument("--row-dims", default=None, help="row factorization for matrix input")
+    parser.add_argument("--col-dims", default=None, help="column factorization for matrix input")
+    parser.add_argument("--report", default=None, help="write a JSON report here")
+    parser.add_argument("--save-tt", default=None, help="write the train as .npz here")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsett",
@@ -295,16 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     dec = sub.add_parser("decompose", help="decompose one tensor or matrix")
-    dec.add_argument("--in", dest="input", required=True, help=".coo or .mtx input")
-    dec.add_argument("--method", choices=("fasttt", "ttsvd"), default="fasttt")
-    dec.add_argument("--eps", type=float, default=None, help="relative error budget (default 1e-14)")
-    dec.add_argument("--p", type=int, default=None, help="pivot mode, 1-based (default: auto)")
-    dec.add_argument("--mode", choices=("static", "dynamic", "fixed"), default="static")
-    dec.add_argument("--ranks", default=None, help="interior rank targets for --mode fixed")
-    dec.add_argument("--row-dims", default=None, help="row factorization for matrix input")
-    dec.add_argument("--col-dims", default=None, help="column factorization for matrix input")
-    dec.add_argument("--report", default=None, help="write a JSON report here")
-    dec.add_argument("--save-tt", default=None, help="write the train as .npz here")
+    _add_decompose_options(dec)
     dec.set_defaults(func=cmd_decompose)
 
     ben = sub.add_parser("bench", help="run a manifest of benchmark cases")

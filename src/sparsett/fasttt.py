@@ -46,7 +46,7 @@ from .ttformat import (
     tt_scale,
     tt_zero,
 )
-from .ttsvd import _check_eps, _check_pivot, flops_ttsvd, full_ranks, round_from_pivot
+from .ttsvd import _check_eps, _check_pivot, _input_norm, flops_ttsvd, full_ranks, round_from_pivot
 
 __all__ = [
     "float_ops",
@@ -370,11 +370,12 @@ def parallel_vector_round(s: FiberSet) -> TTTensor:
     return TTTensor(cores)
 
 
-def structured_to_tt(s: FiberSet, cap: int | None = DENSE_CAP) -> TTTensor:
+def structured_to_tt(s: FiberSet) -> TTTensor:
     """Materialize the exact train with its undeparallelised dense cores.
 
     Interior ranks all equal the fiber count, so this is only a
-    small-case reference; the total core size is guarded by ``cap``.
+    small-case reference; the total core size is guarded by
+    ``DENSE_CAP``.
     """
     dims, pivot, r = s.shape, s.pivot, s.num_fibers
     d = len(dims)
@@ -383,8 +384,8 @@ def structured_to_tt(s: FiberSet, cap: int | None = DENSE_CAP) -> TTTensor:
     total = sum(
         (r if k > 0 else 1) * dims[k] * (r if k < d - 1 else 1) for k in range(d)
     )
-    if cap is not None and total > cap:
-        raise ValueError(f"core size {total} exceeds cap {cap}; raise cap explicitly")
+    if total > DENSE_CAP:
+        raise ValueError(f"core size {total} exceeds cap {DENSE_CAP}")
     beta = np.arange(r)
     cores: list[np.ndarray] = []
     for k in range(d):
@@ -545,8 +546,9 @@ def select_p(a: SparseTensor, target_ranks=None) -> int:
     return best_pivot
 
 
-def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float | None = None) -> float:
-    """``norm(reference - approx) / norm(reference)`` evaluated stably.
+def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float) -> float:
+    """``norm(reference - approx) / norm``, where ``norm`` is the norm of
+    ``reference``, evaluated stably.
 
     The difference train is orthogonalized before taking its norm, so
     the result resolves errors down to machine precision instead of the
@@ -566,8 +568,6 @@ def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float | None 
         raise ValueError(f"difference train size {total} exceeds measurement cap")
     diff = tt_add(reference, tt_scale(approx, -1.0))
     num = float(np.linalg.norm(tt_right_orthogonalize(diff).cores[0].ravel()))
-    if norm is None:
-        norm = tt_norm(reference)
     return num / norm if norm > 0 else (0.0 if num == 0.0 else math.inf)
 
 
@@ -649,7 +649,8 @@ def fasttt(
         Bond targets, for fixed-rank mode only: one int for every bond,
         the interior targets or the full vector with unit edges.
 
-    Returns ``(train, report)``.
+    Returns ``(train, report)``.  Raises ``ValueError`` when the norm of
+    ``a`` overflows float64.
     """
     if not isinstance(a, SparseTensor):
         raise TypeError("fasttt expects a SparseTensor")
@@ -666,6 +667,7 @@ def fasttt(
         fixed_ranks = _rank_targets(a.shape, fixed_ranks)
     elif fixed_ranks is not None:
         raise ValueError(f"fixed_ranks apply only in fixed_rank mode, not {mode!r}")
+    norm_a = _input_norm(a.values)
     d = a.ndim
     notes: list[str] = []
     if pivot is None:
@@ -692,7 +694,6 @@ def fasttt(
             else:
                 tt = fixed_rank_rounding(exact, pivot, fixed_ranks)
 
-            norm_a = float(np.linalg.norm(a.values))
             inner = sparse_inner_error(a, tt)
             try:
                 eps_actual = tt_relative_error(exact, tt, norm=norm_a)

@@ -30,7 +30,6 @@ import scipy.linalg
 
 __all__ = [
     "SVDResult",
-    "QRResult",
     "svd_truncate_delta",
     "svd_truncate_rank",
     "qr_economic",
@@ -50,14 +49,6 @@ class SVDResult:
     vt: np.ndarray
     rank: int
     trunc_error: float
-
-
-@dataclass(frozen=True, eq=False)
-class QRResult:
-    """Economic QR ``m = q @ r`` with the diagonal of ``r`` nonnegative."""
-
-    q: np.ndarray
-    r: np.ndarray
 
 
 def _lapack_svd(m: np.ndarray):
@@ -219,11 +210,11 @@ def svd_truncate_rank(m, r: int) -> SVDResult:
     return _truncated(u, s, vt, rank)
 
 
-def qr_economic(m) -> QRResult:
-    """Reduced QR with ``min(m.shape)`` orthonormal columns.
+def qr_economic(m) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR ``m = q @ r`` with ``min(m.shape)`` orthonormal columns.
 
     The factorization is made unique by forcing the diagonal of ``r``
-    nonnegative.
+    nonnegative.  Returns ``(q, r)``.
     """
     m = _check_matrix(m)
     q, r = np.linalg.qr(m, mode="reduced")
@@ -231,7 +222,7 @@ def qr_economic(m) -> QRResult:
     d[d == 0] = 1.0
     q = q * d
     r = d[:, None] * r
-    return QRResult(q=q, r=r)
+    return q, r
 
 
 @functools.cache

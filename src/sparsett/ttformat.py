@@ -193,10 +193,9 @@ def _qr_sweep(cores: list[np.ndarray], stop: int) -> None:
     swept right to left; core ``stop`` absorbs the R factors."""
     for k in range(len(cores) - 1, stop, -1):
         r0, n, r1 = cores[k].shape
-        fac = qr_economic(cores[k].reshape(r0, n * r1).T)
-        q = fac.q.shape[1]
-        cores[k] = np.ascontiguousarray(fac.q.T).reshape(q, n, r1)
-        cores[k - 1] = np.tensordot(cores[k - 1], fac.r, axes=(2, 1))
+        q, r = qr_economic(cores[k].reshape(r0, n * r1).T)
+        cores[k] = np.ascontiguousarray(q.T).reshape(q.shape[1], n, r1)
+        cores[k - 1] = np.tensordot(cores[k - 1], r, axes=(2, 1))
 
 
 def tt_right_orthogonalize(t: TTTensor) -> TTTensor:

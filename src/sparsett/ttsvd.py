@@ -24,16 +24,17 @@ __all__ = ["tt_svd", "round_from_pivot", "flops_ttsvd", "full_ranks"]
 def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
     """Decompose a dense tensor with per-step tolerance
     ``eps / sqrt(d-1) * norm(a)``, which keeps the total relative error
-    within ``eps``."""
+    within ``eps``.  Raises ``ValueError`` when ``norm(a)`` overflows."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     _check_eps(eps)
     dims = a.shape
     d = a.ndim
     if d == 0:
         raise ValueError("input must have at least one mode")
+    norm = _input_norm(a.ravel())
     if d == 1:
         return TTTensor([a.reshape(1, -1, 1)])
-    delta = eps / math.sqrt(d - 1) * float(np.linalg.norm(a.ravel()))
+    delta = eps / math.sqrt(d - 1) * norm
     cores = []
     c = a
     r = 1
@@ -52,6 +53,18 @@ def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
 def _check_eps(eps: float) -> None:
     if not 0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+
+
+def _input_norm(values: np.ndarray) -> float:
+    """Frobenius norm of the input's entries; ``ValueError`` when it is not
+    finite, since the squares of the entries then overflow float64."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(values))
+    if not math.isfinite(norm):
+        raise ValueError(
+            f"the input's norm is {norm}: its squared entries overflow float64"
+        )
+    return norm
 
 
 def _check_pivot(pivot: int, d: int) -> None:

@@ -43,9 +43,9 @@ def einsum_qr_sweep(cores, stop):
 
     for k in range(len(cores) - 1, stop, -1):
         r0, n, r1 = cores[k].shape
-        fac = qr_economic(cores[k].reshape(r0, n * r1).T)
-        cores[k] = fac.q.T.reshape(-1, n, r1)
-        cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], fac.r)
+        q, r = qr_economic(cores[k].reshape(r0, n * r1).T)
+        cores[k] = q.T.reshape(-1, n, r1)
+        cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], r)
 
 
 @pytest.fixture

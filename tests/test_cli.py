@@ -1,5 +1,6 @@
 import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +187,25 @@ class TestDecompose:
         assert flag[0] in capsys.readouterr().err
         assert not report.exists()
 
+    def test_norm_that_overflows_exits_two(self, tmp_path, capsys):
+        # 1e160 squared overflows float64; both methods refuse the input
+        # before anything is printed or written.
+        t = gen_random_sparse((6, 7, 8), 0.3, seed=3)
+        values = t.values.copy()
+        values[0] = 1e160
+        path = tmp_path / "big.coo"
+        write_coo(SparseTensor(t.shape, t.coords, values), path)
+        report = tmp_path / "report.json"
+        for method in ("fasttt", "ttsvd"):
+            rc = main([
+                "decompose", "--in", str(path), "--method", method, "--eps", "0.1",
+                "--report", str(report),
+            ])
+            assert rc == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "overflow" in err
+            assert not report.exists()
+
     def test_ranks_without_fixed_mode_exits_two(self, coo_file, tmp_path, capsys):
         report = tmp_path / "report.json"
         for mode in ([], ["--mode", "dynamic"]):
@@ -297,6 +317,52 @@ class TestBench:
         assert rc == 2
         assert not out_dir.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_readme_manifest_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("### Bench manifest", 1)[1].split("```json", 1)[1]
+        manifest = json.loads(example.split("```", 1)[0])
+        fdm, tensor = cli._named_cases(manifest["cases"], "README.md")
+        assert (fdm.name, fdm.input, fdm.eps, fdm.p) == ("fdm20", "fdm.mtx", 1e-14, 2)
+        assert (fdm.row_dims, fdm.col_dims, fdm.compare_ttsvd) == ("20,20,20", "20,20,20", True)
+        assert (tensor.name, tensor.mode, tensor.compare_ttsvd) == ("tensor", "dynamic", False)
+
+    @pytest.mark.parametrize("fields, flags", [
+        ({}, []),
+        ({"eps": 1e-10, "p": 2}, ["--eps", "1e-10", "--p", "2"]),
+        ({"eps": "0.1", "p": "2"}, ["--eps", "0.1", "--p", "2"]),
+        ({"eps": -0.5, "mode": "dynamic"}, ["--eps", "-0.5", "--mode", "dynamic"]),
+        ({"mode": "fixed", "ranks": 2}, ["--mode", "fixed", "--ranks", "2"]),
+        ({"mode": "fixed", "ranks": [2, 3]}, ["--mode", "fixed", "--ranks", "2,3"]),
+        ({"mode": "fixed", "ranks": "2,3"}, ["--mode", "fixed", "--ranks", "2,3"]),
+        ({"row_dims": [2, 2], "col_dims": "4,1"}, ["--row-dims", "2,2", "--col-dims", "4,1"]),
+    ])
+    def test_case_fields_parse_as_their_flags(self, fields, flags):
+        (case,) = cli._named_cases([{"file": "t.coo", **fields}], "m.json")
+        want = cli._build_parser().parse_args(["decompose", "--in", "t.coo", *flags])
+        got = vars(case)
+        assert (got.pop("name"), got.pop("compare_ttsvd")) == ("t", True)
+        assert got == {k: v for k, v in vars(want).items() if k not in ("command", "func")}
+
+    @pytest.mark.parametrize("field, value, names", [
+        ("p", True, "argument --p: invalid int value: 'True'"),
+        ("p", "x", "argument --p: invalid int value: 'x'"),
+        ("eps", "abc", "argument --eps: invalid float value: 'abc'"),
+        ("mode", "bogus", "argument --mode: invalid choice: 'bogus'"),
+        ("compare_ttsvd", "no", "'compare_ttsvd' must be true or false"),
+        ("rank", 3, "unknown field 'rank'"),
+    ])
+    def test_ill_typed_field_refused_before_running(self, tmp_path, rng, capsys, field, value, names):
+        files = self.write_inputs(tmp_path, rng)
+        rc, out_dir = self.run_manifest(tmp_path, {"cases": [
+            {"name": "a", "file": files[0], "compare_ttsvd": False},
+            {"name": "b", "file": files[1], field: value},
+        ]})
+        assert rc == 2
+        assert not out_dir.exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {tmp_path / 'manifest.json'}: case 2: {names}")
 
     def test_threads_option_is_gone(self, tmp_path, rng):
         files = self.write_inputs(tmp_path, rng)

@@ -18,10 +18,12 @@ from sparsett import (
     fixed_rank_rounding,
     flops_fasttt,
     float_ops,
+    gen_random_sparse,
     parallel_vector_round,
     select_p,
     sparse_inner_error,
     structured_to_tt,
+    tt_norm,
     tt_relative_error,
     tt_svd,
     tt_to_full,
@@ -402,6 +404,21 @@ class TestRoundingModes:
 
 
 class TestFastTTDriver:
+    def test_norm_that_overflows_refused(self):
+        # 1e160 squared overflows float64: rounding against an inf norm
+        # would return ranks (1, 1) with a nan error.
+        t = gen_random_sparse((6, 7, 8), 0.3, seed=3)
+        values = t.values.copy()
+        values[0] = 1e160
+        with pytest.raises(ValueError, match="overflow"):
+            fasttt(SparseTensor(t.shape, t.coords, values), eps=0.1)
+        values[0] = 1e150
+        big = SparseTensor(t.shape, t.coords, values)
+        tt, rep = fasttt(big, eps=0.1)
+        dense = big.to_dense()
+        assert np.linalg.norm(tt_to_full(tt) - dense) <= 0.1 * np.linalg.norm(dense)
+        assert rep.eps_actual <= 0.1
+
     def test_near_lossless_and_report(self, rng):
         t = rand_sparse(rng, (5, 6, 4), 0.2)
         tt, rep = fasttt(t)
@@ -633,7 +650,7 @@ class TestErrorMeasures:
         t = rand_sparse(rng, (5, 5, 5), 0.2)
         tt, _ = fasttt(t)
         rounded, _ = fasttt(t, eps=0.3)
-        got = tt_relative_error(tt, rounded)
+        got = tt_relative_error(tt, rounded, norm=tt_norm(tt))
         dense = t.to_dense()
         want = np.linalg.norm(tt_to_full(rounded) - dense) / np.linalg.norm(dense)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
@@ -650,4 +667,4 @@ class TestErrorMeasures:
         t = rand_sparse(rng, (4, 4, 4), 0.3)
         tt = parallel_vector_round(build_structured_tt(t, 1))
         exact, _ = fasttt(t)
-        assert tt_relative_error(tt, exact) <= 1e-12
+        assert tt_relative_error(tt, exact, norm=tt_norm(tt)) <= 1e-12

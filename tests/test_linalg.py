@@ -328,20 +328,20 @@ class TestQR:
     @pytest.mark.parametrize("shape", [(8, 5), (5, 8), (6, 6), (7, 1)])
     def test_factorization(self, rng, shape):
         m = rng.standard_normal(shape)
-        res = qr_economic(m)
+        q, r = qr_economic(m)
         k = min(shape)
-        assert res.q.shape == (shape[0], k)
-        assert res.r.shape == (k, shape[1])
-        assert np.allclose(res.q.T @ res.q, np.eye(k), atol=1e-12)
-        assert np.allclose(res.q @ res.r, m, atol=1e-12)
-        assert np.all(np.diag(res.r) >= 0.0)
+        assert q.shape == (shape[0], k)
+        assert r.shape == (k, shape[1])
+        assert np.allclose(q.T @ q, np.eye(k), atol=1e-12)
+        assert np.allclose(q @ r, m, atol=1e-12)
+        assert np.all(np.diag(r) >= 0.0)
 
     def test_deterministic(self, rng):
         m = rng.standard_normal((6, 4))
-        a = qr_economic(m)
-        b = qr_economic(m.copy())
-        assert np.array_equal(a.q, b.q)
-        assert np.array_equal(a.r, b.r)
+        qa, ra = qr_economic(m)
+        qb, rb = qr_economic(m.copy())
+        assert np.array_equal(qa, qb)
+        assert np.array_equal(ra, rb)
 
 
 class TestOneBlasThread:

@@ -237,10 +237,11 @@ class TestStructuredTT:
             assert np.array_equal(full, t.to_dense())
 
     def test_cap(self, rng):
-        t = rand_sparse(rng, (20, 20, 20), 0.05)
+        # About 1,400 fibers: the middle core alone has ~8e7 > DENSE_CAP entries.
+        t = rand_sparse(rng, (40, 40, 40), 0.05)
         s = build_structured_tt(t, 0)
-        with pytest.raises(ValueError):
-            structured_to_tt(s, cap=1000)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            structured_to_tt(s)
 
 
 class TestTensorize:

@@ -28,9 +28,9 @@ def orthogonalized_cores(t, pivot):
     cores = [c.copy() for c in t.cores]
     for k in range(pivot):
         r0, n, r1 = cores[k].shape
-        fac = qr_economic(cores[k].reshape(r0 * n, r1))
-        cores[k] = fac.q.reshape(r0, n, -1)
-        cores[k + 1] = np.einsum("ab,bcd->acd", fac.r, cores[k + 1])
+        q, r = qr_economic(cores[k].reshape(r0 * n, r1))
+        cores[k] = q.reshape(r0, n, -1)
+        cores[k + 1] = np.einsum("ab,bcd->acd", r, cores[k + 1])
     einsum_qr_sweep(cores, pivot)
     return cores
 
@@ -82,6 +82,17 @@ class TestTTSVD:
         for eps in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 tt_svd(a, eps)
+
+    def test_norm_that_overflows_refused(self, rng):
+        # 1e160 squared overflows float64: the norm reads inf, every step
+        # would truncate to rank 0, and the result would be the zero train.
+        a = rng.standard_normal((6, 7, 8))
+        a[0, 0, 0] = 1e160
+        with pytest.raises(ValueError, match="overflow"):
+            tt_svd(a, 0.1)
+        a[0, 0, 0] = 1e150
+        t = tt_svd(a, 0.1)
+        assert np.linalg.norm(tt_to_full(t) - a) <= 0.1 * np.linalg.norm(a)
 
 
 def tt_norm_is_zero(t) -> bool:
