@@ -72,21 +72,36 @@ def _check_pivot(pivot: int, d: int) -> None:
         raise ValueError(f"pivot {pivot} out of range for {d} modes")
 
 
+def _rows_orthonormal(m: np.ndarray) -> bool:
+    """Whether the rows of ``m`` are orthonormal, to 1e-8 in every entry
+    of the Gram matrix.
+
+    A matrix of 0s and 1s has an integer Gram matrix, so it is decided
+    exactly and without products: each row must hold one 1, and no two
+    rows may share a column.
+    """
+    if ((m == 0) | (m == 1)).all():
+        return bool((m.sum(axis=1) == 1).all() and (m.sum(axis=0) <= 1).all())
+    return not np.abs(m @ m.T - np.eye(m.shape[0])).max() > 1e-8
+
+
 def _check_pivot_orthogonal(t: TTTensor, pivot: int) -> None:
     # The outward sweeps assume the cores left of the pivot are
     # column-orthonormal and those right of it row-orthonormal.
     for k in range(pivot):
         r0, n, r1 = t.cores[k].shape
-        m = t.cores[k].reshape(r0 * n, r1)
-        if np.abs(m.T @ m - np.eye(r1)).max() > 1e-8:
+        if not _rows_orthonormal(t.cores[k].reshape(r0 * n, r1).T):
             raise ContractViolationError(
                 f"core {k} is not left-orthonormal; the train is not "
                 f"orthogonalized around pivot {pivot}"
             )
+    _check_right_orthogonal(t, pivot)
+
+
+def _check_right_orthogonal(t: TTTensor, pivot: int) -> None:
     for k in range(pivot + 1, t.ndim):
         r0, n, r1 = t.cores[k].shape
-        m = t.cores[k].reshape(r0, n * r1)
-        if np.abs(m @ m.T - np.eye(r0)).max() > 1e-8:
+        if not _rows_orthonormal(t.cores[k].reshape(r0, n * r1)):
             raise ContractViolationError(
                 f"core {k} is not right-orthonormal; the train is not "
                 f"orthogonalized around pivot {pivot}"

@@ -48,6 +48,16 @@ def einsum_qr_sweep(cores, stop):
         cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], r)
 
 
+def full_sweep_relative_error(reference, approx, norm):
+    """Reference difference measure: build the whole difference train,
+    right-orthogonalize every core and read the norm off the first."""
+    from sparsett.ttformat import tt_add, tt_right_orthogonalize, tt_scale
+
+    diff = tt_add(reference, tt_scale(approx, -1.0))
+    num = float(np.linalg.norm(tt_right_orthogonalize(diff).cores[0].ravel()))
+    return num / norm
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1729)

@@ -23,12 +23,16 @@ from sparsett import (
     select_p,
     sparse_inner_error,
     structured_to_tt,
+    tt_add,
     tt_norm,
     tt_relative_error,
+    tt_right_orthogonalize,
+    tt_scale,
     tt_svd,
     tt_to_full,
+    tt_zero,
 )
-from conftest import rand_sparse
+from conftest import full_sweep_relative_error, rand_sparse, rand_tt
 
 
 def fiber_cases(rng):
@@ -644,13 +648,29 @@ class TestFlopsModel:
         assert flops_fasttt((9,), 0, (), ()) == 0.0
 
 
+def approximants(reference, pivot, rng):
+    """Trains to measure against ``reference``, which is orthogonalized
+    around ``pivot``: the three rounding modes, a near-lossless rounding,
+    the zero train, and a perturbed copy whose ranks exceed the
+    reference's."""
+    yield efficient_tt_rounding(reference, pivot, 0.3)
+    yield dynamic_tt_rounding(reference, pivot, 0.3)
+    yield fixed_rank_rounding(reference, pivot, 2)
+    yield efficient_tt_rounding(reference, pivot, 1e-14)
+    yield tt_zero(reference.dims)
+    noise = rand_tt(rng, reference.dims, [r + 2 for r in reference.ranks[1:-1]])
+    yield tt_add(reference, tt_scale(noise, 1e-3 * tt_norm(reference) / tt_norm(noise)))
+
+
+MEASURE_SHAPES = [(7,), (6, 5), (5, 4, 3), (4, 3, 5, 2), (3, 2, 3, 2, 3), (3, 2, 3, 2, 2, 3)]
+
 
 class TestErrorMeasures:
     def test_tt_relative_error_matches_dense(self, rng):
         t = rand_sparse(rng, (5, 5, 5), 0.2)
-        tt, _ = fasttt(t)
+        tt = tt_right_orthogonalize(fasttt(t)[0])
         rounded, _ = fasttt(t, eps=0.3)
-        got = tt_relative_error(tt, rounded, norm=tt_norm(tt))
+        got = tt_relative_error(tt, rounded, norm=tt_norm(tt), pivot=0)
         dense = t.to_dense()
         want = np.linalg.norm(tt_to_full(rounded) - dense) / np.linalg.norm(dense)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
@@ -667,4 +687,33 @@ class TestErrorMeasures:
         t = rand_sparse(rng, (4, 4, 4), 0.3)
         tt = parallel_vector_round(build_structured_tt(t, 1))
         exact, _ = fasttt(t)
-        assert tt_relative_error(tt, exact, norm=tt_norm(tt)) <= 1e-12
+        assert tt_relative_error(tt, exact, norm=tt_norm(tt), pivot=1) <= 1e-12
+
+    @pytest.mark.parametrize("shape", MEASURE_SHAPES, ids=lambda s: f"d{len(s)}")
+    def test_exact_reference_matches_full_sweep(self, rng, shape):
+        t = rand_sparse(rng, shape, 0.3)
+        for pivot in range(len(shape)):
+            exact = parallel_vector_round(build_structured_tt(t, pivot))
+            norm = tt_norm(exact)
+            for approx in approximants(exact, pivot, rng):
+                got = tt_relative_error(exact, approx, norm=norm, pivot=pivot)
+                want = full_sweep_relative_error(exact, approx, norm)
+                assert abs(got - want) <= 1e-14
+
+    @pytest.mark.parametrize("shape", MEASURE_SHAPES, ids=lambda s: f"d{len(s)}")
+    def test_right_orthogonal_reference_matches_full_sweep(self, rng, shape):
+        # A right-orthogonalized train is a valid reference at every pivot.
+        ref = tt_right_orthogonalize(rand_tt(rng, shape, [3] * (len(shape) - 1)))
+        norm = tt_norm(ref)
+        for pivot in range(len(shape)):
+            for approx in approximants(ref, 0, rng):
+                got = tt_relative_error(ref, approx, norm=norm, pivot=pivot)
+                want = full_sweep_relative_error(ref, approx, norm)
+                assert abs(got - want) <= 1e-14
+
+    def test_wrong_pivot_reference_raises(self, rng):
+        t = rand_sparse(rng, (4, 5, 4, 3), 0.3)
+        for pivot in (1, 2, 3):
+            exact = parallel_vector_round(build_structured_tt(t, pivot))
+            with pytest.raises(ContractViolationError):
+                tt_relative_error(exact, tt_zero(t.shape), norm=1.0, pivot=pivot - 1)

@@ -13,6 +13,7 @@ from sparsett import (
     tt_to_full,
 )
 from sparsett.linalg import qr_economic, svd_truncate_rank
+from sparsett.ttsvd import _rows_orthonormal
 from conftest import einsum_qr_sweep, rand_tt, rank1_tt
 
 
@@ -184,6 +185,28 @@ class TestRoundFromPivot:
             tt_right_orthogonalize(t)
             for c, b in zip(cores, before):
                 assert np.array_equal(c, b)
+
+
+class TestOrthonormalRows:
+    @pytest.mark.parametrize(
+        "m, want",
+        [
+            ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], True),  # one-hot rows
+            ([[0, 1, 0], [0, 1, 0]], False),  # a shared column
+            ([[1, 0, 0], [0, 0, 0]], False),  # a zero row
+            ([[1, 1, 0], [0, 0, 1]], False),  # a row with two ones
+            ([[1]], True),
+            ([[0]], False),
+            ([[-1]], True),
+            ([[0.6, 0.8], [-0.8, 0.6]], True),
+            ([[0.6, 0.8], [0.8, 0.6]], False),
+        ],
+    )
+    def test_zero_one_rule_matches_gram_rule(self, m, want):
+        m = np.array(m, dtype=np.float64)
+        gram = not np.abs(m @ m.T - np.eye(m.shape[0])).max() > 1e-8
+        assert _rows_orthonormal(m) == gram == want
+        assert _rows_orthonormal(np.ascontiguousarray(m.T).T) == gram
 
 
 def tt_scale_zero_like(t):
