@@ -72,8 +72,16 @@ def linearize(shape, coords: np.ndarray) -> np.ndarray:
 def delinearize(shape, lin: np.ndarray) -> np.ndarray:
     """Inverse of :func:`linearize`; returns an ``(n, d)`` coordinate array."""
     dims = check_shape(shape)
-    lin = np.asarray(lin, dtype=np.int64)
-    return np.stack(np.unravel_index(lin, dims), axis=1).astype(np.int64, copy=False)
+    rest = np.array(lin, dtype=np.int64).reshape(-1)
+    if rest.size and not (rest.min() >= 0 and rest.max() < math.prod(dims)):
+        raise ValueError(f"linear index out of bounds for shape {dims}")
+    # Digits by div/mod from the last mode, straight into the columns of
+    # one array; stacking per-mode arrays cost a second copy of them all.
+    coords = np.empty((rest.size, len(dims)), dtype=np.int64)
+    for k in range(len(dims) - 1, 0, -1):
+        np.divmod(rest, dims[k], out=(rest, coords[:, k]))
+    coords[:, 0] = rest
+    return coords
 
 
 class SparseTensor:

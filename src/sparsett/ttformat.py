@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import qr_economic
-from .tensor import DENSE_CAP, SparseTensor, _frozen, check_shape, delinearize
+from .tensor import DENSE_CAP, SparseTensor, _frozen, check_shape
 
 __all__ = [
     "TTTensor",
@@ -230,8 +230,17 @@ def tensorize_matrix(m, row_dims, col_dims) -> SparseTensor:
     col_dims = _check_factors(col_dims, m.shape[1], "column factors")
     if len(row_dims) != len(col_dims):
         raise ValueError("row and column factorizations need equal length")
-    x = delinearize(row_dims, m.row.astype(np.int64))
-    y = delinearize(col_dims, m.col.astype(np.int64))
-    fused = x * np.asarray(col_dims, dtype=np.int64) + y
+    # Row and column digits by div/mod from the last pair, fused straight
+    # into the columns of one array.  Fortran order keeps each column
+    # write contiguous; the constructor makes its C-order copy anyway.
+    rows = m.row.astype(np.int64)
+    cols = m.col.astype(np.int64)
+    x, y = np.empty_like(rows), np.empty_like(cols)
+    fused = np.empty((m.nnz, len(row_dims)), dtype=np.int64, order="F")
+    for k in range(len(row_dims) - 1, -1, -1):
+        np.divmod(rows, row_dims[k], out=(rows, x))
+        np.divmod(cols, col_dims[k], out=(cols, y))
+        x *= col_dims[k]
+        np.add(x, y, out=fused[:, k])
     dims = tuple(a * b for a, b in zip(row_dims, col_dims))
     return SparseTensor(dims, fused, m.data)

@@ -82,7 +82,7 @@ def _rows_orthonormal(m: np.ndarray) -> bool:
     """
     if ((m == 0) | (m == 1)).all():
         return bool((m.sum(axis=1) == 1).all() and (m.sum(axis=0) <= 1).all())
-    return not np.abs(m @ m.T - np.eye(m.shape[0])).max() > 1e-8
+    return bool(np.abs(m @ m.T - np.eye(m.shape[0])).max() <= 1e-8)
 
 
 def _check_pivot_orthogonal(t: TTTensor, pivot: int) -> None:

@@ -61,3 +61,16 @@ def full_sweep_relative_error(reference, approx, norm):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1729)
+
+
+@pytest.fixture
+def lapack_shapes(monkeypatch):
+    """Shapes of the matrices that reach ``np.linalg.svd``."""
+    shapes, svd = [], np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes

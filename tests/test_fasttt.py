@@ -18,11 +18,13 @@ from sparsett import (
     fixed_rank_rounding,
     flops_fasttt,
     float_ops,
+    gen_fdm,
     gen_random_sparse,
     parallel_vector_round,
     select_p,
     sparse_inner_error,
     structured_to_tt,
+    tensorize_matrix,
     tt_add,
     tt_norm,
     tt_relative_error,
@@ -422,6 +424,18 @@ class TestFastTTDriver:
         dense = big.to_dense()
         assert np.linalg.norm(tt_to_full(tt) - dense) <= 0.1 * np.linalg.norm(dense)
         assert rep.eps_actual <= 0.1
+
+    def test_qtt_laplacian_pivot_step_is_sketched(self, lapack_shapes):
+        # The paper's sparse-matrix case: the 32^3 Laplacian in quantized
+        # form, whose 1008x1264 pivot unfolding has numerical rank 4.
+        digits = (2,) * 15
+        a = tensorize_matrix(gen_fdm(32, 32, 32), digits, digits)
+        tt, rep = fasttt(a, eps=1e-10)
+        assert tt.ranks == (1, 3, 3, 3, 3, 2, 4, 4, 4, 4, 2, 4, 4, 4, 3, 1)
+        assert rep.eps_actual_method == "tt_difference"
+        assert rep.eps_actual <= 1e-10
+        assert (16, 1264) in lapack_shapes
+        assert max(min(shape) for shape in lapack_shapes) < 256
 
     def test_near_lossless_and_report(self, rng):
         t = rand_sparse(rng, (5, 6, 4), 0.2)

@@ -185,19 +185,6 @@ def assert_same_result(a, b):
     assert a.trunc_error == b.trunc_error
 
 
-@pytest.fixture
-def lapack_shapes(monkeypatch):
-    """Shapes of the matrices that reach ``np.linalg.svd``."""
-    shapes, svd = [], np.linalg.svd
-
-    def recording(m, *args, **kwargs):
-        shapes.append(m.shape)
-        return svd(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    return shapes
-
-
 class TestTallSkinnyPath:
     """Matrices with rows >= 32 * cols and at least 2**18 entries take
     CholeskyQR2 and a small SVD unless a guard sends them to LAPACK."""
@@ -288,6 +275,92 @@ class TestTallSkinnyPath:
         res = svd_truncate_rank(m, 40)
         assert m.shape not in lapack_shapes
         assert_matches_oracle(m, res)
+
+
+def low_rank(rng, rows: int, cols: int, s, noise: float) -> np.ndarray:
+    """Singular values ``s`` on random orthonormal vectors, plus iid
+    Gaussian noise of standard deviation ``noise``."""
+    u, _ = np.linalg.qr(rng.standard_normal((rows, len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, len(s))))
+    return (u * np.asarray(s)) @ v.T + noise * rng.standard_normal((rows, cols))
+
+
+def assert_certified(m: np.ndarray, res, delta: float, s0: np.ndarray):
+    # The reported error is that of the returned factors and within delta.
+    err = np.linalg.norm(m - (res.u * res.s) @ res.vt)
+    assert err * (1 - 1e-12) <= res.trunc_error <= delta
+    assert np.linalg.norm(res.u.T @ res.u - np.eye(res.rank), 2) <= 1e-13
+    # A projection's singular values never exceed the matrix's own.
+    assert np.all(res.s <= s0[: res.rank] + 1e-12 * s0[0])
+    top = np.argmax(np.abs(res.u), axis=0)
+    assert np.all(res.u[top, np.arange(res.rank)] >= 0.0)
+
+
+class TestLowRankPath:
+    """``svd_truncate_delta`` with ``delta > 0`` on a matrix whose smaller
+    side is at least 256 tries a certified sketch before a full SVD."""
+
+    SIGNAL = [10.0, 5.0, 2.0, 1.0, 0.5, 0.2]
+
+    def test_noisy_rank_six_matches_oracle(self, rng, lapack_shapes):
+        m = low_rank(rng, 600, 900, self.SIGNAL, 1e-6)
+        s0 = scipy.linalg.svd(m, compute_uv=False)
+        tails = np.sqrt(np.cumsum((s0**2)[::-1])[::-1])
+        # Geometric midpoints across the wide gaps of ranks 1..6, just
+        # above the noise floor, and a budget that needs one noise value.
+        wide = [float(np.sqrt(tails[r] * tails[r - 1])) for r in range(1, 7)]
+        for delta in wide + [1.01 * tails[6], 0.9999 * tails[6]]:
+            res = svd_truncate_delta(m, delta)
+            want = oracle_rank(s0, delta)
+            assert res.rank >= want
+            if delta in wide or delta > tails[6]:
+                assert res.rank == want
+            assert_certified(m, res, delta, s0)
+            signal = min(res.rank, 6)
+            assert np.abs(res.s[:signal] - s0[:signal]).max() <= 1e-12 * s0[0]
+            assert_same_result(res, svd_truncate_delta(m, delta))
+        assert m.shape not in lapack_shapes
+        assert set(lapack_shapes) == {(16, 900)}
+
+    def test_sketch_doubles_until_certified(self, rng, lapack_shapes):
+        # A flat rank-40 spectrum: widths 16 and 32 cannot hold it, and
+        # the energy test skips their residuals; width 64 certifies it.
+        m = low_rank(rng, 600, 900, [1.0] * 40, 1e-6)
+        s0 = scipy.linalg.svd(m, compute_uv=False)
+        delta = 1e-3
+        res = svd_truncate_delta(m, delta)
+        assert lapack_shapes == [(16, 900), (32, 900), (64, 900)]
+        assert res.rank == oracle_rank(s0, delta) == 40
+        assert_certified(m, res, delta, s0)
+        assert np.abs(res.s - s0[:40]).max() <= 1e-12 * s0[0]
+
+    @pytest.mark.parametrize(
+        "make, sketches",
+        [
+            # Energy far above the width limit: one sketch, then LAPACK.
+            (lambda rng: rng.standard_normal((300, 400)), [(16, 400)]),
+            # Within the limit, but no width up to it certifies.
+            (lambda rng: low_rank(rng, 600, 900, [1.0] * 70, 1e-6),
+             [(16, 900), (32, 900), (64, 900)]),
+        ],
+        ids=["high-rank", "width-limit"],
+    )
+    def test_fallback_is_the_full_svd(self, rng, lapack_shapes, make, sketches):
+        m = make(rng)
+        delta = 1e-3 if m.shape == (600, 900) else 0.5 * np.linalg.norm(m)
+        res = svd_truncate_delta(m, delta)
+        assert lapack_shapes == sketches + [m.shape]
+        assert_same_result(res, gesdd_result(m, res.rank))
+        assert res.rank == oracle_rank(scipy.linalg.svd(m, compute_uv=False), delta)
+
+    def test_never_sketched(self, rng, lapack_shapes):
+        m = low_rank(rng, 600, 900, self.SIGNAL, 1e-6)
+        assert_same_result(svd_truncate_delta(m, 0.0), gesdd_result(m, 600))
+        assert_same_result(svd_truncate_rank(m, 6), gesdd_result(m, 6))
+        narrow = m[:255]
+        res = svd_truncate_delta(narrow, 1e-3)
+        assert_same_result(res, gesdd_result(narrow, res.rank))
+        assert lapack_shapes == [(600, 900)] * 4 + [(255, 900)] * 2
 
 
 class TestGesvdFallback:

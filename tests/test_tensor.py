@@ -51,6 +51,26 @@ class TestLinearize:
         coords = delinearize(shape, lin)
         assert np.array_equal(linearize(shape, coords), lin)
 
+    @pytest.mark.parametrize(
+        "shape, count",
+        [((3, 5, 2, 4), 60), ((1, 7, 1), 7), ((1,), 1), ((4, 1, 1, 3), 0), ((2,) * 20, 500)],
+    )
+    def test_matches_unravel_index(self, rng, shape, count):
+        size = math.prod(shape)
+        lin = rng.integers(0, size, count)
+        before = lin.copy()
+        coords = delinearize(shape, lin)
+        ref = np.stack(np.unravel_index(lin.astype(np.int64), shape), axis=1)
+        assert coords.dtype == np.int64 and coords.flags.c_contiguous
+        assert coords.shape == (count, len(shape))
+        assert np.array_equal(coords, ref)
+        assert np.array_equal(lin, before)
+
+    @pytest.mark.parametrize("lin", [[-1], [24], [0, 3, 24]])
+    def test_out_of_bounds_refused(self, lin):
+        with pytest.raises(ValueError):
+            delinearize((2, 3, 4), np.array(lin))
+
 
 class TestSparseTensor:
     def test_basic(self, rng):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -274,6 +275,24 @@ class TestTensorize:
         m = scipy.sparse.coo_matrix((np.array([2.0, 3.0]), (rows, cols)), shape=(4, 4))
         t = tensorize_matrix(m, (2, 2), (2, 2))
         assert t.to_dense().ravel()[1] == 5.0
+
+    @pytest.mark.parametrize(
+        "row_dims, col_dims, density",
+        [((3, 4), (5, 6), 0.2), ((1, 4, 1), (2, 1, 3), 0.5), ((2,) * 6, (2,) * 6, 0.05),
+         ((3, 2), (2, 3), 0.0)],
+    )
+    def test_matches_unravel_index(self, row_dims, col_dims, density):
+        # Oracle: per-mode digits from np.unravel_index, fused pair by pair.
+        shape = (math.prod(row_dims), math.prod(col_dims))
+        m = scipy.sparse.random(*shape, density=density, random_state=3, format="coo")
+        t = tensorize_matrix(m, row_dims, col_dims)
+        c = m.tocsr().tocoo()
+        x = np.stack(np.unravel_index(c.row.astype(np.int64), row_dims), axis=1)
+        y = np.stack(np.unravel_index(c.col.astype(np.int64), col_dims), axis=1)
+        want = SparseTensor(t.shape, x * np.array(col_dims) + y, c.data)
+        assert t.coords.tobytes() == want.coords.tobytes()
+        assert t.values.tobytes() == want.values.tobytes()
+        assert t.coords.shape == (c.nnz, len(row_dims))
 
     def test_bad_factorization(self):
         m = scipy.sparse.eye(6, format="coo")

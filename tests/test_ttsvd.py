@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsett import (
+    ContractViolationError,
     TTTensor,
     efficient_tt_rounding,
     flops_ttsvd,
@@ -204,9 +205,16 @@ class TestOrthonormalRows:
     )
     def test_zero_one_rule_matches_gram_rule(self, m, want):
         m = np.array(m, dtype=np.float64)
-        gram = not np.abs(m @ m.T - np.eye(m.shape[0])).max() > 1e-8
+        gram = np.abs(m @ m.T - np.eye(m.shape[0])).max() <= 1e-8
         assert _rows_orthonormal(m) == gram == want
         assert _rows_orthonormal(np.ascontiguousarray(m.T).T) == gram
+
+    def test_nan_core_refused(self):
+        # A NaN Gram entry compares false both ways; it must not pass.
+        assert not _rows_orthonormal(np.full((2, 2), np.nan))
+        t = TTTensor([np.full((1, 2, 2), np.nan), np.eye(2).reshape(2, 2, 1)])
+        with pytest.raises(ContractViolationError):
+            efficient_tt_rounding(t, 1, 0.1)
 
 
 def tt_scale_zero_like(t):
