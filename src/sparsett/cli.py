@@ -6,7 +6,7 @@ another), and the generators ``gen-fdm`` / ``gen-random``.
 
 Exit codes: 0 on success (error within tolerance, or an eps below what
 the error measure resolves), 1 when the decomposition violates its
-error contract, 2 on input problems.
+error contract, 2 on input problems or when memory runs out.
 User-facing indices (``--p``, report field ``p``, file formats) are
 1-based; the Python API underneath is 0-based.
 """
@@ -23,7 +23,7 @@ import numpy as np
 import scipy.io
 
 from .errors import ContractViolationError, FormatError
-from .fasttt import DecompositionReport, _error_verified, fasttt
+from .fasttt import DecompositionReport, fasttt
 from .formats import (
     REPORT_SCHEMA_VERSION,
     ingest_coo,
@@ -125,13 +125,13 @@ def _decompose_once(tensor: SparseTensor, args) -> tuple[TTTensor, Decomposition
 def _contract_breach(report: DecompositionReport, args) -> str | None:
     """Why the run breaks its error contract, or ``None`` if it keeps it.
 
-    Fixed mode without ``--eps`` asks for no contract, and a reading the
-    measure cannot resolve at ``eps`` can break none.
+    Fixed mode without ``--eps`` asks for no contract, and an error the
+    measure cannot resolve at ``eps`` (``eps_actual is None``) can break
+    none.
     """
     if args.mode == "fixed" and args.eps is None:
         return None
-    verified = _error_verified(report.eps_actual_method, report.eps)
-    if not verified or report.eps_actual <= report.eps + 1e-12:
+    if report.eps_actual is None or report.eps_actual <= report.eps + 1e-12:
         return None
     return f"eps_actual {report.eps_actual:.3e} exceeds eps {report.eps:.3e}"
 
@@ -148,8 +148,7 @@ def cmd_decompose(args) -> int:
         print(f"pivot p      {doc['p']}   fibers R {doc['R']}")
         print(f"r_tilde      {doc['r_tilde']}")
     print(f"r            {doc['r']}")
-    verified = _error_verified(report.eps_actual_method, report.eps)
-    actual = f"{doc['eps_actual']:.3e}" if verified else "  not verified"
+    actual = "  not verified" if doc["eps_actual"] is None else f"{doc['eps_actual']:.3e}"
     print(f"eps          {doc['eps']:.3e}   eps_actual {actual}")
     print(f"cpu_time_s   {doc['cpu_time_s']:.3f}")
     if args.report:
@@ -372,6 +371,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError, TypeError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)

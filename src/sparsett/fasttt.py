@@ -78,8 +78,13 @@ __all__ = [
 
 _MODES = ("static", "dynamic", "fixed_rank")
 
-# Largest total core count for which the exact-difference error measure
-# is materialized; beyond it the inner-product identity is used instead.
+# Largest total core count of the difference train for which the exact
+# difference measure runs; past it the inner identity is used.  The
+# measure never builds that train, but the cap keeps it off inputs where
+# it dwarfs the job.  Lifted, on a 2-vCPU VM, it took 3.2-3.8 s and 1.1 GB
+# more peak RSS on the benchmark's ``fdm30`` input (seed 1), whose job
+# takes 0.8 s and 390 MB, and 1.0-1.1 s and 450 MB more on ``pixels``,
+# whose pivot is the last mode, so the whole difference is orthogonalized.
 _ERROR_MEASURE_CAP = 20_000_000
 
 # Smallest eps that the inner-product identity can check.  Its
@@ -574,9 +579,8 @@ def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float, pivot:
     the expanded inner-product form.
 
     Raises ``ValueError`` when the whole difference train would exceed
-    ``_ERROR_MEASURE_CAP`` entries.  The sweep never builds that train,
-    so the cap is only a proxy, kept so that every input gets the same
-    method as when the whole train was built.
+    ``_ERROR_MEASURE_CAP`` entries; the sweep never builds that train,
+    but past the cap it costs far more than the job it checks.
     """
     if reference.dims != approx.dims:
         raise ValueError("trains must share mode extents")
@@ -622,11 +626,6 @@ def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float, pivot:
     return num / norm if norm > 0 else (0.0 if num == 0.0 else math.inf)
 
 
-def _error_verified(method: str, eps: float) -> bool:
-    """Whether an error measured by ``method`` can be held against ``eps``."""
-    return method != "inner_identity" or eps >= _INNER_IDENTITY_FLOOR
-
-
 def sparse_inner_error(a: SparseTensor, approx: TTTensor) -> float:
     """Relative error via ``norm(a)^2 - 2 <a, b> + norm(b)^2``.
 
@@ -650,7 +649,9 @@ class DecompositionReport:
     """What a decomposition run did and how well it went.
 
     ``ranks`` are the final interior bond ranks.  ``eps_actual`` is the
-    measured relative error (method recorded in ``eps_actual_method``).
+    measured relative error (method recorded in ``eps_actual_method``),
+    or ``None`` when the measure cannot resolve ``eps``: the inner
+    identity below ``_INNER_IDENTITY_FLOOR``.
     Flop numbers are model estimates, not hardware counts.  The fields
     that default to ``None`` are known only to the sparse pipeline:
     ``ranks_lossless`` are the interior bond ranks after its exact
@@ -666,7 +667,7 @@ class DecompositionReport:
     num_fibers: int | None = None
     ranks_lossless: tuple[int, ...] | None = None
     ranks: tuple[int, ...]
-    eps_actual: float
+    eps_actual: float | None
     eps_actual_method: str
     eps_actual_inner: float | None = None
     flops_fasttt_model: float | None = None
@@ -756,7 +757,8 @@ def fasttt(
                     "exact-difference error measure too large; reported value is the "
                     "inner-product identity (resolution ~1e-8)"
                 )
-                if not _error_verified(method, eps):
+                if eps < _INNER_IDENTITY_FLOOR:
+                    eps_actual = None
                     notes.append(
                         f"eps {eps:.1e} is below the inner identity's floor "
                         f"{_INNER_IDENTITY_FLOOR:.0e}; the error is not verified"

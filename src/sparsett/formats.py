@@ -32,7 +32,7 @@ __all__ = [
     "load_tt",
 ]
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 # Document keys whose report fields only the sparse pipeline fills in.
 _PIPELINE_ONLY = ("p", "R", "r_tilde", "eps_actual_inner_identity", "flops_fasttt_model")
@@ -180,7 +180,8 @@ def report_document(
     The pivot is recorded 1-based (``p``) to match the 1-based text
     formats; rank vectors use the short keys ``r_tilde`` and ``r``.
     Report fields left at ``None`` (those only the sparse pipeline
-    knows) are left out of the document.
+    knows) are left out of the document; ``eps_actual`` is written as
+    ``null`` when the error is not verified.
     """
     doc: dict[str, Any] = {
         "schema_version": REPORT_SCHEMA_VERSION,

@@ -12,11 +12,10 @@ Every SVD goes through one of three kernels:
   finder: a 16-column Gaussian sketch seeded from the shape, one power
   step, and the SVD of the projection ``B = Q^T M``.  It is accepted
   only when the exact residual ``||M - Q B||_F`` is within ``delta``,
-  and that residual is part of the reported ``trunc_error``.  The
-  sketch doubles while it fails, up to an eighth of the smaller side;
-  when the energy it must capture, ``||M||^2 - delta^2``, exceeds that
-  width times its largest squared singular value, or it reaches the
-  width limit, the step goes to the full SVD below instead.
+  and that residual is part of the reported ``trunc_error``.  When the
+  energy it must capture, ``||M||^2 - delta^2``, exceeds 16 times its
+  largest squared singular value, or the residual is above ``delta``,
+  the step goes to the full SVD below instead.
 - A matrix with ``rows >= 32 * cols`` and ``rows * cols >= 2**18`` is
   factored by CholeskyQR2 followed by a ``cols``-by-``cols`` SVD.  It
   goes to LAPACK instead when either Cholesky factorization fails, when
@@ -149,17 +148,16 @@ def _full_svd(m: np.ndarray):
     return _lapack_svd(m)
 
 
-# Where the sketch runs, and how wide it may grow.  Measured on a 2-vCPU
-# VM (min of 5): the 1008x1264 pivot step of the QTT 32^3 Laplacian
-# (numerical rank 4, delta 2.2e-8) took 10 ms against 450 ms for gesdd,
-# with a residual of 1.4e-12.  The image-shaped steps of the benchmark's
-# ``pixels`` workload keep 93% of their rank; there the first sketch
-# fails the energy test and hands over, 3.5 ms before a 69 ms gesdd at
-# 300x957 and 10 ms before 324 ms at 2800x639.  Without that test,
-# doubling to a quarter of the smaller side cost 33 and 298 ms there.
+# Where the sketch runs, and its width.  Measured on a 2-vCPU VM (min
+# of 5): the 1008x1264 pivot step of the QTT 32^3 Laplacian (numerical
+# rank 4, delta 2.2e-8) took 10 ms against 450 ms for gesdd, with a
+# residual of 1.4e-12.  The image-shaped steps of the benchmark's
+# ``pixels`` workload keep 93% of their rank; there the sketch fails
+# the energy test and hands over, 3.5 ms before a 69 ms gesdd at
+# 300x957 and 10 ms before 324 ms at 2800x639.  No benchmark step
+# certified at a wider sketch, so none is tried.
 _SKETCH_MIN_DIM = 256
 _SKETCH_WIDTH = 16
-_SKETCH_MAX_FRACTION = 8
 
 
 def _sketched_svd(m: np.ndarray, delta: float):
@@ -168,29 +166,22 @@ def _sketched_svd(m: np.ndarray, delta: float):
     # ``sum(s[r:]**2) + ||m - Q B||^2``.  The residual is formed
     # explicitly; ``||m||^2 - ||B||^2`` would cancel to far above delta.
     # A passing certificate implies ``||B||^2 >= ||m||^2 - delta^2``, so
-    # a sketch whose ``width * s[0]**2`` falls short needs no residual.
+    # a sketch whose ``_SKETCH_WIDTH * s[0]**2`` falls short needs no residual.
     # Returns ``(u, s, vt, residual**2)``, or None to take the full SVD.
     rows, cols = m.shape
-    limit = min(rows, cols) // _SKETCH_MAX_FRACTION
-    need = float(np.linalg.norm(m)) ** 2 - delta * delta
     rng = np.random.default_rng([rows, cols])
-    width = _SKETCH_WIDTH
-    while width <= limit:
-        q = np.linalg.qr(m @ rng.standard_normal((cols, width)))[0]
-        q = np.linalg.qr(m @ np.linalg.qr(m.T @ q)[0])[0]
-        b = q.T @ m
-        ub, s, vt = _lapack_svd(b)
-        top = float(s[0]) ** 2
-        if need > limit * top:
-            return None
-        if need <= width * top:
-            r = q @ b
-            r -= m
-            residual_sq = float(np.vdot(r, r))
-            if residual_sq <= delta * delta:
-                return q @ ub, s, vt, residual_sq
-        width *= 2
-    return None
+    q = np.linalg.qr(m @ rng.standard_normal((cols, _SKETCH_WIDTH)))[0]
+    q = np.linalg.qr(m @ np.linalg.qr(m.T @ q)[0])[0]
+    b = q.T @ m
+    ub, s, vt = _lapack_svd(b)
+    if float(np.linalg.norm(m)) ** 2 - delta * delta > _SKETCH_WIDTH * float(s[0]) ** 2:
+        return None
+    r = q @ b
+    r -= m
+    residual_sq = float(np.vdot(r, r))
+    if residual_sq > delta * delta:
+        return None
+    return q @ ub, s, vt, residual_sq
 
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:

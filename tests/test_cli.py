@@ -89,18 +89,28 @@ class TestDecompose:
         ])
         assert rc == 1
 
-    def test_inner_identity_below_floor_not_verified(self, coo_file, capsys, monkeypatch):
+    def test_inner_identity_below_floor_not_verified(
+        self, coo_file, tmp_path, capsys, monkeypatch
+    ):
         # Force the inner-identity fallback and plant its reading.
         pipeline = importlib.import_module("sparsett.fasttt")
         monkeypatch.setattr(pipeline, "_ERROR_MEASURE_CAP", 0)
         monkeypatch.setattr(pipeline, "sparse_inner_error", lambda a, tt: 2.2e-8)
-        assert main(["decompose", "--in", str(coo_file), "--eps", "1e-14"]) == 0
+        report = tmp_path / "report.json"
+        argv = ["decompose", "--in", str(coo_file), "--eps", "1e-14", "--report", str(report)]
+        assert main(argv) == 0
         out, err = capsys.readouterr()
         assert "not verified" in err
         # The unverified reading is not printed, only the verdict.
         line = next(ln for ln in out.splitlines() if "eps_actual" in ln)
         assert line.endswith("eps_actual   not verified")
         assert "e-08" not in out and "0.000e+00" not in out
+        # The report writes no number as the error, only the reading.
+        text = report.read_text()
+        assert '"eps_actual": null' in text
+        doc = json.loads(text)
+        assert doc["eps_actual_method"] == "inner_identity"
+        assert doc["eps_actual_inner_identity"] == 2.2e-8
         # Above the floor the gate still holds the reading against eps.
         monkeypatch.setattr(pipeline, "sparse_inner_error", lambda a, tt: 0.5)
         assert main(["decompose", "--in", str(coo_file), "--eps", "0.01"]) == 1
@@ -126,6 +136,15 @@ class TestDecompose:
         tt = load_tt(train)
         assert tt.dims == (9,)
         assert np.array_equal(tt_to_full(tt), t.to_dense())
+
+    def test_out_of_memory_exits_two(self, coo_file, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 10.1 GiB")
+
+        monkeypatch.setattr(cli, "fasttt", exhausted)
+        assert main(["decompose", "--in", str(coo_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 10.1 GiB\n"
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["decompose", "--in", str(tmp_path / "nope.coo")]) == 2

@@ -452,6 +452,21 @@ class TestFastTTDriver:
         assert rep.flops_fasttt_model >= 0.0
         assert rep.flops_ttsvd_model > 0.0
 
+    def test_unresolvable_error_is_none(self, rng, monkeypatch):
+        # Past the cap the inner identity measures; below its floor the
+        # reading is kept only as eps_actual_inner.
+        t = rand_sparse(rng, (5, 6, 4), 0.3)
+        monkeypatch.setattr(importlib.import_module("sparsett.fasttt"), "_ERROR_MEASURE_CAP", 0)
+        _, rep = fasttt(t, eps=1e-14)
+        assert rep.eps_actual is None
+        assert rep.eps_actual_method == "inner_identity"
+        assert isinstance(rep.eps_actual_inner, float)
+        assert any("not verified" in note for note in rep.warnings)
+        _, rep = fasttt(t, eps=0.01)
+        assert rep.eps_actual == rep.eps_actual_inner
+        assert rep.eps_actual_method == "inner_identity"
+        assert not any("not verified" in note for note in rep.warnings)
+
     def test_small_trains_round_on_one_blas_thread(self, rng, monkeypatch):
         ctl = importlib.import_module("sparsett.linalg")._openblas_threads()
         if ctl is None:

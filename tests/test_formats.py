@@ -270,7 +270,7 @@ class TestReportDocument:
         t = rand_sparse(rng, (4, 5, 3), 0.25)
         _, rep = fasttt(t, pivot=1)
         doc = report_document(rep, method="fasttt", source="mem")
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["generator"] == "sparsett"
         assert doc["method"] == "fasttt"
         assert doc["shape"] == [4, 5, 3]

@@ -322,34 +322,25 @@ class TestLowRankPath:
         assert m.shape not in lapack_shapes
         assert set(lapack_shapes) == {(16, 900)}
 
-    def test_sketch_doubles_until_certified(self, rng, lapack_shapes):
-        # A flat rank-40 spectrum: widths 16 and 32 cannot hold it, and
-        # the energy test skips their residuals; width 64 certifies it.
-        m = low_rank(rng, 600, 900, [1.0] * 40, 1e-6)
-        s0 = scipy.linalg.svd(m, compute_uv=False)
-        delta = 1e-3
-        res = svd_truncate_delta(m, delta)
-        assert lapack_shapes == [(16, 900), (32, 900), (64, 900)]
-        assert res.rank == oracle_rank(s0, delta) == 40
-        assert_certified(m, res, delta, s0)
-        assert np.abs(res.s - s0[:40]).max() <= 1e-12 * s0[0]
-
     @pytest.mark.parametrize(
-        "make, sketches",
+        "make, delta",
         [
-            # Energy far above the width limit: one sketch, then LAPACK.
-            (lambda rng: rng.standard_normal((300, 400)), [(16, 400)]),
-            # Within the limit, but no width up to it certifies.
-            (lambda rng: low_rank(rng, 600, 900, [1.0] * 70, 1e-6),
-             [(16, 900), (32, 900), (64, 900)]),
+            # Energy far above what 16 columns can hold.
+            (lambda rng: rng.standard_normal((300, 400)), None),
+            # A flat rank-70 spectrum: wider than the sketch.
+            (lambda rng: low_rank(rng, 600, 900, [1.0] * 70, 1e-6), 1e-3),
+            # Rank 10 passes the energy test, but the noise left outside
+            # the sketch fails the residual certificate.
+            (lambda rng: low_rank(rng, 600, 900, [1.0] * 10, 1e-3), 1e-3),
         ],
-        ids=["high-rank", "width-limit"],
+        ids=["high-rank", "width-limit", "residual"],
     )
-    def test_fallback_is_the_full_svd(self, rng, lapack_shapes, make, sketches):
+    def test_fallback_is_the_full_svd(self, rng, lapack_shapes, make, delta):
         m = make(rng)
-        delta = 1e-3 if m.shape == (600, 900) else 0.5 * np.linalg.norm(m)
+        delta = 0.5 * np.linalg.norm(m) if delta is None else delta
         res = svd_truncate_delta(m, delta)
-        assert lapack_shapes == sketches + [m.shape]
+        # One sketch, then LAPACK on the whole matrix.
+        assert lapack_shapes == [(16, m.shape[1]), m.shape]
         assert_same_result(res, gesdd_result(m, res.rank))
         assert res.rank == oracle_rank(scipy.linalg.svd(m, compute_uv=False), delta)
 
