@@ -154,18 +154,18 @@ class FiberSet:
         if (np.diff(indptr) < 1).any():
             raise ValueError("every stored fiber must hold at least one nonzero")
         rest_dims = dims[:pivot] + dims[pivot + 1 :]
-        if ((fixed_coords < 0) | (fixed_coords >= np.array(rest_dims, np.int64))).any():
-            raise ValueError(f"fixed coordinates out of range for shape {dims}")
+        try:
+            keys = linearize(rest_dims, fixed_coords) if rest_dims else np.zeros(r, np.int64)
+        except ValueError:
+            raise ValueError(f"fixed coordinates out of range for shape {dims}") from None
         if ((pivot_index < 0) | (pivot_index >= dims[pivot])).any():
             raise ValueError(f"pivot indices out of range for extent {dims[pivot]}")
         steps = np.diff(pivot_index)
         steps[indptr[1:-1] - 1] = 1  # each new fiber may restart low
         if (steps <= 0).any():
             raise ValueError("pivot indices must be strictly increasing within each fiber")
-        if r > 1:
-            keys = linearize(rest_dims, fixed_coords) if rest_dims else np.zeros(r, np.int64)
-            if (np.diff(keys) <= 0).any():
-                raise ValueError("fixed tuples must be strictly increasing")
+        if (np.diff(keys) <= 0).any():
+            raise ValueError("fixed tuples must be strictly increasing")
         object.__setattr__(self, "shape", dims)
         object.__setattr__(self, "pivot", int(pivot))
         object.__setattr__(self, "fixed_coords", fixed_coords)
@@ -751,17 +751,19 @@ def fasttt(
                 eps_actual = tt_relative_error(exact, tt, norm=norm_a, pivot=pivot)
                 method = "tt_difference"
             except ValueError:
-                eps_actual = inner
                 method = "inner_identity"
-                notes.append(
-                    "exact-difference error measure too large; reported value is the "
-                    "inner-product identity (resolution ~1e-8)"
-                )
                 if eps < _INNER_IDENTITY_FLOOR:
                     eps_actual = None
                     notes.append(
-                        f"eps {eps:.1e} is below the inner identity's floor "
+                        "exact-difference error measure too large, and eps "
+                        f"{eps:.1e} is below the inner identity's floor "
                         f"{_INNER_IDENTITY_FLOOR:.0e}; the error is not verified"
+                    )
+                else:
+                    eps_actual = inner
+                    notes.append(
+                        "exact-difference error measure too large; reported value is the "
+                        "inner-product identity (resolution ~1e-8)"
                     )
         flops_model = flops_fasttt(a.shape, pivot, ranks_lossless, tt.ranks)
         flops_ttsvd_model = flops_ttsvd(a.shape, tt.ranks)

@@ -101,7 +101,8 @@ def _coo_arrays(path):
     coords, values = rows["c"], rows["v"]
     if not ((coords >= 1).all() and (coords <= dims).all() and np.isfinite(values).all()):
         return None
-    return dims, coords - 1, values
+    coords -= 1  # 0-based, in place: the parsed rows are ours
+    return dims, coords, values
 
 
 def _coo_lines(path):

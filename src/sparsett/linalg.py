@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SVDResult",
@@ -73,6 +72,11 @@ def _lapack_svd(m: np.ndarray):
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but robust.
+        # Imported here, not at the top: scipy.linalg costs every process
+        # about 0.1 s of import, and it loads SciPy's own OpenBLAS, whose
+        # thread pool one_blas_thread does not control.
+        import scipy.linalg
+
         return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
 
 
@@ -132,14 +136,13 @@ def _cholesky_qr2_svd(a: np.ndarray):
 def _full_svd(m: np.ndarray):
     # CholeskyQR2 does four products with the m-by-n matrix, and a^T a
     # squares its condition number, so its edge over gesdd shrinks as the
-    # matrix nears square; it is never used there.  The cutoffs are the
-    # crossover measured on random matrices (2-vCPU VM) with an earlier
-    # variant of this kernel that did its triangular steps in SciPy: at
-    # 300 columns it ran 1.39x as fast as gesdd at aspect 32 and 1.06x at
-    # aspect 16, but 0.70x at 957x300 and 0.82x at 2800x639; 7680x30, just
-    # under 2**18 entries, broke even.  The present kernel also wins on
-    # some matrices below the rule, so the cutoffs are conservative; they
-    # are kept because lowering them moves other steps onto this path.
+    # matrix nears square; it is never used there.  The cutoffs are
+    # conservative: on random matrices (2-vCPU VM, min of 5) the kernel
+    # also beats gesdd below them, 0.8 against 1.5 ms at 960x30, 2.4
+    # against 8.6 ms at 7680x30, 37 against 42 ms at 957x300 and 255
+    # against 298 ms at 2800x639, though tiny matrices lose to its fixed
+    # cost (44 against 9 us at 64x2).  They stay because lowering them
+    # moves benchmark steps onto this path with no measurement of that.
     rows, cols = m.shape
     if rows >= 32 * cols and rows * cols >= 2**18:
         usv = _cholesky_qr2_svd(m)

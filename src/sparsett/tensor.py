@@ -112,8 +112,10 @@ class SparseTensor:
             if frac.any():
                 first = np.atleast_2d(raw)[np.nonzero(np.atleast_2d(frac))[0][0]]
                 raise FormatError(f"coordinate {tuple(first.tolist())} is not integral")
-        coords = np.ascontiguousarray(raw, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
+        # No layout copy: the single gather below writes C order, so int64
+        # input in any layout is only read.
+        coords = np.asarray(raw, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
         if coords.size == 0:
             coords = coords.reshape(0, len(dims))
         if coords.ndim != 2 or coords.shape[1] != len(dims):
@@ -124,22 +126,19 @@ class SparseTensor:
             raise FormatError(
                 f"values must be ({coords.shape[0]},), got {values.shape}"
             )
-        if coords.shape[0]:
-            if coords.min() < 0 or (coords >= np.asarray(dims)).any():
-                bad = np.argmax(
-                    (coords < 0).any(axis=1) | (coords >= np.asarray(dims)).any(axis=1)
-                )
-                raise FormatError(
-                    f"coordinate {tuple(coords[bad])} out of range for shape {dims}"
-                )
+        try:
+            lin = linearize(dims, coords)
+        except ValueError:
+            # Only a refused input pays for finding its first bad row.
+            bad = np.argmax(((coords < 0) | (coords >= np.asarray(dims))).any(axis=1))
+            raise FormatError(
+                f"coordinate {tuple(coords[bad])} out of range for shape {dims}"
+            ) from None
         if not np.isfinite(values).all():
             raise FormatError("tensor values must be finite")
 
-        keep = values != 0.0
-        coords = coords[keep]
-        values = values[keep]
-        lin = linearize(dims, coords)
-        order = np.argsort(lin, kind="stable")
+        keep = np.flatnonzero(values)
+        order = keep[np.argsort(lin[keep], kind="stable")]
         lin = lin[order]
         dup = np.flatnonzero(lin[1:] == lin[:-1])
         if dup.size:

@@ -232,7 +232,8 @@ def tensorize_matrix(m, row_dims, col_dims) -> SparseTensor:
         raise ValueError("row and column factorizations need equal length")
     # Row and column digits by div/mod from the last pair, fused straight
     # into the columns of one array.  Fortran order keeps each column
-    # write contiguous; the constructor makes its C-order copy anyway.
+    # write contiguous; the constructor reads any layout in place and its
+    # sorting gather writes C order.
     rows = m.row.astype(np.int64)
     cols = m.col.astype(np.int64)
     x, y = np.empty_like(rows), np.empty_like(cols)

@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +104,7 @@ class TestDecompose:
         assert main(argv) == 0
         out, err = capsys.readouterr()
         assert "not verified" in err
+        assert "reported value" not in err
         # The unverified reading is not printed, only the verdict.
         line = next(ln for ln in out.splitlines() if "eps_actual" in ln)
         assert line.endswith("eps_actual   not verified")
@@ -458,3 +462,24 @@ class TestGenerators:
 
     def test_gen_fdm_bad_grid_exits_two(self, tmp_path):
         assert main(["gen-fdm", "--grid", "2,2", "--out", str(tmp_path / "m.mtx")]) == 2
+
+
+def test_decompose_does_not_import_scipy_linalg(coo_file, tmp_path):
+    # scipy.linalg serves only the gesvd fallback; loading it costs every
+    # process its import and a second OpenBLAS thread pool.
+    script = "\n".join([
+        "import sys",
+        "from sparsett.cli import main",
+        f"assert main(['decompose', '--in', {str(coo_file)!r}]) == 0",
+        f"mtx = {str(tmp_path / 'fdm.mtx')!r}",
+        "assert main(['gen-fdm', '--grid', '4,4,4', '--out', mtx]) == 0",
+        "assert main(['decompose', '--in', mtx, '--row-dims', '2,2,2,2,2,2',"
+        " '--col-dims', '2,2,2,2,2,2', '--eps', '1e-12']) == 0",
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -128,6 +128,15 @@ class TestFiberSetValidation:
     def test_fixed_coords_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             FiberSet((2, 3), 0, [[5]], [0, 1], [0], [1.0])
+        # One fiber has no order to check, but its range is still checked.
+        for fixed in ([[0, 4]], [[-1, 0]]):
+            with pytest.raises(
+                ValueError, match=r"fixed coordinates out of range for shape \(2, 3, 4\)"
+            ):
+                FiberSet((2, 3, 4), 1, fixed, [0, 1], [0], [1.0])
+        # With one mode there are no fixed coordinates to check.
+        s = FiberSet((3,), 0, np.zeros((1, 0)), [0, 2], [0, 2], [1.0, 2.0])
+        assert s.num_fibers == 1
 
     def test_pivot_index_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -462,10 +471,13 @@ class TestFastTTDriver:
         assert rep.eps_actual_method == "inner_identity"
         assert isinstance(rep.eps_actual_inner, float)
         assert any("not verified" in note for note in rep.warnings)
+        # One note per outcome: an unverified error claims no reported value.
+        assert not any("reported value" in note for note in rep.warnings)
         _, rep = fasttt(t, eps=0.01)
         assert rep.eps_actual == rep.eps_actual_inner
         assert rep.eps_actual_method == "inner_identity"
         assert not any("not verified" in note for note in rep.warnings)
+        assert any("reported value" in note for note in rep.warnings)
 
     def test_small_trains_round_on_one_blas_thread(self, rng, monkeypatch):
         ctl = importlib.import_module("sparsett.linalg")._openblas_threads()

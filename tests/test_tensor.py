@@ -1,11 +1,13 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsett import FormatError, SparseTensor
+from sparsett import FormatError, SparseTensor, gen_fdm, ingest_coo, tensorize_matrix, write_coo
 from sparsett.tensor import check_shape, delinearize, linearize
 from conftest import rand_sparse
 
@@ -91,12 +93,30 @@ class TestSparseTensor:
         coords = np.array([[0, 1], [0, 1]])
         with pytest.raises(FormatError, match="duplicate"):
             SparseTensor((2, 2), coords, np.array([1.0, 2.0]))
+        where = tuple(np.array([1, 1], np.int64))
+        with pytest.raises(FormatError, match=re.escape(f"duplicate coordinate {where}")):
+            SparseTensor((2, 2), [[1, 1], [0, 1], [1, 1]], [1.0, 2.0, 3.0])
+        # A zero entry is dropped before the check, so its twin is no duplicate.
+        t = SparseTensor((2, 2), [[0, 1], [1, 0], [0, 1]], [0.0, 2.0, 3.0])
+        assert t.coords.tolist() == [[0, 1], [1, 0]] and t.values.tolist() == [3.0, 2.0]
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(FormatError):
-            SparseTensor((2, 2), np.array([[0, 2]]), np.array([1.0]))
-        with pytest.raises(FormatError):
-            SparseTensor((2, 2), np.array([[-1, 0]]), np.array([1.0]))
+        cases = [
+            ([[0, 2]], [1.0], [0, 2]),
+            ([[-1, 0]], [1.0], [-1, 0]),
+            # The first bad row in input order, too large or negative.
+            ([[0, 0], [1, 5], [-1, 0]], [1.0, 2.0, 3.0], [1, 5]),
+            ([[0, 0], [-1, 0], [1, 5]], [1.0, 2.0, 3.0], [-1, 0]),
+            ([[1, 1], [0, -3], [0, 0]], [1.0, 2.0, 3.0], [0, -3]),
+            # A zero value does not excuse its coordinate.
+            ([[0, 0], [2, 0]], [1.0, 0.0], [2, 0]),
+        ]
+        for coords, values, first in cases:
+            # The message as the constructor words it, element types included.
+            where = tuple(np.array(first, np.int64))
+            msg = re.escape(f"coordinate {where} out of range for shape (2, 2)")
+            with pytest.raises(FormatError, match=msg):
+                SparseTensor((2, 2), np.array(coords), np.array(values))
 
     def test_non_integral_coordinate_rejected(self):
         with pytest.raises(FormatError, match=r"\(1\.7, 0\.2\) is not integral"):
@@ -137,3 +157,47 @@ class TestSparseTensor:
         t = rand_sparse(rng, (10, 10), 0.1)
         with pytest.raises(ValueError):
             t.to_dense(cap=50)
+
+
+class TestConstructorInput:
+    """The constructor reads coordinates in any layout without writing
+    them, and sorts them by one gather."""
+
+    def test_any_layout_builds_the_same_tensor(self, rng):
+        t = rand_sparse(rng, (4, 5, 6), 0.3)
+        perm = rng.permutation(t.nnz)
+        coords, values = t.coords[perm], t.values[perm]
+        wide = np.zeros((2 * t.nnz, 6), np.int64)
+        wide[::2, ::2] = coords
+        layouts = [coords.copy(), np.asfortranarray(coords), wide[::2, ::2]]
+        assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
+        for given in layouts:
+            before = given.copy()
+            given.setflags(write=False)  # a write would raise
+            u = SparseTensor(t.shape, given, values)
+            assert np.array_equal(given, before)
+            assert np.array_equal(u.coords, t.coords) and u.coords.flags.c_contiguous
+            assert np.array_equal(u.values, t.values)
+
+    @staticmethod
+    def traced_peak(build):
+        tracemalloc.start()
+        try:
+            t = build()
+            return tracemalloc.get_traced_memory()[1], t
+        finally:
+            tracemalloc.stop()
+
+    def test_front_end_peak_memory(self, tmp_path):
+        # QTT 16^3: 12 modes of extent 4.  Against the coordinates it
+        # keeps, the front end peaked at 3.85x (tensorize_matrix) and 4.43x
+        # (ingest_coo) with a layout copy, a filtering copy and a sorting
+        # copy; one gather takes it under 3x.
+        m = gen_fdm(16, 16, 16)
+        peak, t = self.traced_peak(lambda: tensorize_matrix(m, (2,) * 12, (2,) * 12))
+        assert peak <= 3.2 * t.coords.nbytes
+        path = tmp_path / "qtt16.coo"
+        write_coo(t, path)
+        peak, u = self.traced_peak(lambda: ingest_coo(path))
+        assert peak <= 3.2 * u.coords.nbytes
+        assert np.array_equal(u.coords, t.coords) and np.array_equal(u.values, t.values)
