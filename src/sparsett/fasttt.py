@@ -22,8 +22,6 @@ touching a dense unfolding, then compresses:
 
 :func:`fasttt` drives all three stages and reports what happened;
 :func:`select_p` picks the pivot by the SVD cost model.
-:func:`structured_to_tt` writes out the exact train before
-deparallelisation, as a reference for small cases.
 """
 
 from __future__ import annotations
@@ -36,14 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SVDResult, one_blas_thread, qr_economic, svd_truncate_delta, svd_truncate_rank
-from .tensor import DENSE_CAP, SparseTensor, _frozen, check_shape, linearize
+from .tensor import SparseTensor, _frozen, check_shape, linearize
 from .ttformat import (
     TTTensor,
     tt_add,
     tt_entries,
     tt_norm,
     tt_right_orthogonalize,
-    tt_scale,
     tt_zero,
 )
 from .ttsvd import (
@@ -65,7 +62,6 @@ __all__ = [
     "depar_quasi_perm",
     "build_structured_tt",
     "parallel_vector_round",
-    "structured_to_tt",
     "efficient_tt_rounding",
     "dynamic_tt_rounding",
     "fixed_rank_rounding",
@@ -94,8 +90,10 @@ _ERROR_MEASURE_CAP = 20_000_000
 _INNER_IDENTITY_FLOOR = 1e-6
 
 # Exact trains up to this many parameters are rounded and measured on one
-# BLAS thread.  On a 2-core machine one thread matched two in wall time up
-# to 0.8M parameters (0.1 s per run) and was 15-20% slower from 1.4M on.
+# BLAS thread.  perfbench on a 2-vCPU VM (15 s runs, seeds 1-3): without
+# the scope `small` read cpu_s p50 4.3-5.5 ms against 1.7-2.0 ms; one
+# thread for every train raised decompose_s p50 on fdm30 from 0.78-0.84 s
+# to 0.96-1.06 s and on pixels from 0.79-0.85 s to 0.96-1.03 s.
 _ONE_THREAD_PARAMS = 1 << 20
 
 
@@ -383,42 +381,6 @@ def parallel_vector_round(s: FiberSet) -> TTTensor:
     return TTTensor(cores)
 
 
-def structured_to_tt(s: FiberSet) -> TTTensor:
-    """Materialize the exact train with its undeparallelised dense cores.
-
-    Interior ranks all equal the fiber count, so this is only a
-    small-case reference; the total core size is guarded by
-    ``DENSE_CAP``.
-    """
-    dims, pivot, r = s.shape, s.pivot, s.num_fibers
-    d = len(dims)
-    if r == 0:
-        return tt_zero(dims)
-    total = sum(
-        (r if k > 0 else 1) * dims[k] * (r if k < d - 1 else 1) for k in range(d)
-    )
-    if total > DENSE_CAP:
-        raise ValueError(f"core size {total} exceeds cap {DENSE_CAP}")
-    beta = np.arange(r)
-    cores: list[np.ndarray] = []
-    for k in range(d):
-        r0 = r if k > 0 else 1
-        r1 = r if k < d - 1 else 1
-        core = np.zeros((r0, dims[k], r1))
-        if k == pivot:
-            per_entry = np.repeat(beta, np.diff(s.indptr))
-            left = per_entry if k > 0 else np.zeros(s.nnz, np.int64)
-            right = per_entry if k < d - 1 else np.zeros(s.nnz, np.int64)
-            core[left, s.pivot_index, right] = s.values
-        else:
-            ik = s.fixed_coords[:, k if k < pivot else k - 1]
-            left = beta if k > 0 else np.zeros(r, np.int64)
-            right = beta if k < d - 1 else np.zeros(r, np.int64)
-            core[left, ik, right] = 1.0
-        cores.append(core)
-    return TTTensor(cores)
-
-
 def _unit_allowance(t: TTTensor, pivot: int, eps: float) -> float:
     """``eps * norm / (sqrt(p) + sqrt(d - 1 - p))`` for 0-based pivot ``p``.
 
@@ -573,10 +535,10 @@ def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float, pivot:
     against the reference core, then one QR of the residual, whose width
     is at most the bond rank of ``approx``.  Each step costs
     O(n r_ref r_ref' r_approx) rather than a QR of the stacked cores.
-    Folded into both pivot cores, the coefficients leave a difference
-    of the cores up to the pivot, whose orthogonalized norm resolves
-    errors down to machine precision instead of the ``~1e-8`` floor of
-    the expanded inner-product form.
+    Folded into both pivot cores (the approximant's negated), the
+    coefficients leave a difference of the cores up to the pivot, whose
+    orthogonalized norm resolves errors down to machine precision
+    instead of the ``~1e-8`` floor of the expanded inner-product form.
 
     Raises ``ValueError`` when the whole difference train would exceed
     ``_ERROR_MEASURE_CAP`` entries; the sweep never builds that train,
@@ -595,33 +557,33 @@ def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float, pivot:
     if total > _ERROR_MEASURE_CAP:
         raise ValueError(f"difference train size {total} exceeds measurement cap")
     _check_right_orthogonal(reference, pivot)
-    head_ref = list(reference.cores[: pivot + 1])
-    head_approx = list(approx.cores[: pivot + 1])
-    if pivot < d - 1:
-        # y = [x, s]: approx's right interface is x times the reference's
-        # plus s times rows orthonormal to it.
-        y = np.ones((1, 1))
-        for k in range(d - 1, pivot, -1):
-            ra0, n, ra1 = reference.cores[k].shape
-            rb0 = approx.cores[k].shape[0]
-            a = reference.cores[k].reshape(ra0, n * ra1)
-            c = (approx.cores[k].reshape(rb0 * n, -1) @ y).reshape(rb0, n, -1)
-            part = c[:, :, :ra1].reshape(rb0, n * ra1)
-            x = np.zeros((rb0, ra0))
-            for _ in range(2):  # twice is enough against orthonormal rows
-                g = part @ a.T
-                part -= g @ a
-                x += g
-            c[:, :, :ra1] = part.reshape(rb0, n, ra1)
-            _, r = qr_economic(c.reshape(rb0, -1).T)
-            y = np.concatenate([x, r.T], axis=1)
-        r0, n, ra1 = head_ref[pivot].shape
-        ref_core = np.zeros((r0, n, y.shape[1]))
-        ref_core[:, :, :ra1] = head_ref[pivot]
-        head_ref[pivot] = ref_core.reshape(r0, -1, 1)
-        rb0, _, rb1 = head_approx[pivot].shape
-        head_approx[pivot] = (head_approx[pivot].reshape(-1, rb1) @ y).reshape(rb0, -1, 1)
-    diff = tt_add(TTTensor(head_ref), tt_scale(TTTensor(head_approx), -1.0))
+    # y = [x, s]: approx's right interface is x times the reference's
+    # plus s times rows orthonormal to it; at the last pivot both
+    # interfaces are the scalar 1.
+    y = np.ones((1, 1))
+    for k in range(d - 1, pivot, -1):
+        ra0, n, ra1 = reference.cores[k].shape
+        rb0 = approx.cores[k].shape[0]
+        a = reference.cores[k].reshape(ra0, n * ra1)
+        c = (approx.cores[k].reshape(rb0 * n, -1) @ y).reshape(rb0, n, -1)
+        part = c[:, :, :ra1].reshape(rb0, n * ra1)
+        x = np.zeros((rb0, ra0))
+        for _ in range(2):  # twice is enough against orthonormal rows
+            g = part @ a.T
+            part -= g @ a
+            x += g
+        c[:, :, :ra1] = part.reshape(rb0, n, ra1)
+        _, r = qr_economic(c.reshape(rb0, -1).T)
+        y = np.concatenate([x, r.T], axis=1)
+    r0, n, ra1 = reference.cores[pivot].shape
+    ref_core = np.zeros((r0, n, y.shape[1]))
+    ref_core[:, :, :ra1] = reference.cores[pivot]
+    rb0, _, rb1 = approx.cores[pivot].shape
+    approx_core = approx.cores[pivot].reshape(-1, rb1) @ -y
+    diff = tt_add(
+        TTTensor([*reference.cores[:pivot], ref_core.reshape(r0, -1, 1)]),
+        TTTensor([*approx.cores[:pivot], approx_core.reshape(rb0, -1, 1)]),
+    )
     num = float(np.linalg.norm(tt_right_orthogonalize(diff).cores[0].ravel()))
     return num / norm if norm > 0 else (0.0 if num == 0.0 else math.inf)
 
@@ -737,7 +699,7 @@ def fasttt(
         exact = parallel_vector_round(fibers)
         num_fibers = fibers.num_fibers
         ranks_lossless = exact.ranks[1:-1]
-        small = sum(c.size for c in exact.cores) <= _ONE_THREAD_PARAMS
+        small = exact.num_params <= _ONE_THREAD_PARAMS
         with one_blas_thread() if small else nullcontext():
             if mode == "static":
                 tt = efficient_tt_rounding(exact, pivot, eps)

@@ -53,16 +53,19 @@ def ingest_coo(path) -> SparseTensor:
 
     The first line must be ``# shape n1 n2 ... nd``; each following
     nonempty line holds ``d`` 1-based coordinates and a value.  Parse
-    problems raise :class:`FormatError` naming the line; duplicate
-    coordinates are an error; a file with no entries yields the zero
-    tensor with a warning.
+    problems raise :class:`FormatError` naming the line, and two nonzero
+    entries at one coordinate name both lines; a file with no entries
+    yields the zero tensor with a warning.
     """
-    dims, coords, values = _coo_arrays(path) or _coo_lines(path)
+    parsed = _coo_arrays(path)
+    dims, coords, values = parsed or _coo_lines(path)
     if not len(values):
         warnings.warn(f"{path}: no entries, reading the zero tensor", stacklevel=2)
     try:
         return SparseTensor(dims, coords, values)
     except FormatError as exc:
+        if parsed is not None:
+            _coo_lines(path)  # raises the same fault, naming its lines
         raise FormatError(f"{path}: {exc}") from None
 
 
@@ -116,6 +119,7 @@ def _coo_lines(path):
     d = len(dims)
     coords: list[list[int]] = []
     values: list[float] = []
+    first_line: dict[tuple[int, ...], int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         tok = line.split()
         if not tok:
@@ -137,6 +141,12 @@ def _coo_lines(path):
                 )
         if not np.isfinite(val):
             raise FormatError(f"{path}:{lineno}: non-finite value {tok[d]}")
+        if val != 0.0:  # zeros are dropped before the duplicate check
+            first = first_line.setdefault(tuple(idx), lineno)
+            if first != lineno:
+                raise FormatError(
+                    f"{path}:{lineno}: duplicate coordinate {tuple(idx)}, first on line {first}"
+                )
         coords.append([i - 1 for i in idx])
         values.append(val)
     return dims, np.asarray(coords, np.int64).reshape(len(values), d), values

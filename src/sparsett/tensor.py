@@ -132,7 +132,7 @@ class SparseTensor:
             # Only a refused input pays for finding its first bad row.
             bad = np.argmax(((coords < 0) | (coords >= np.asarray(dims))).any(axis=1))
             raise FormatError(
-                f"coordinate {tuple(coords[bad])} out of range for shape {dims}"
+                f"coordinate {tuple(coords[bad].tolist())} out of range for shape {dims}"
             ) from None
         if not np.isfinite(values).all():
             raise FormatError("tensor values must be finite")
@@ -142,7 +142,7 @@ class SparseTensor:
         lin = lin[order]
         dup = np.flatnonzero(lin[1:] == lin[:-1])
         if dup.size:
-            where = tuple(coords[order[dup[0] + 1]])
+            where = tuple(coords[order[dup[0] + 1]].tolist())
             raise FormatError(f"duplicate coordinate {where}")
         object.__setattr__(self, "shape", dims)
         object.__setattr__(self, "coords", _frozen(coords[order], np.int64))

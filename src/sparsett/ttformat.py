@@ -24,7 +24,6 @@ __all__ = [
     "TTTensor",
     "tt_zero",
     "tt_entries",
-    "tt_scale",
     "tt_add",
     "tt_to_full",
     "tt_norm",
@@ -130,13 +129,6 @@ def tt_entries(t: TTTensor, coords) -> np.ndarray:
             v = prod
         out[lo + rows] = v[:, 0]
     return out
-
-
-def tt_scale(t: TTTensor, alpha: float) -> TTTensor:
-    """Multiply by a scalar (absorbed into the first core)."""
-    cores = list(t.cores)
-    cores[0] = cores[0] * float(alpha)
-    return TTTensor(cores)
 
 
 def tt_add(a: TTTensor, b: TTTensor) -> TTTensor:

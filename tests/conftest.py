@@ -48,12 +48,44 @@ def einsum_qr_sweep(cores, stop):
         cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], r)
 
 
+def structured_to_tt(s):
+    """The exact train of a fiber set with its undeparallelised dense
+    cores: every interior bond is the fiber count, so only for small
+    cases."""
+    from sparsett import TTTensor, tt_zero
+
+    dims, pivot, r = s.shape, s.pivot, s.num_fibers
+    d = len(dims)
+    if r == 0:
+        return tt_zero(dims)
+    beta = np.arange(r)
+    cores = []
+    for k in range(d):
+        r0 = r if k > 0 else 1
+        r1 = r if k < d - 1 else 1
+        core = np.zeros((r0, dims[k], r1))
+        if k == pivot:
+            per_entry = np.repeat(beta, np.diff(s.indptr))
+            left = per_entry if k > 0 else np.zeros(s.nnz, np.int64)
+            right = per_entry if k < d - 1 else np.zeros(s.nnz, np.int64)
+            core[left, s.pivot_index, right] = s.values
+        else:
+            ik = s.fixed_coords[:, k if k < pivot else k - 1]
+            left = beta if k > 0 else np.zeros(r, np.int64)
+            right = beta if k < d - 1 else np.zeros(r, np.int64)
+            core[left, ik, right] = 1.0
+        cores.append(core)
+    return TTTensor(cores)
+
+
 def full_sweep_relative_error(reference, approx, norm):
     """Reference difference measure: build the whole difference train,
     right-orthogonalize every core and read the norm off the first."""
-    from sparsett.ttformat import tt_add, tt_right_orthogonalize, tt_scale
+    from sparsett import TTTensor
+    from sparsett.ttformat import tt_add, tt_right_orthogonalize
 
-    diff = tt_add(reference, tt_scale(approx, -1.0))
+    negated = TTTensor([-approx.cores[0], *approx.cores[1:]])
+    diff = tt_add(reference, negated)
     num = float(np.linalg.norm(tt_right_orthogonalize(diff).cores[0].ravel()))
     return num / norm
 

@@ -19,7 +19,6 @@ MODULES = ["sparsett"] + [
 # Exported names that no module of the package uses, with the reason
 # each stays.
 UNUSED_EXPORTS = {
-    "structured_to_tt": "dense form of the index-form train, the oracle of the fiber tests",
     "depar_general": "floating-point deparallelisation that acceptance criterion 10 checks",
     "load_tt": "reads the trains that `decompose --save-tt` writes",
     "__version__": "package metadata",

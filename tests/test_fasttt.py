@@ -9,6 +9,7 @@ from sparsett import (
     FiberSet,
     QuasiPermMatrix,
     SparseTensor,
+    TTTensor,
     build_structured_tt,
     depar_general,
     depar_quasi_perm,
@@ -23,18 +24,16 @@ from sparsett import (
     parallel_vector_round,
     select_p,
     sparse_inner_error,
-    structured_to_tt,
     tensorize_matrix,
     tt_add,
     tt_norm,
     tt_relative_error,
     tt_right_orthogonalize,
-    tt_scale,
     tt_svd,
     tt_to_full,
     tt_zero,
 )
-from conftest import full_sweep_relative_error, rand_sparse, rand_tt
+from conftest import full_sweep_relative_error, rand_sparse, rand_tt, structured_to_tt
 
 
 def fiber_cases(rng):
@@ -256,8 +255,6 @@ def dense_parallel_round(s):
         n_fac, t_fac = depar_general(m)
         cores[k] = np.ascontiguousarray(n_fac.T).reshape(n_fac.shape[1], n, r1)
         cores[k - 1] = np.einsum("abc,jc->abj", cores[k - 1], t_fac)
-    from sparsett import TTTensor
-
     return TTTensor(cores)
 
 
@@ -700,7 +697,8 @@ def approximants(reference, pivot, rng):
     yield efficient_tt_rounding(reference, pivot, 1e-14)
     yield tt_zero(reference.dims)
     noise = rand_tt(rng, reference.dims, [r + 2 for r in reference.ranks[1:-1]])
-    yield tt_add(reference, tt_scale(noise, 1e-3 * tt_norm(reference) / tt_norm(noise)))
+    scale = 1e-3 * tt_norm(reference) / tt_norm(noise)
+    yield tt_add(reference, TTTensor([noise.cores[0] * scale, *noise.cores[1:]]))
 
 
 MEASURE_SHAPES = [(7,), (6, 5), (5, 4, 3), (4, 3, 5, 2), (3, 2, 3, 2, 3), (3, 2, 3, 2, 2, 3)]

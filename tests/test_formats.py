@@ -110,6 +110,34 @@ class TestCOOErrors:
         with pytest.raises(FormatError, match="duplicate"):
             ingest_coo(path)
 
+    @pytest.mark.parametrize("array_pass", [True, False])
+    def test_duplicate_names_both_lines(self, tmp_path, monkeypatch, array_pass):
+        path = tmp_path / "dup.coo"
+        path.write_text("# shape 2 2\n1 2 1.0\n2 1 2.0\n1 2 3.0\n")
+        if not array_pass:
+            monkeypatch.setattr(formats, "_coo_arrays", lambda path: None)
+        with pytest.raises(FormatError) as info:
+            ingest_coo(path)
+        assert str(info.value) == f"{path}:4: duplicate coordinate (1, 2), first on line 2"
+
+    @pytest.mark.parametrize("array_pass", [True, False])
+    def test_zero_valued_twin_is_no_duplicate(self, tmp_path, monkeypatch, array_pass):
+        # Zeros are dropped before the check, whichever side of the twin.
+        path = tmp_path / "z.coo"
+        path.write_text("# shape 2 2\n1 2 0.0\n2 1 2.0\n1 2 3.0\n2 1 0.0\n")
+        if not array_pass:
+            monkeypatch.setattr(formats, "_coo_arrays", lambda path: None)
+        t = ingest_coo(path)
+        assert t.coords.tolist() == [[0, 1], [1, 0]] and t.values.tolist() == [3.0, 2.0]
+
+    def test_valid_file_skips_line_loop(self, tmp_path, monkeypatch):
+        calls, lines = [], formats._coo_lines
+        monkeypatch.setattr(formats, "_coo_lines", lambda path: calls.append(path) or lines(path))
+        path = tmp_path / "ok.coo"
+        path.write_text("# shape 2 2\n1 2 1.0\n2 1 2.0\n")
+        assert ingest_coo(path).nnz == 2
+        assert calls == []
+
     def test_empty_body_warns(self, tmp_path):
         path = tmp_path / "zero.coo"
         path.write_text("# shape 3 4\n")

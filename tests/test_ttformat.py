@@ -17,20 +17,18 @@ from sparsett import (
     parallel_vector_round,
     round_from_pivot,
     save_tt,
-    structured_to_tt,
     tensorize_matrix,
     tt_add,
     tt_entries,
     tt_norm,
     tt_right_orthogonalize,
-    tt_scale,
     tt_to_full,
     tt_svd,
     tt_zero,
 )
 from sparsett.linalg import svd_truncate_rank
 from sparsett.tensor import linearize
-from conftest import einsum_qr_sweep, rand_sparse, rand_tt
+from conftest import einsum_qr_sweep, rand_sparse, rand_tt, structured_to_tt
 
 
 class TestTTTensor:
@@ -152,12 +150,6 @@ class TestAlgebra:
         z = tt_zero((3, 4))
         assert np.array_equal(tt_to_full(z), np.zeros((3, 4)))
 
-    def test_scale(self, rng):
-        t = rand_tt(rng, (3, 4), (2,))
-        assert np.allclose(
-            tt_to_full(tt_scale(t, -2.5)), -2.5 * tt_to_full(t), atol=1e-12
-        )
-
     def test_add(self, rng):
         a = rand_tt(rng, (3, 4, 5), (2, 3))
         b = rand_tt(rng, (3, 4, 5), (4, 2))
@@ -236,13 +228,6 @@ class TestStructuredTT:
             s = build_structured_tt(t, pivot)
             full = tt_to_full(structured_to_tt(s))
             assert np.array_equal(full, t.to_dense())
-
-    def test_cap(self, rng):
-        # About 1,400 fibers: the middle core alone has ~8e7 > DENSE_CAP entries.
-        t = rand_sparse(rng, (40, 40, 40), 0.05)
-        s = build_structured_tt(t, 0)
-        with pytest.raises(ValueError, match="exceeds cap"):
-            structured_to_tt(s)
 
 
 class TestTensorize:

@@ -128,7 +128,7 @@ class TestTTRounding:
     def test_rank_one_pad(self, rng):
         vecs = [rng.standard_normal(n) for n in (3, 4, 5)]
         x = rank1_tt(vecs)
-        padded = tt_add(x, tt_scale_zero_like(x))
+        padded = tt_add(x, TTTensor([x.cores[0] * 0.0, *x.cores[1:]]))
         r = classical_rounding(padded, 1e-13)
         assert r.ranks == (1, 1, 1, 1)
 
@@ -215,12 +215,6 @@ class TestOrthonormalRows:
         t = TTTensor([np.full((1, 2, 2), np.nan), np.eye(2).reshape(2, 2, 1)])
         with pytest.raises(ContractViolationError):
             efficient_tt_rounding(t, 1, 0.1)
-
-
-def tt_scale_zero_like(t):
-    from sparsett import tt_scale
-
-    return tt_scale(t, 0.0)
 
 
 class TestFullRanks:
