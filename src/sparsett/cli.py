@@ -55,7 +55,8 @@ def _load_input(path: str, row_dims, col_dims):
     """Read a tensor from ``.coo`` text or a MatrixMarket file.
 
     Matrix inputs are fused into a tensor and need ``--row-dims`` and
-    ``--col-dims``.  Returns ``(tensor, matrix_dims_or_None)``.
+    ``--col-dims``; a refused matrix is named by file, a repeated entry
+    by its 1-based (row, col).  Returns ``(tensor, matrix_dims_or_None)``.
     """
     suffix = Path(path).suffix.lower()
     if suffix in (".mtx", ".mm"):
@@ -66,8 +67,24 @@ def _load_input(path: str, row_dims, col_dims):
         rd = _int_tuple(row_dims)
         cd = _int_tuple(col_dims)
         matrix = ingest_matrix_market(path)
-        return tensorize_matrix(matrix, rd, cd), (rd, cd)
+        try:
+            return tensorize_matrix(matrix, rd, cd), (rd, cd)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {_repeated_entry(matrix) or exc}") from None
     return ingest_coo(path), None
+
+
+def _repeated_entry(m) -> str | None:
+    """Name the first nonzero entry of a COO matrix that repeats an
+    earlier one, 1-based; ``None`` if no nonzero entry repeats."""
+    nz = np.flatnonzero(m.data)
+    key = m.row[nz].astype(np.int64) * m.shape[1] + m.col[nz]
+    order = np.argsort(key, kind="stable")
+    later = order[1:][key[order[1:]] == key[order[:-1]]]
+    if not later.size:
+        return None
+    k = nz[later.min()]
+    return f"duplicate entry ({m.row[k] + 1}, {m.col[k] + 1})"
 
 
 def _reference_run(tensor: SparseTensor, eps: float) -> tuple[TTTensor, DecompositionReport]:

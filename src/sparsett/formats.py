@@ -83,7 +83,7 @@ def _coo_arrays(path):
     """Parse a COO file with one NumPy pass over its body.
 
     Returns the shape, 0-based coordinates and values, or None when the
-    file needs :func:`_coo_lines` to accept it or to name its fault.
+    body does not parse; :class:`SparseTensor` judges the entries.
     ``comments=None`` makes a ``#`` line a parse error rather than a
     skipped line.  Warnings count as failures: loadtxt warns on an empty
     body, and NumPy 1.x warns where it reads an integer through a float
@@ -102,8 +102,6 @@ def _coo_arrays(path):
     except (ValueError, OverflowError, Warning):
         return None
     coords, values = rows["c"], rows["v"]
-    if not ((coords >= 1).all() and (coords <= dims).all() and np.isfinite(values).all()):
-        return None
     coords -= 1  # 0-based, in place: the parsed rows are ours
     return dims, coords, values
 

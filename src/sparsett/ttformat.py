@@ -213,11 +213,11 @@ def tensorize_matrix(m, row_dims, col_dims) -> SparseTensor:
 
     Fused coordinates are row-major within each pair:
     ``f_i = x_i * col_dims[i] + y_i``, matching the vectorization
-    convention, so the inverse mapping is exact.
+    convention, so the inverse mapping is exact.  Zero entries are
+    dropped and a repeated nonzero (row, col) raises :class:`FormatError`;
+    sum assembled duplicates first with ``m.sum_duplicates()``.
     """
-    if not scipy.sparse.issparse(m):
-        m = scipy.sparse.coo_matrix(np.asarray(m, dtype=np.float64))
-    m = m.tocsr().tocoo()  # coalesce duplicates before fusing
+    m = scipy.sparse.coo_matrix(m)
     row_dims = _check_factors(row_dims, m.shape[0], "row factors")
     col_dims = _check_factors(col_dims, m.shape[1], "column factors")
     if len(row_dims) != len(col_dims):

@@ -163,6 +163,49 @@ class TestDecompose:
         path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0\n")
         assert main(["decompose", "--in", str(path)]) == 2
 
+    @staticmethod
+    def write_mtx(path, *entries):
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate real general\n2 2 {len(entries)}\n"
+            + "".join(e + "\n" for e in entries)
+        )
+
+    @pytest.mark.parametrize("entries, message", [
+        (("1 2 1.0", "2 1 2.0", "1 2 3.0"), "duplicate entry (1, 2)"),
+        # Cancelling twins are two nonzeros, not a dropped zero.
+        (("1 2 1.0", "2 1 2.0", "1 2 -1.0"), "duplicate entry (1, 2)"),
+        # The first repeat in file order is named.
+        (("2 1 1.0", "1 2 2.0", "2 1 3.0", "1 2 4.0"), "duplicate entry (2, 1)"),
+        (("1 2 1.0", "2 1 2.0", "2 2 nan"), "tensor values must be finite"),
+    ])
+    def test_refused_matrix_names_file(self, tmp_path, capsys, entries, message):
+        # Repeated entries are refused, never summed, and named 1-based.
+        path = tmp_path / "dup.mtx"
+        self.write_mtx(path, *entries)
+        rc = main(["decompose", "--in", str(path), "--row-dims", "2", "--col-dims", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_symmetric_matrix_listing_both_halves_refused(self, tmp_path, capsys):
+        # The expanded half repeats the listed one; which of the two is
+        # named first depends on the reader's expansion order.
+        path = tmp_path / "sym.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 2.0\n1 2 3.0\n")
+        assert main(["decompose", "--in", str(path), "--row-dims", "2", "--col-dims", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err in (f"error: {path}: duplicate entry ({e})\n" for e in ("1, 2", "2, 1"))
+
+    def test_matrix_zero_valued_twin_accepted(self, tmp_path):
+        path = tmp_path / "z.mtx"
+        self.write_mtx(path, "1 2 0.0", "2 1 2.0", "1 2 1.0")
+        train = tmp_path / "z.npz"
+        rc = main([
+            "decompose", "--in", str(path), "--row-dims", "2", "--col-dims", "2",
+            "--save-tt", str(train),
+        ])
+        assert rc == 0
+        assert tt_to_full(load_tt(train)).tolist() == [0.0, 1.0, 2.0, 0.0]
+
     def test_fixed_without_ranks_exits_two(self, coo_file):
         assert main(["decompose", "--in", str(coo_file), "--mode", "fixed"]) == 2
 
@@ -305,6 +348,16 @@ class TestBench:
         assert by_name["good"]["ok"] is True
         assert by_name["bad"]["ok"] is False
         assert "error" in by_name["bad"]
+
+    def test_repeated_matrix_entry_fails_its_case(self, tmp_path):
+        # Cases read through decompose's loader, so the message is its own.
+        path = tmp_path / "dup.mtx"
+        TestDecompose.write_mtx(path, "1 2 1.0", "2 1 2.0", "1 2 3.0")
+        case = {"file": str(path), "row_dims": [2], "col_dims": [2], "compare_ttsvd": False}
+        rc, out_dir = self.run_manifest(tmp_path, {"cases": [case]})
+        assert rc == 1
+        (result,) = json.loads((out_dir / "summary.json").read_text())["cases"]
+        assert result["error"] == f"FormatError: {path}: duplicate entry (1, 2)"
 
     def run_manifest(self, tmp_path, manifest):
         path = tmp_path / "manifest.json"

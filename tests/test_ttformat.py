@@ -8,6 +8,7 @@ import scipy.sparse
 import sparsett.ttformat as ttformat
 
 from sparsett import (
+    FormatError,
     QuasiPermMatrix,
     SparseTensor,
     TTTensor,
@@ -254,12 +255,36 @@ class TestTensorize:
         assert dense[x1 * 2 + y1, x2 * 2 + y2] == 7.0
         assert t.nnz == 1
 
-    def test_duplicates_coalesced(self):
+    def test_duplicates_refused(self):
+        # A repeated nonzero (row, col) is refused like a repeated
+        # coordinate, never summed; the caller sums assembled duplicates.
         rows = np.array([0, 0])
         cols = np.array([1, 1])
         m = scipy.sparse.coo_matrix((np.array([2.0, 3.0]), (rows, cols)), shape=(4, 4))
+        with pytest.raises(FormatError, match="duplicate coordinate"):
+            tensorize_matrix(m, (2, 2), (2, 2))
+        m.sum_duplicates()
         t = tensorize_matrix(m, (2, 2), (2, 2))
         assert t.to_dense().ravel()[1] == 5.0
+
+    def test_cancelling_twin_refused(self):
+        # 1.0 and -1.0 at one entry are two nonzeros, not a dropped zero.
+        m = scipy.sparse.coo_matrix(([1.0, 2.0, -1.0], ([0, 1, 0], [1, 0, 1])), shape=(2, 2))
+        with pytest.raises(FormatError, match="duplicate coordinate"):
+            tensorize_matrix(m, (2,), (2,))
+
+    def test_zero_valued_twin_accepted(self):
+        # Zeros are dropped before the duplicate check, either side of the twin.
+        m = scipy.sparse.coo_matrix(
+            ([0.0, 2.0, 3.0, 0.0], ([0, 1, 0, 1], [1, 0, 1, 0])), shape=(2, 2)
+        )
+        t = tensorize_matrix(m, (2,), (2,))
+        assert t.to_dense().tolist() == [0.0, 3.0, 2.0, 0.0]
+
+    def test_dense_input(self):
+        t = tensorize_matrix([[0, 3], [2, 0]], (2,), (2,))
+        assert t.values.dtype == np.float64
+        assert t.to_dense().tolist() == [0.0, 3.0, 2.0, 0.0]
 
     @pytest.mark.parametrize(
         "row_dims, col_dims, density",
