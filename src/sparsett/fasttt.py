@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SVDResult, one_blas_thread, qr_economic, svd_truncate_delta, svd_truncate_rank
-from .tensor import SparseTensor, _frozen, check_shape, linearize
+from .tensor import SparseTensor, _frozen, _integral, check_shape, linearize
 from .ttformat import (
     TTTensor,
     tt_add,
@@ -83,11 +83,11 @@ _MODES = ("static", "dynamic", "fixed_rank")
 # whose pivot is the last mode, so the whole difference is orthogonalized.
 _ERROR_MEASURE_CAP = 20_000_000
 
-# Smallest eps that the inner-product identity can check.  Its
-# cancellation leaves readings up to 8.5e-8 on exact trains (the QTT
-# Laplacian), so below this floor a reading tells a met contract from a
-# broken one no better than noise, and the error counts as not verified.
-_INNER_IDENTITY_FLOOR = 1e-6
+# Resolution of the inner-product identity.  Its cancellation leaves
+# readings up to 8.5e-8 on exact trains (the QTT Laplacian), so within
+# this of eps a reading tells a met contract from a broken one no better
+# than noise.
+_INNER_IDENTITY_RESOLUTION = 1e-6
 
 # Exact trains up to this many parameters are rounded and measured on one
 # BLAS thread.  perfbench on a 2-vCPU VM (15 s runs, seeds 1-3): without
@@ -139,9 +139,9 @@ class FiberSet:
         dims = check_shape(shape)
         d = len(dims)
         _check_pivot(pivot, d)
-        fixed_coords = _frozen(fixed_coords, np.int64)
-        indptr = _frozen(indptr, np.int64)
-        pivot_index = _frozen(pivot_index, np.int64)
+        fixed_coords = _frozen(_integral(fixed_coords, "fixed coordinate"), np.int64)
+        indptr = _frozen(_integral(indptr, "index pointer"), np.int64)
+        pivot_index = _frozen(_integral(pivot_index, "pivot index"), np.int64)
         values = _frozen(values, np.float64)
         r = fixed_coords.shape[0] if fixed_coords.ndim else 0
         fixed_coords = fixed_coords.reshape(r, d - 1)
@@ -195,7 +195,7 @@ class QuasiPermMatrix:
     def __init__(self, n_rows: int, n_cols: int, col_to_row):
         n_rows = int(n_rows)
         n_cols = int(n_cols)
-        col_to_row = _frozen(col_to_row, np.int64)
+        col_to_row = _frozen(_integral(col_to_row, "row index"), np.int64)
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix extents must be nonnegative")
         if col_to_row.shape != (n_cols,):
@@ -592,8 +592,8 @@ def sparse_inner_error(a: SparseTensor, approx: TTTensor) -> float:
     """Relative error via ``norm(a)^2 - 2 <a, b> + norm(b)^2``.
 
     Cheap at any scale because ``<a, b>`` only touches the nonzeros of
-    ``a``, but the cancellation limits the resolution to roughly
-    ``1e-8`` in relative terms; below that the result is noise.
+    ``a``, but the cancellation limits the resolution; :func:`fasttt`
+    states it as ``_INNER_IDENTITY_RESOLUTION``.
     """
     if a.shape != approx.dims:
         raise ValueError("tensor and train must share mode extents")
@@ -611,9 +611,9 @@ class DecompositionReport:
     """What a decomposition run did and how well it went.
 
     ``ranks`` are the final interior bond ranks.  ``eps_actual`` is the
-    measured relative error (method recorded in ``eps_actual_method``),
-    or ``None`` when the measure cannot resolve ``eps``: the inner
-    identity below ``_INNER_IDENTITY_FLOOR``.
+    measured relative error, always a number; ``eps_actual_method`` names
+    the measure and ``eps_actual_resolution`` how far its reading may
+    stray from the true error.
     Flop numbers are model estimates, not hardware counts.  The fields
     that default to ``None`` are known only to the sparse pipeline:
     ``ranks_lossless`` are the interior bond ranks after its exact
@@ -629,8 +629,9 @@ class DecompositionReport:
     num_fibers: int | None = None
     ranks_lossless: tuple[int, ...] | None = None
     ranks: tuple[int, ...]
-    eps_actual: float | None
+    eps_actual: float
     eps_actual_method: str
+    eps_actual_resolution: float
     eps_actual_inner: float | None = None
     flops_fasttt_model: float | None = None
     flops_ttsvd_model: float
@@ -692,7 +693,7 @@ def fasttt(
         notes.append("input has no nonzeros; returning the zero train")
         tt = tt_zero(a.shape)
         num_fibers, ranks_lossless = 0, (0,) * (d - 1)
-        eps_actual, method, inner = 0.0, "exact", 0.0
+        eps_actual, method, resolution, inner = 0.0, "exact", 0.0, 0.0
         flops_model, flops_ttsvd_model = 0.0, 0.0
     else:
         fibers = build_structured_tt(a, pivot)
@@ -711,22 +712,14 @@ def fasttt(
             inner = sparse_inner_error(a, tt)
             try:
                 eps_actual = tt_relative_error(exact, tt, norm=norm_a, pivot=pivot)
-                method = "tt_difference"
+                method, resolution = "tt_difference", 1e-12  # roundoff of the difference
             except ValueError:
-                method = "inner_identity"
-                if eps < _INNER_IDENTITY_FLOOR:
-                    eps_actual = None
-                    notes.append(
-                        "exact-difference error measure too large, and eps "
-                        f"{eps:.1e} is below the inner identity's floor "
-                        f"{_INNER_IDENTITY_FLOOR:.0e}; the error is not verified"
-                    )
-                else:
-                    eps_actual = inner
-                    notes.append(
-                        "exact-difference error measure too large; reported value is the "
-                        "inner-product identity (resolution ~1e-8)"
-                    )
+                eps_actual, method = inner, "inner_identity"
+                resolution = _INNER_IDENTITY_RESOLUTION
+                notes.append(
+                    f"difference train over the {_ERROR_MEASURE_CAP:,}-entry measure cap; "
+                    f"eps_actual is the inner-product identity, resolution {resolution:.0e}"
+                )
         flops_model = flops_fasttt(a.shape, pivot, ranks_lossless, tt.ranks)
         flops_ttsvd_model = flops_ttsvd(a.shape, tt.ranks)
     report = DecompositionReport(
@@ -740,6 +733,7 @@ def fasttt(
         ranks=tt.ranks[1:-1],
         eps_actual=eps_actual,
         eps_actual_method=method,
+        eps_actual_resolution=resolution,
         eps_actual_inner=inner,
         flops_fasttt_model=flops_model,
         flops_ttsvd_model=flops_ttsvd_model,

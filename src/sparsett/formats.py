@@ -32,7 +32,7 @@ __all__ = [
     "load_tt",
 ]
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 # Document keys whose report fields only the sparse pipeline fills in.
 _PIPELINE_ONLY = ("p", "R", "r_tilde", "eps_actual_inner_identity", "flops_fasttt_model")
@@ -189,8 +189,7 @@ def report_document(
     The pivot is recorded 1-based (``p``) to match the 1-based text
     formats; rank vectors use the short keys ``r_tilde`` and ``r``.
     Report fields left at ``None`` (those only the sparse pipeline
-    knows) are left out of the document; ``eps_actual`` is written as
-    ``null`` when the error is not verified.
+    knows) are left out of the document.
     """
     doc: dict[str, Any] = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -208,6 +207,7 @@ def report_document(
         "r": list(report.ranks),
         "eps_actual": report.eps_actual,
         "eps_actual_method": report.eps_actual_method,
+        "eps_actual_resolution": report.eps_actual_resolution,
         "eps_actual_inner_identity": report.eps_actual_inner,
         "flops_fasttt_model": report.flops_fasttt_model,
         "flops_ttsvd_model": report.flops_ttsvd_model,

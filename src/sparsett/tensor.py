@@ -62,6 +62,23 @@ def _frozen(a, dtype) -> np.ndarray:
     return view
 
 
+def _integral(a, what: str = "coordinate") -> np.ndarray:
+    """``a`` as an array, refusing a float array that holds anything but
+    whole numbers.
+
+    The :class:`FormatError` names the first offending row, or element
+    of a 1-d ``a``.  Integer input is returned as is, uncopied.
+    """
+    raw = np.asarray(a)
+    if raw.dtype.kind == "f":
+        frac = ~(np.isfinite(raw) & (raw == np.round(raw)))
+        if frac.any():
+            first = np.atleast_1d(raw)[np.argwhere(np.atleast_1d(frac))[0][0]]
+            shown = tuple(first.tolist()) if first.ndim else first.item()
+            raise FormatError(f"{what} {shown} is not integral")
+    return raw
+
+
 def linearize(shape, coords: np.ndarray) -> np.ndarray:
     """Map multi-indices (rows of ``coords``) to C-order linear indices."""
     dims = check_shape(shape)
@@ -106,15 +123,9 @@ class SparseTensor:
 
     def __init__(self, shape, coords, values):
         dims = check_shape(shape)
-        raw = np.asarray(coords)
-        if raw.dtype.kind == "f":
-            frac = ~(np.isfinite(raw) & (raw == np.round(raw)))
-            if frac.any():
-                first = np.atleast_2d(raw)[np.nonzero(np.atleast_2d(frac))[0][0]]
-                raise FormatError(f"coordinate {tuple(first.tolist())} is not integral")
         # No layout copy: the single gather below writes C order, so int64
         # input in any layout is only read.
-        coords = np.asarray(raw, dtype=np.int64)
+        coords = np.asarray(_integral(coords), dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         if coords.size == 0:
             coords = coords.reshape(0, len(dims))

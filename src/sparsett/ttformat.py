@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import qr_economic
-from .tensor import DENSE_CAP, SparseTensor, _frozen, check_shape
+from .tensor import DENSE_CAP, SparseTensor, _frozen, _integral, check_shape
 
 __all__ = [
     "TTTensor",
@@ -101,9 +101,10 @@ def tt_entries(t: TTTensor, coords) -> np.ndarray:
     multiplied by the slice ``G[k][:, i, :]`` in one GEMM.  No
     ``r_k x batch x r_{k+1}`` gather of core slices is formed, so the
     working memory is O(batch * max r_k) floats and every flop is
-    BLAS-3.  A coordinate outside ``[0, n_k)`` raises ``ValueError``.
+    BLAS-3.  A coordinate outside ``[0, n_k)`` or not a whole number
+    raises ``ValueError``.
     """
-    coords = np.asarray(coords, dtype=np.int64)
+    coords = np.asarray(_integral(coords), dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != t.ndim:
         raise ValueError(f"coords must be (n, {t.ndim})")
     if ((coords < 0) | (coords >= np.asarray(t.dims))).any():
@@ -222,10 +223,19 @@ def tensorize_matrix(m, row_dims, col_dims) -> SparseTensor:
     col_dims = _check_factors(col_dims, m.shape[1], "column factors")
     if len(row_dims) != len(col_dims):
         raise ValueError("row and column factorizations need equal length")
-    # Row and column digits by div/mod from the last pair, fused straight
-    # into the columns of one array.  Fortran order keeps each column
-    # write contiguous; the constructor reads any layout in place and its
-    # sorting gather writes C order.
+    dims = tuple(a * b for a, b in zip(row_dims, col_dims))
+    return SparseTensor(dims, _fused_digits(m, row_dims, col_dims), m.data)
+
+
+def _fused_digits(m, row_dims, col_dims) -> np.ndarray:
+    """The fused coordinates of ``m``'s entries, one column per pair.
+
+    Row and column digits by div/mod from the last pair, fused straight
+    into the columns of one array.  Fortran order keeps each column
+    write contiguous; the constructor reads any layout in place and its
+    sorting gather writes C order.  The digit scratch is freed on return,
+    before that sort runs.
+    """
     rows = m.row.astype(np.int64)
     cols = m.col.astype(np.int64)
     x, y = np.empty_like(rows), np.empty_like(cols)
@@ -235,5 +245,4 @@ def tensorize_matrix(m, row_dims, col_dims) -> SparseTensor:
         np.divmod(cols, col_dims[k], out=(cols, y))
         x *= col_dims[k]
         np.add(x, y, out=fused[:, k])
-    dims = tuple(a * b for a, b in zip(row_dims, col_dims))
-    return SparseTensor(dims, fused, m.data)
+    return fused

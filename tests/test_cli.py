@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,7 @@ class TestDecompose:
         ])
         assert rc == 1
 
-    def test_inner_identity_below_floor_not_verified(
+    def test_inner_identity_reading_held_to_its_resolution(
         self, coo_file, tmp_path, capsys, monkeypatch
     ):
         # Force the inner-identity fallback and plant its reading.
@@ -103,24 +104,44 @@ class TestDecompose:
         argv = ["decompose", "--in", str(coo_file), "--eps", "1e-14", "--report", str(report)]
         assert main(argv) == 0
         out, err = capsys.readouterr()
-        assert "not verified" in err
-        assert "reported value" not in err
-        # The unverified reading is not printed, only the verdict.
+        assert "measure cap" in err and "resolution 1e-06" in err
         line = next(ln for ln in out.splitlines() if "eps_actual" in ln)
-        assert line.endswith("eps_actual   not verified")
-        assert "e-08" not in out and "0.000e+00" not in out
-        # The report writes no number as the error, only the reading.
-        text = report.read_text()
-        assert '"eps_actual": null' in text
-        doc = json.loads(text)
+        assert line.endswith("eps_actual 2.200e-08 (resolution 1e-06)")
+        doc = json.loads(report.read_text())
+        assert doc["eps_actual"] == doc["eps_actual_inner_identity"] == 2.2e-8
         assert doc["eps_actual_method"] == "inner_identity"
-        assert doc["eps_actual_inner_identity"] == 2.2e-8
-        # Above the floor the gate still holds the reading against eps.
+        assert doc["eps_actual_resolution"] == 1e-6
+        # A reading past eps by more than the resolution breaks the contract.
         monkeypatch.setattr(pipeline, "sparse_inner_error", lambda a, tt: 0.5)
         assert main(["decompose", "--in", str(coo_file), "--eps", "0.01"]) == 1
         out, err = capsys.readouterr()
-        assert "not verified" not in out + err
-        assert "eps_actual 5.000e-01" in out
+        assert "eps_actual 5.000e-01 (resolution 1e-06)" in out
+        assert "eps_actual 5.000e-01 exceeds eps 1.000e-02 by more than its resolution 1e-06" in err
+
+    @pytest.mark.parametrize(
+        "method, resolution",
+        [("tt_difference", 1e-12), ("inner_identity", 1e-6), ("exact", 0.0), ("dense", 1e-12)],
+    )
+    def test_each_measure_states_its_resolution(
+        self, coo_file, tmp_path, capsys, monkeypatch, method, resolution
+    ):
+        argv = ["decompose", "--in", str(coo_file)]
+        if method == "inner_identity":
+            monkeypatch.setattr(importlib.import_module("sparsett.fasttt"), "_ERROR_MEASURE_CAP", 0)
+        elif method == "exact":
+            (tmp_path / "empty.coo").write_text("# shape 5 4 6\n")
+            argv = ["decompose", "--in", str(tmp_path / "empty.coo")]
+        elif method == "dense":
+            argv.extend(["--method", "ttsvd"])
+        report = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the empty file's "no entries"
+            assert main([*argv, "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["eps_actual_method"] == method
+        assert doc["eps_actual_resolution"] == resolution
+        assert isinstance(doc["eps_actual"], float)
+        assert f"(resolution {resolution:.0e})" in capsys.readouterr().out
 
     def test_fixed_mode_without_eps_skips_gate(self, tmp_path, rng):
         t = rand_sparse(rng, (4, 4, 4), 0.8)
@@ -466,6 +487,33 @@ class TestBench:
         doc = json.loads((out_dir / "breach.json").read_text())
         assert doc["r"] == [1, 1] and doc["eps_actual"] > 0.8
         assert "breach" in capsys.readouterr().out
+
+    def test_inner_identity_breach_fails_its_case(self, coo_file, tmp_path, capsys, monkeypatch):
+        # A rounding that leaves a 1% error, measured past the cap by the
+        # inner identity: the reading is far beyond eps plus its resolution.
+        pipeline = importlib.import_module("sparsett.fasttt")
+        round_static = pipeline.efficient_tt_rounding
+
+        def scaled(t, pivot, eps):
+            cores = list(round_static(t, pivot, eps).cores)
+            cores[0] = cores[0] * 1.01
+            return pipeline.TTTensor(cores)
+
+        monkeypatch.setattr(pipeline, "_ERROR_MEASURE_CAP", 0)
+        monkeypatch.setattr(pipeline, "efficient_tt_rounding", scaled)
+        assert main(["decompose", "--in", str(coo_file), "--eps", "1e-10"]) == 1
+        err = capsys.readouterr().err
+        assert "contract violation: eps_actual 1.000e-02 exceeds eps 1.000e-10" in err
+        assert "by more than its resolution 1e-06" in err
+        rc, out_dir = self.run_manifest(tmp_path, {"cases": [
+            {"name": "scaled", "file": str(coo_file), "eps": 1e-10, "compare_ttsvd": False},
+        ]})
+        assert rc == 1
+        (case,) = json.loads((out_dir / "summary.json").read_text())["cases"]
+        assert case["ok"] is False and "resolution 1e-06" in case["error"]
+        doc = json.loads((out_dir / "scaled.json").read_text())
+        assert doc["eps_actual_method"] == "inner_identity"
+        assert doc["eps_actual"] == pytest.approx(0.01, rel=1e-6)
 
     def test_ttsvd_reference_matches_decompose(self, tmp_path, rng):
         files = self.write_inputs(tmp_path, rng)

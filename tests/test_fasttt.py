@@ -120,6 +120,18 @@ class TestFiberSetValidation:
         with pytest.raises(AttributeError):
             s.pivot = 0
 
+    def test_non_integral_index_arrays_rejected(self):
+        arrays = ([[0], [1]], [0, 1, 2], [0, 1], [1.0, 2.0])
+        for k, (bad, named) in enumerate([
+            ([[0.5], [1]], r"fixed coordinate \(0\.5,\) is not integral"),
+            ([0, 1.5, 2], "index pointer 1.5 is not integral"),
+            ([0, np.nan], "pivot index nan is not integral"),
+        ]):
+            with pytest.raises(ValueError, match=named):
+                FiberSet((2, 3), 1, *arrays[:k], bad, *arrays[k + 1 :])
+        s = FiberSet((2, 3), 1, *(np.asarray(a, np.float64) for a in arrays))
+        assert s.fixed_coords.tolist() == [[0], [1]] and s.pivot_index.tolist() == [0, 1]
+
     def test_empty_fiber_rejected(self):
         with pytest.raises(ValueError, match="at least one nonzero"):
             FiberSet((2, 3), 1, [[0], [1]], [0, 2, 2], [0, 1], [1.0, 2.0])
@@ -458,23 +470,21 @@ class TestFastTTDriver:
         assert rep.flops_fasttt_model >= 0.0
         assert rep.flops_ttsvd_model > 0.0
 
-    def test_unresolvable_error_is_none(self, rng, monkeypatch):
-        # Past the cap the inner identity measures; below its floor the
-        # reading is kept only as eps_actual_inner.
+    def test_inner_identity_fallback_states_its_resolution(self, rng, monkeypatch):
+        # Past the cap the inner identity measures, at any eps: its reading
+        # is the error, and its resolution is stated next to it.
         t = rand_sparse(rng, (5, 6, 4), 0.3)
         monkeypatch.setattr(importlib.import_module("sparsett.fasttt"), "_ERROR_MEASURE_CAP", 0)
-        _, rep = fasttt(t, eps=1e-14)
-        assert rep.eps_actual is None
-        assert rep.eps_actual_method == "inner_identity"
-        assert isinstance(rep.eps_actual_inner, float)
-        assert any("not verified" in note for note in rep.warnings)
-        # One note per outcome: an unverified error claims no reported value.
-        assert not any("reported value" in note for note in rep.warnings)
-        _, rep = fasttt(t, eps=0.01)
-        assert rep.eps_actual == rep.eps_actual_inner
-        assert rep.eps_actual_method == "inner_identity"
-        assert not any("not verified" in note for note in rep.warnings)
-        assert any("reported value" in note for note in rep.warnings)
+        for eps in (1e-14, 0.01):
+            _, rep = fasttt(t, eps=eps)
+            assert isinstance(rep.eps_actual, float)
+            assert rep.eps_actual == rep.eps_actual_inner
+            assert rep.eps_actual_method == "inner_identity"
+            assert rep.eps_actual_resolution == 1e-6
+            assert rep.warnings == (
+                "difference train over the 0-entry measure cap; "
+                "eps_actual is the inner-product identity, resolution 1e-06",
+            )
 
     def test_small_trains_round_on_one_blas_thread(self, rng, monkeypatch):
         ctl = importlib.import_module("sparsett.linalg")._openblas_threads()

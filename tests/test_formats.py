@@ -298,7 +298,7 @@ class TestReportDocument:
         t = rand_sparse(rng, (4, 5, 3), 0.25)
         _, rep = fasttt(t, pivot=1)
         doc = report_document(rep, method="fasttt", source="mem")
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["generator"] == "sparsett"
         assert doc["method"] == "fasttt"
         assert doc["shape"] == [4, 5, 3]
@@ -309,6 +309,8 @@ class TestReportDocument:
         assert doc["r_tilde"] == list(rep.ranks_lossless)
         assert doc["r"] == list(rep.ranks)
         assert doc["eps_actual"] == rep.eps_actual
+        assert doc["eps_actual_method"] == rep.eps_actual_method == "tt_difference"
+        assert doc["eps_actual_resolution"] == rep.eps_actual_resolution == 1e-12
         assert "threads" not in doc
         out = tmp_path / "rep.json"
         write_report(doc, out)

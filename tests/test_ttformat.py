@@ -116,6 +116,13 @@ class TestEntriesAndFull:
         with pytest.raises(ValueError, match="out of range"):
             tt_entries(t, bad)
 
+    def test_entries_reject_non_integral_coords(self, rng):
+        t = rand_tt(rng, (3, 4), (2,))
+        with pytest.raises(ValueError, match=r"coordinate \(1\.9, 2\.7\) is not integral"):
+            tt_entries(t, [[1.9, 2.7]])
+        whole = tt_entries(t, np.array([[1.0, 2.0]]))
+        assert np.array_equal(whole, tt_entries(t, [[1, 2]]))
+
     def test_entries_reject_bad_shape(self, rng):
         t = rand_tt(rng, (3, 4), (2,))
         with pytest.raises(ValueError, match="coords must be"):
@@ -221,6 +228,9 @@ class TestQuasiPerm:
             QuasiPermMatrix(2, 2, np.array([0, 2]))
         with pytest.raises(ValueError):
             QuasiPermMatrix(2, 2, np.array([-1, 0]))
+        with pytest.raises(ValueError, match="row index 0.9 is not integral"):
+            QuasiPermMatrix(3, 2, [0.9, 2.5])
+        assert QuasiPermMatrix(3, 2, [0.0, 2.0]).col_to_row.tolist() == [0, 2]
 
 class TestStructuredTT:
     def test_reconstruction_and_ranks(self, rng):
