@@ -53,20 +53,24 @@ def ingest_coo(path) -> SparseTensor:
 
     The first line must be ``# shape n1 n2 ... nd``; each following
     nonempty line holds ``d`` 1-based coordinates and a value.  Parse
-    problems raise :class:`FormatError` naming the line, and two nonzero
-    entries at one coordinate name both lines; a file with no entries
-    yields the zero tensor with a warning.
+    problems raise :class:`FormatError` naming the line; failing those,
+    the first nonzero entry to repeat a coordinate names both lines.  A
+    file with no entries yields the zero tensor with a warning.
     """
-    parsed = _coo_arrays(path)
-    dims, coords, values = parsed or _coo_lines(path)
+    dims, coords, values = _coo_arrays(path) or _coo_lines(path)[:3]
     if not len(values):
         warnings.warn(f"{path}: no entries, reading the zero tensor", stacklevel=2)
     try:
         return SparseTensor(dims, coords, values)
     except FormatError as exc:
-        if parsed is not None:
-            _coo_lines(path)  # raises the same fault, naming its lines
-        raise FormatError(f"{path}: {exc}") from None
+        *_, linenos = _coo_lines(path)  # a line's own fault outranks a repeat
+        if not exc.positions:
+            raise FormatError(f"{path}: {exc}") from None
+        first, again = exc.positions
+        at = tuple((coords[again] + 1).tolist())
+        raise FormatError(
+            f"{path}:{linenos[again]}: duplicate coordinate {at}, first on line {linenos[first]}"
+        ) from None
 
 
 def _coo_header(path, line: str) -> tuple[int, ...]:
@@ -107,8 +111,8 @@ def _coo_arrays(path):
 
 
 def _coo_lines(path):
-    """Parse a COO file line by line: the accepted grammar, and every
-    :class:`FormatError` that names a line."""
+    """Parse a COO file line by line: the accepted grammar, every fault
+    of a line's own, and the line number of each entry."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
     if not lines:
@@ -117,7 +121,7 @@ def _coo_lines(path):
     d = len(dims)
     coords: list[list[int]] = []
     values: list[float] = []
-    first_line: dict[tuple[int, ...], int] = {}
+    linenos: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         tok = line.split()
         if not tok:
@@ -139,15 +143,10 @@ def _coo_lines(path):
                 )
         if not np.isfinite(val):
             raise FormatError(f"{path}:{lineno}: non-finite value {tok[d]}")
-        if val != 0.0:  # zeros are dropped before the duplicate check
-            first = first_line.setdefault(tuple(idx), lineno)
-            if first != lineno:
-                raise FormatError(
-                    f"{path}:{lineno}: duplicate coordinate {tuple(idx)}, first on line {first}"
-                )
         coords.append([i - 1 for i in idx])
         values.append(val)
-    return dims, np.asarray(coords, np.int64).reshape(len(values), d), values
+        linenos.append(lineno)
+    return dims, np.asarray(coords, np.int64).reshape(len(values), d), values, linenos
 
 
 def ingest_matrix_market(path) -> scipy.sparse.coo_matrix:

@@ -116,7 +116,7 @@ class SparseTensor:
         Integer array of shape ``(nnz, d)``, 0-based.
     values:
         Float array of shape ``(nnz,)``.  Entries equal to zero are
-        dropped; duplicate coordinates raise :class:`FormatError`.
+        dropped; the first repeat raises :class:`FormatError` with ``positions``.
     """
 
     __slots__ = ("shape", "coords", "values")
@@ -153,8 +153,12 @@ class SparseTensor:
         lin = lin[order]
         dup = np.flatnonzero(lin[1:] == lin[:-1])
         if dup.size:
-            where = tuple(coords[order[dup[0] + 1]].tolist())
-            raise FormatError(f"duplicate coordinate {where}")
+            # The stable sort keeps each run's positions ascending: the least
+            # later member is the first repeat, its run's head what it repeats.
+            j = dup[np.argmin(order[dup + 1])] + 1
+            exc = FormatError(f"duplicate coordinate {tuple(coords[order[j]].tolist())}")
+            exc.positions = (int(order[np.searchsorted(lin, lin[j])]), int(order[j]))
+            raise exc
         object.__setattr__(self, "shape", dims)
         object.__setattr__(self, "coords", _frozen(coords[order], np.int64))
         object.__setattr__(self, "values", _frozen(values[order], np.float64))

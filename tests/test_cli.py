@@ -530,6 +530,27 @@ class TestBench:
         assert case["ttsvd_r"] == json.loads(report.read_text())["r"]
         assert case["ttsvd_cpu_s"] > 0
 
+    def test_reference_past_its_limit_keeps_the_verdict(self, tmp_path, rng, monkeypatch, capsys):
+        # A case is ok exactly when decompose exits 0; a refused TT-SVD
+        # comparison is recorded beside it.
+        files = self.write_inputs(tmp_path, rng)
+        monkeypatch.setattr(cli, "_TTSVD_DENSE_CAP", 59)
+        assert main(["decompose", "--in", files[0], "--eps", "0.1"]) == 0
+        assert main(["decompose", "--in", files[0], "--method", "ttsvd", "--eps", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the TT-SVD reference densifies its input: 60 entries exceed its limit of 59\n"
+        )
+        rc, out_dir = self.run_manifest(tmp_path, {"cases": [
+            {"name": "a", "file": files[0], "eps": 0.1},
+        ]})
+        assert rc == 0
+        (case,) = json.loads((out_dir / "summary.json").read_text())["cases"]
+        assert case["ok"] is True and "error" not in case and "ttsvd_r" not in case
+        assert case["ttsvd_error"] == (
+            "ValueError: the TT-SVD reference densifies its input: 60 entries exceed its limit of 59"
+        )
+        assert json.loads((out_dir / "a.json").read_text())["eps"] == 0.1
+
     def test_pivot_out_of_range_fails_its_case(self, tmp_path, rng):
         files = self.write_inputs(tmp_path, rng)
         rc, out_dir = self.run_manifest(tmp_path, {"cases": [

@@ -120,6 +120,23 @@ class TestCOOErrors:
             ingest_coo(path)
         assert str(info.value) == f"{path}:4: duplicate coordinate (1, 2), first on line 2"
 
+    @pytest.mark.parametrize("body, message", [
+        # The first repeat in file order; blank lines count as lines only.
+        ("\n2 1 1.0\n \t\n1 2 2.0\n2 1 3.0\n1 2 4.0\n",
+         ":6: duplicate coordinate (2, 1), first on line 3"),
+        # A line's own fault outranks a repeat on an earlier line.
+        ("1 2 1.0\n1 2 3.0\n3 1 2.0\n", ":4: index 3 out of range 1..2 in mode 1"),
+    ])
+    @pytest.mark.parametrize("array_pass", [True, False])
+    def test_which_fault_is_named(self, tmp_path, monkeypatch, array_pass, body, message):
+        path = tmp_path / "bad.coo"
+        path.write_text("# shape 2 2\n" + body)
+        if not array_pass:
+            monkeypatch.setattr(formats, "_coo_arrays", lambda path: None)
+        with pytest.raises(FormatError) as info:
+            ingest_coo(path)
+        assert str(info.value) == f"{path}{message}"
+
     @pytest.mark.parametrize("array_pass", [True, False])
     def test_zero_valued_twin_is_no_duplicate(self, tmp_path, monkeypatch, array_pass):
         # Zeros are dropped before the check, whichever side of the twin.
@@ -189,7 +206,8 @@ class TestCOOArrayParse:
         fast = formats._coo_arrays(path)
         assert fast is not None  # every spelling drawn takes the array path
         # The reference is the line loop, the parser that names bad lines.
-        dims, coords, values = formats._coo_lines(path)
+        dims, coords, values, linenos = formats._coo_lines(path)
+        assert len(linenos) == len(values)
         assert fast[0] == dims
         assert np.array_equal(fast[1], coords)
         assert np.array_equal(fast[2].view(np.int64), np.asarray(values).view(np.int64))

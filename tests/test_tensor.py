@@ -98,6 +98,31 @@ class TestSparseTensor:
         # A zero entry is dropped before the check, so its twin is no duplicate.
         t = SparseTensor((2, 2), [[0, 1], [1, 0], [0, 1]], [0.0, 2.0, 3.0])
         assert t.coords.tolist() == [[0, 1], [1, 0]] and t.values.tolist() == [3.0, 2.0]
+        # (0, 1) sorts first, but (1, 0) repeats first in input order.
+        with pytest.raises(FormatError) as info:
+            SparseTensor((2, 2), [[1, 0], [0, 1], [1, 0], [0, 1]], [1.0, 2.0, 3.0, 4.0])
+        assert str(info.value) == "duplicate coordinate (1, 0)"
+        assert info.value.positions == (0, 2)
+
+    @given(lin=st.lists(st.integers(0, 5), min_size=2, max_size=12),
+           zeros=st.lists(st.booleans(), min_size=12, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_repeat_positions_match_a_scan(self, lin, zeros):
+        # Against a scan in input order that skips zero values.
+        values = [0.0 if z else 1.0 + i for i, z in enumerate(zeros[:len(lin)])]
+        seen, want = {}, None
+        for i, (k, v) in enumerate(zip(lin, values)):
+            if v and seen.setdefault(k, i) != i:
+                want = (seen[k], i)
+                break
+        coords = delinearize((2, 3), lin)
+        if want is None:
+            assert SparseTensor((2, 3), coords, values).nnz == len(seen)
+            return
+        with pytest.raises(FormatError) as info:
+            SparseTensor((2, 3), coords, values)
+        assert info.value.positions == want
+        assert str(info.value) == f"duplicate coordinate {tuple(coords[want[1]].tolist())}"
 
     def test_out_of_range_rejected(self):
         cases = [
