@@ -98,7 +98,6 @@ def _reference_run(tensor: SparseTensor, eps: float) -> tuple[TTTensor, Decompos
         ranks=tt.ranks[1:-1],
         eps_actual=err / norm if norm else 0.0,
         eps_actual_method="dense",
-        eps_actual_resolution=1e-12,  # roundoff of the dense difference
         flops_ttsvd_model=flops_ttsvd(tensor.shape, tt.ranks),
         wall_time_s=time.perf_counter() - wall0,
         cpu_time_s=time.process_time() - cpu0,
@@ -108,7 +107,7 @@ def _reference_run(tensor: SparseTensor, eps: float) -> tuple[TTTensor, Decompos
 
 def _decompose_once(tensor: SparseTensor, args) -> tuple[TTTensor, DecompositionReport]:
     """Check the options against ``tensor`` and run one decomposition."""
-    eps = args.eps if args.eps is not None else 1e-14
+    eps = args.eps or 1e-14  # unset or 0: lossless intent, for either method
     if not 0 <= eps < np.inf:
         raise FormatError(f"--eps must be finite and nonnegative, got {eps}")
     mode = "fixed_rank" if args.mode == "fixed" else args.mode
@@ -303,13 +302,12 @@ def cmd_bench(args) -> int:
         if "report" in res:
             write_report(res["report"], out_dir / f"{res['name']}.json")
         if res["ok"]:
-            speed = res.get("speedup")
-            ratio = res.get("flop_ratio")
-            print(
-                f"{res['name']:<20} {'yes':<4} {res['fasttt_cpu_s']:>9.3f} "
-                f"{speed if speed is not None else float('nan'):>9.2f} "
-                f"{ratio if ratio is not None else float('nan'):>9.2f}"
+            speed, ratio = (
+                f"{'-':>9}" if x is None else f"{x:>9.2f}"
+                for x in (res.get("speedup"), res.get("flop_ratio"))
             )
+            refused = f"  {res['ttsvd_error']}" if "ttsvd_error" in res else ""
+            print(f"{res['name']:<20} {'yes':<4} {res['fasttt_cpu_s']:>9.3f} {speed} {ratio}{refused}")
         else:
             print(f"{res['name']:<20} {'no':<4}  {res['error']}")
     summary = {

@@ -21,7 +21,9 @@ touching a dense unfolding, then compresses:
     truncation rule of each step.
 
 :func:`fasttt` drives all three stages and reports what happened;
-:func:`select_p` picks the pivot by the SVD cost model.
+:func:`select_p` picks the pivot by the SVD cost model.  The error is
+measured by :func:`tt_relative_error`, past its cap by
+:func:`sparse_inner_error`; ``_RESOLUTION`` states each one's resolution.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .ttformat import (
 from .ttsvd import (
     _check_eps,
     _check_pivot,
-    _check_right_orthogonal,
     _input_norm,
     flops_ttsvd,
     full_ranks,
@@ -68,7 +69,6 @@ __all__ = [
     "fasttt",
     "flops_fasttt",
     "select_p",
-    "tt_relative_error",
     "sparse_inner_error",
 ]
 
@@ -83,11 +83,12 @@ _MODES = ("static", "dynamic", "fixed_rank")
 # whose pivot is the last mode, so the whole difference is orthogonalized.
 _ERROR_MEASURE_CAP = 20_000_000
 
-# Resolution of the inner-product identity.  Its cancellation leaves
-# readings up to 8.5e-8 on exact trains (the QTT Laplacian), so within
-# this of eps a reading tells a met contract from a broken one no better
-# than noise.
-_INNER_IDENTITY_RESOLUTION = 1e-6
+# Each error measure's resolution: how far its reading may stray from the
+# true error.  The train and dense differences err by roundoff; the
+# inner-product identity's cancellation leaves readings up to 8.5e-8 on
+# exact trains (the QTT Laplacian), so within 1e-6 of eps a reading tells
+# a met contract from a broken one no better than noise.
+_RESOLUTION = {"exact": 0.0, "tt_difference": 1e-12, "inner_identity": 1e-6, "dense": 1e-12}
 
 # Exact trains up to this many parameters are rounded and measured on one
 # BLAS thread.  perfbench on a 2-vCPU VM (15 s runs, seeds 1-3): without
@@ -523,12 +524,13 @@ def select_p(a: SparseTensor, target_ranks=None) -> int:
 
 def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float, pivot: int) -> float:
     """``norm(reference - approx) / norm``, where ``norm`` is the norm of
-    ``reference``, evaluated stably.
+    ``reference``, evaluated stably: :func:`fasttt`'s own measure.
 
     ``reference`` must be right-orthonormal right of ``pivot``, as the
-    exact train is at the pivot it was built for; otherwise
-    :class:`ContractViolationError` is raised, by the rule that
-    :func:`~sparsett.ttsvd.round_from_pivot` applies.  Those cores are
+    exact train is at the pivot it was built for.  That is not checked
+    here: :func:`fasttt` passes the train that
+    :func:`~sparsett.ttsvd.round_from_pivot` checked a moment earlier at
+    the same pivot, so a job checks it once.  Those cores are
     never factored.  A sweep from the last core to the pivot writes the
     right interface of ``approx`` in the basis of the reference's
     interface plus an orthonormal residual: two Gram-Schmidt passes
@@ -556,7 +558,6 @@ def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float, pivot:
     )
     if total > _ERROR_MEASURE_CAP:
         raise ValueError(f"difference train size {total} exceeds measurement cap")
-    _check_right_orthogonal(reference, pivot)
     # y = [x, s]: approx's right interface is x times the reference's
     # plus s times rows orthonormal to it; at the last pivot both
     # interfaces are the scalar 1.
@@ -593,7 +594,8 @@ def sparse_inner_error(a: SparseTensor, approx: TTTensor) -> float:
 
     Cheap at any scale because ``<a, b>`` only touches the nonzeros of
     ``a``, but the cancellation limits the resolution; :func:`fasttt`
-    states it as ``_INNER_IDENTITY_RESOLUTION``.
+    states it as ``_RESOLUTION["inner_identity"]`` when this reading is
+    the one it reports.
     """
     if a.shape != approx.dims:
         raise ValueError("tensor and train must share mode extents")
@@ -612,8 +614,8 @@ class DecompositionReport:
 
     ``ranks`` are the final interior bond ranks.  ``eps_actual`` is the
     measured relative error, always a number; ``eps_actual_method`` names
-    the measure and ``eps_actual_resolution`` how far its reading may
-    stray from the true error.
+    the measure, and the property ``eps_actual_resolution`` reads that
+    measure's resolution from ``_RESOLUTION``.
     Flop numbers are model estimates, not hardware counts.  The fields
     that default to ``None`` are known only to the sparse pipeline:
     ``ranks_lossless`` are the interior bond ranks after its exact
@@ -631,13 +633,16 @@ class DecompositionReport:
     ranks: tuple[int, ...]
     eps_actual: float
     eps_actual_method: str
-    eps_actual_resolution: float
     eps_actual_inner: float | None = None
     flops_fasttt_model: float | None = None
     flops_ttsvd_model: float
     wall_time_s: float
     cpu_time_s: float
     warnings: tuple[str, ...] = ()
+
+    @property
+    def eps_actual_resolution(self) -> float:
+        return _RESOLUTION[self.eps_actual_method]
 
 
 def fasttt(
@@ -664,8 +669,9 @@ def fasttt(
         Bond targets, for fixed-rank mode only: one int for every bond,
         the interior targets or the full vector with unit edges.
 
-    Returns ``(train, report)``.  Raises ``ValueError`` when the norm of
-    ``a`` overflows float64.
+    Returns ``(train, report)``; the rounding checks the exact train's
+    orthonormality, once.  Raises ``ValueError`` when the norm of ``a``
+    overflows float64.
     """
     if not isinstance(a, SparseTensor):
         raise TypeError("fasttt expects a SparseTensor")
@@ -693,7 +699,7 @@ def fasttt(
         notes.append("input has no nonzeros; returning the zero train")
         tt = tt_zero(a.shape)
         num_fibers, ranks_lossless = 0, (0,) * (d - 1)
-        eps_actual, method, resolution, inner = 0.0, "exact", 0.0, 0.0
+        eps_actual, method, inner = 0.0, "exact", 0.0
         flops_model, flops_ttsvd_model = 0.0, 0.0
     else:
         fibers = build_structured_tt(a, pivot)
@@ -711,14 +717,14 @@ def fasttt(
 
             inner = sparse_inner_error(a, tt)
             try:
+                # round_from_pivot checked ``exact`` at this pivot.
                 eps_actual = tt_relative_error(exact, tt, norm=norm_a, pivot=pivot)
-                method, resolution = "tt_difference", 1e-12  # roundoff of the difference
+                method = "tt_difference"
             except ValueError:
                 eps_actual, method = inner, "inner_identity"
-                resolution = _INNER_IDENTITY_RESOLUTION
                 notes.append(
                     f"difference train over the {_ERROR_MEASURE_CAP:,}-entry measure cap; "
-                    f"eps_actual is the inner-product identity, resolution {resolution:.0e}"
+                    f"eps_actual is the inner-product identity, resolution {_RESOLUTION[method]:.0e}"
                 )
         flops_model = flops_fasttt(a.shape, pivot, ranks_lossless, tt.ranks)
         flops_ttsvd_model = flops_ttsvd(a.shape, tt.ranks)
@@ -733,7 +739,6 @@ def fasttt(
         ranks=tt.ranks[1:-1],
         eps_actual=eps_actual,
         eps_actual_method=method,
-        eps_actual_resolution=resolution,
         eps_actual_inner=inner,
         flops_fasttt_model=flops_model,
         flops_ttsvd_model=flops_ttsvd_model,

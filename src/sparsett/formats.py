@@ -132,6 +132,8 @@ def _coo_lines(path):
                 f"got {len(tok)} fields"
             )
         try:
+            if "_" in line:  # int() and float() read 1_0 as 10; the NumPy pass does not
+                raise ValueError
             idx = [int(s) for s in tok[:d]]
             val = float(tok[d])
         except ValueError:

@@ -88,23 +88,14 @@ def _rows_orthonormal(m: np.ndarray) -> bool:
 def _check_pivot_orthogonal(t: TTTensor, pivot: int) -> None:
     # The outward sweeps assume the cores left of the pivot are
     # column-orthonormal and those right of it row-orthonormal.
-    for k in range(pivot):
+    for k in (*range(pivot), *range(pivot + 1, t.ndim)):
         r0, n, r1 = t.cores[k].shape
-        if not _rows_orthonormal(t.cores[k].reshape(r0 * n, r1).T):
+        left = k < pivot
+        rows = t.cores[k].reshape(r0 * n, r1).T if left else t.cores[k].reshape(r0, n * r1)
+        if not _rows_orthonormal(rows):
             raise ContractViolationError(
-                f"core {k} is not left-orthonormal; the train is not "
-                f"orthogonalized around pivot {pivot}"
-            )
-    _check_right_orthogonal(t, pivot)
-
-
-def _check_right_orthogonal(t: TTTensor, pivot: int) -> None:
-    for k in range(pivot + 1, t.ndim):
-        r0, n, r1 = t.cores[k].shape
-        if not _rows_orthonormal(t.cores[k].reshape(r0, n * r1)):
-            raise ContractViolationError(
-                f"core {k} is not right-orthonormal; the train is not "
-                f"orthogonalized around pivot {pivot}"
+                f"core {k} is not {'left' if left else 'right'}-orthonormal; "
+                f"the train is not orthogonalized around pivot {pivot}"
             )
 
 

@@ -250,6 +250,22 @@ class TestDecompose:
                 assert out == "" and "--eps" in err
                 assert not report.exists()
 
+    def test_eps_zero_means_lossless_intent_for_both_methods(self, tmp_path, capsys):
+        # One rule: --eps 0 runs and reports as --eps 1e-14 under either
+        # method (TT-SVD used to run at 0 and cut at the numerical rank).
+        path = tmp_path / "t.coo"
+        write_coo(gen_random_sparse((6, 7, 8), 0.3, seed=3), path)
+        for method in ("fasttt", "ttsvd"):
+            docs = []
+            for eps in ("0", "1e-14"):
+                report = tmp_path / f"{method}-{eps}.json"
+                argv = ["decompose", "--in", str(path), "--method", method, "--eps", eps]
+                assert main([*argv, "--report", str(report)]) == 0
+                docs.append(json.loads(report.read_text()))
+            assert docs[0]["eps"] == docs[1]["eps"] == 1e-14
+            assert docs[0]["r"] == docs[1]["r"]
+            assert "eps          1.000e-14" in capsys.readouterr().out
+
     def test_bad_eps_rejected_before_densifying(self, tmp_path, capsys):
         shape = (1000, 1000, 151)
         assert np.prod(shape) > cli._TTSVD_DENSE_CAP
@@ -550,6 +566,25 @@ class TestBench:
             "ValueError: the TT-SVD reference densifies its input: 60 entries exceed its limit of 59"
         )
         assert json.loads((out_dir / "a.json").read_text())["eps"] == 0.1
+
+    def test_row_without_comparison_shows_dashes(self, tmp_path, rng, monkeypatch, capsys):
+        # No comparison, skipped or refused, prints '-' for speedup and flop
+        # ratio, never nan; a refusal is named on the row.
+        files = self.write_inputs(tmp_path, rng)
+        monkeypatch.setattr(cli, "_TTSVD_DENSE_CAP", 59)
+        rc, _ = self.run_manifest(tmp_path, {"cases": [
+            {"name": "refused", "file": files[0], "eps": 0.1},
+            {"name": "skipped", "file": files[0], "eps": 0.1, "compare_ttsvd": False},
+        ]})
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert "nan" not in "\n".join(rows)
+        refused, skipped = (row.split(None, 5) for row in rows)
+        assert refused[:2] == ["refused", "yes"] and refused[3:5] == ["-", "-"]
+        assert refused[5] == (
+            "ValueError: the TT-SVD reference densifies its input: 60 entries exceed its limit of 59"
+        )
+        assert skipped[:2] == ["skipped", "yes"] and skipped[3:] == ["-", "-"]
 
     def test_pivot_out_of_range_fails_its_case(self, tmp_path, rng):
         files = self.write_inputs(tmp_path, rng)

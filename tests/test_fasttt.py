@@ -1,11 +1,14 @@
+import dataclasses
 import importlib
 import math
 
 import numpy as np
 import pytest
 
+import sparsett
 from sparsett import (
     ContractViolationError,
+    DecompositionReport,
     FiberSet,
     QuasiPermMatrix,
     SparseTensor,
@@ -27,12 +30,12 @@ from sparsett import (
     tensorize_matrix,
     tt_add,
     tt_norm,
-    tt_relative_error,
     tt_right_orthogonalize,
     tt_svd,
     tt_to_full,
     tt_zero,
 )
+from sparsett.fasttt import tt_relative_error
 from conftest import full_sweep_relative_error, rand_sparse, rand_tt, structured_to_tt
 
 
@@ -760,9 +763,31 @@ class TestErrorMeasures:
                 want = full_sweep_relative_error(ref, approx, norm)
                 assert abs(got - want) <= 1e-14
 
-    def test_wrong_pivot_reference_raises(self, rng):
-        t = rand_sparse(rng, (4, 5, 4, 3), 0.3)
-        for pivot in (1, 2, 3):
-            exact = parallel_vector_round(build_structured_tt(t, pivot))
-            with pytest.raises(ContractViolationError):
-                tt_relative_error(exact, tt_zero(t.shape), norm=1.0, pivot=pivot - 1)
+    def test_measure_is_the_pipelines_own(self, rng, monkeypatch):
+        # Not exported; past its cap it still refuses with ValueError, the
+        # refusal that sends fasttt to the inner identity.
+        module = importlib.import_module("sparsett.fasttt")
+        assert "tt_relative_error" not in sparsett.__all__
+        assert "tt_relative_error" not in module.__all__
+        exact = parallel_vector_round(build_structured_tt(rand_sparse(rng, (4, 5, 4), 0.3), 1))
+        monkeypatch.setattr(module, "_ERROR_MEASURE_CAP", 0)
+        with pytest.raises(ValueError, match="exceeds measurement cap"):
+            tt_relative_error(exact, exact, norm=1.0, pivot=1)
+
+    def test_each_job_checks_the_exact_train_once(self, monkeypatch):
+        # One orthonormality scan per non-pivot core, by the rounding; the
+        # measure relies on it rather than scanning the right cores again.
+        ttsvd = importlib.import_module("sparsett.ttsvd")
+        real, scans = ttsvd._rows_orthonormal, []
+        monkeypatch.setattr(ttsvd, "_rows_orthonormal", lambda m: scans.append(m.shape) or real(m))
+        t = gen_random_sparse((4, 5, 4, 3), 0.3, seed=1)
+        for pivot in range(t.ndim):
+            scans.clear()
+            _, rep = fasttt(t, pivot=pivot)
+            assert rep.eps_actual_method == "tt_difference"
+            assert len(scans) == t.ndim - 1, (pivot, scans)
+
+    def test_resolution_follows_the_method(self):
+        # Read from the method, never passed, so no report can state a
+        # resolution its method does not have (the values: test_cli.py).
+        assert "eps_actual_resolution" not in {f.name for f in dataclasses.fields(DecompositionReport)}

@@ -216,14 +216,16 @@ class TestCOOArrayParse:
         assert np.array_equal(got.coords, want.coords)
         assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
 
-    def test_underscored_numbers_still_read(self, tmp_path):
-        # Python's int and float take '1_0'; NumPy does not, so the line
-        # loop reads the file.
+    @pytest.mark.parametrize("line", ["1 2 1_0.5", "1_0 2 0.5"], ids=["value", "index"])
+    def test_underscored_numbers_refused(self, tmp_path, line):
+        # Python's int and float read '1_0' as 10; NumPy refuses it, and so
+        # does the line loop, so both parsers accept the same files.
         path = tmp_path / "u.coo"
-        path.write_text("# shape 12 2\n1_0 1 1_0\n")
-        t = ingest_coo(path)
-        assert t.coords.tolist() == [[9, 0]]
-        assert t.values.tolist() == [10.0]
+        path.write_text(f"# shape 12 2\n{line}\n")
+        assert formats._coo_arrays(path) is None
+        with pytest.raises(FormatError) as info:
+            ingest_coo(path)
+        assert str(info.value) == f"{path}:2: unparsable entry '{line}'"
 
     @pytest.mark.parametrize(
         "body, msg",

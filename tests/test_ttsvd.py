@@ -187,6 +187,19 @@ class TestRoundFromPivot:
             for c, b in zip(cores, before):
                 assert np.array_equal(c, b)
 
+    def test_wrong_pivot_names_the_core_and_its_side(self, rng):
+        # One loop checks the cores on both sides of the pivot; each side
+        # keeps its own message.
+        orth = TTTensor(orthogonalized_cores(rand_tt(rng, (3, 4, 5, 3), (3, 6, 3)), 2))
+        step = lambda k, m: svd_truncate_rank(m, 2)
+        for pivot, message in [
+            (3, "core 2 is not left-orthonormal; the train is not orthogonalized around pivot 3"),
+            (1, "core 2 is not right-orthonormal; the train is not orthogonalized around pivot 1"),
+        ]:
+            with pytest.raises(ContractViolationError) as info:
+                round_from_pivot(orth, pivot, step, step)
+            assert str(info.value) == message
+
 
 class TestOrthonormalRows:
     @pytest.mark.parametrize(
