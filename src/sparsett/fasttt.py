@@ -9,12 +9,16 @@ touching a dense unfolding, then compresses:
     quasi-permutations (:class:`QuasiPermMatrix`), so integer index maps
     describe them completely.
 2.  Deparallelise those cores by pure index arithmetic
-    (:func:`parallel_vector_round` via :func:`depar_quasi_perm`), still
-    exact, shrinking every interior bond from the fiber count to at
-    most ``min(R, prod of extents on the short side)``, and write the
-    result out as a train with dense cores.
+    (:func:`depar_quasi_perm`), still exact, shrinking every interior
+    bond from the fiber count to at most ``min(R, prod of extents on the
+    short side)``.  The result stays in index form
+    (:class:`~sparsett.ttsvd.IndexTrain`): only the pivot core is
+    written, every other core is the index map the sweep kept.
+    :func:`parallel_vector_round` writes it out with dense 0/1 cores,
+    which only the difference measure needs.
 3.  Round with truncated SVD sweeps that start at the pivot and move
     outward.  :func:`~sparsett.ttsvd.round_from_pivot` runs the sweeps;
+    an index-map core becomes dense at the carry into it.
     :func:`efficient_tt_rounding` (static per-step tolerance),
     :func:`dynamic_tt_rounding` (tolerance re-absorbs unspent budget) and
     :func:`fixed_rank_rounding` (prescribed bond ranks) only supply the
@@ -46,7 +50,9 @@ from .ttformat import (
     tt_zero,
 )
 from .ttsvd import (
+    IndexTrain,
     _check_eps,
+    _check_index_pivot,
     _check_pivot,
     _input_norm,
     flops_ttsvd,
@@ -75,8 +81,9 @@ __all__ = [
 _MODES = ("static", "dynamic", "fixed_rank")
 
 # Largest total core count of the difference train for which the exact
-# difference measure runs; past it the inner identity is used.  The
-# measure never builds that train, but the cap keeps it off inputs where
+# difference measure runs; past it the inner identity is used, and the
+# exact train is never written with dense cores.  The measure never
+# builds the difference train, but the cap keeps it off inputs where
 # it dwarfs the job.  Lifted, on a 2-vCPU VM, it took 3.2-3.8 s and 1.1 GB
 # more peak RSS on the benchmark's ``fdm30`` input (seed 1), whose job
 # takes 0.8 s and 390 MB, and 1.0-1.1 s and 450 MB more on ``pixels``,
@@ -332,57 +339,72 @@ def build_structured_tt(a: SparseTensor, pivot: int) -> FiberSet:
     )
 
 
-def parallel_vector_round(s: FiberSet) -> TTTensor:
-    """Losslessly compress the exact train by deparallelisation.
+def _deparallelise(s: FiberSet) -> IndexTrain:
+    """Losslessly compress the exact train by deparallelisation, in index
+    form.
 
     Sweeps inward from both edges toward the pivot, replacing each
     quasi-permutation core by its deparallelised factor and pushing the
-    index map into the neighbor.  The result is an ordinary train with
-    the same entries (no floating-point arithmetic happens, values are
-    only placed), whose cores left of the pivot are left-orthonormal and
-    right of it right-orthonormal.
+    index map into the neighbor.  Only the pivot core is written: the
+    fiber values are placed, no floating-point arithmetic happens.  Every
+    kept map strictly increases, so the train is orthogonalized around
+    the pivot.
     """
-    if not isinstance(s, FiberSet):
-        raise TypeError("parallel_vector_round expects a FiberSet")
     dims, pivot, r_total = s.shape, s.pivot, s.num_fibers
     d = len(dims)
-    if r_total == 0:
-        return tt_zero(dims)
-    cores: list[np.ndarray | None] = [None] * d
+    cores: list = [None] * d
     # t_map / s_map send each fiber to its row of the bond left / right
     # of the pivot core after the modes swept so far.
     t_map = np.zeros(r_total, dtype=np.int64)
     r_prev = 1
     for k in range(pivot):
         n = dims[k]
-        n_fac, t_fac = depar_quasi_perm(
+        cores[k], t_fac = depar_quasi_perm(
             QuasiPermMatrix(r_prev * n, r_total, t_map * n + s.fixed_coords[:, k])
         )
-        kept = n_fac.col_to_row
-        core = np.zeros((r_prev, n, kept.size))
-        core[kept // n, kept % n, np.arange(kept.size)] = 1.0
-        cores[k] = core
-        t_map, r_prev = t_fac.col_to_row, kept.size
+        t_map, r_prev = t_fac.col_to_row, t_fac.n_rows
     s_map = np.zeros(r_total, dtype=np.int64)
     r_next = 1
     for k in range(d - 1, pivot, -1):
         n = dims[k]
-        n_fac, t_fac = depar_quasi_perm(
+        cores[k], t_fac = depar_quasi_perm(
             QuasiPermMatrix(n * r_next, r_total, s.fixed_coords[:, k - 1] * r_next + s_map)
         )
-        kept = n_fac.col_to_row
-        core = np.zeros((kept.size, n, r_next))
-        core[np.arange(kept.size), kept // r_next, kept % r_next] = 1.0
-        cores[k] = core
-        s_map, r_next = t_fac.col_to_row, kept.size
+        s_map, r_next = t_fac.col_to_row, t_fac.n_rows
     pivot_core = np.zeros((r_prev, dims[pivot], r_next))
     per_entry = np.repeat(np.arange(r_total), np.diff(s.indptr))
     pivot_core[t_map[per_entry], s.pivot_index, s_map[per_entry]] = s.values
     cores[pivot] = pivot_core
+    return IndexTrain(dims, pivot, cores)
+
+
+def parallel_vector_round(s) -> TTTensor:
+    """Losslessly compress the exact train by deparallelisation, and
+    write it out with dense cores.
+
+    ``s`` is a :class:`FiberSet`, or the :class:`IndexTrain` already
+    deparallelised from one.  The result is an ordinary train with the
+    same entries, whose cores left of the pivot are left-orthonormal and
+    right of it right-orthonormal: each index map becomes its 0/1 core.
+    """
+    if isinstance(s, FiberSet):
+        if s.num_fibers == 0:
+            return tt_zero(s.shape)
+        s = _deparallelise(s)
+    elif not isinstance(s, IndexTrain):
+        raise TypeError("parallel_vector_round expects a FiberSet")
+    cores = list(s.cores)
+    for k, q in enumerate(cores):
+        if k < s.pivot:
+            cores[k] = q.to_dense().reshape(-1, s.dims[k], q.n_cols)
+        elif k > s.pivot:
+            core = np.zeros((q.n_cols, q.n_rows))  # to_dense() transposed, written in place
+            core[np.arange(q.n_cols), q.col_to_row] = 1.0
+            cores[k] = core.reshape(q.n_cols, s.dims[k], -1)
     return TTTensor(cores)
 
 
-def _unit_allowance(t: TTTensor, pivot: int, eps: float) -> float:
+def _unit_allowance(t: TTTensor | IndexTrain, pivot: int, eps: float) -> float:
     """``eps * norm / (sqrt(p) + sqrt(d - 1 - p))`` for 0-based pivot ``p``.
 
     With orthonormal cores on both sides the pivot core carries the
@@ -392,13 +414,14 @@ def _unit_allowance(t: TTTensor, pivot: int, eps: float) -> float:
     _check_eps(eps)
     d = t.ndim
     _check_pivot(pivot, d)
+    _check_index_pivot(t, pivot)
     if d == 1:
         return 0.0
     norm = float(np.linalg.norm(t.cores[pivot].ravel()))
     return eps * norm / (math.sqrt(pivot) + math.sqrt(d - 1 - pivot))
 
 
-def efficient_tt_rounding(t: TTTensor, pivot: int, eps: float) -> TTTensor:
+def efficient_tt_rounding(t: TTTensor | IndexTrain, pivot: int, eps: float) -> TTTensor:
     """Round an exact train with a static per-step tolerance.
 
     Every SVD step uses ``eps * norm / (sqrt(p - 1) + sqrt(d - p))``
@@ -410,7 +433,7 @@ def efficient_tt_rounding(t: TTTensor, pivot: int, eps: float) -> TTTensor:
     return round_from_pivot(t, pivot, step, step)
 
 
-def dynamic_tt_rounding(t: TTTensor, pivot: int, eps: float) -> TTTensor:
+def dynamic_tt_rounding(t: TTTensor | IndexTrain, pivot: int, eps: float) -> TTTensor:
     """Round with per-step tolerances that re-absorb unspent budget.
 
     The total allowance ``eps * norm`` is split between the two sweeps
@@ -441,7 +464,7 @@ def _rank_targets(shape, ranks) -> tuple[int, ...]:
     return targets
 
 
-def fixed_rank_rounding(t: TTTensor, pivot: int, ranks) -> TTTensor:
+def fixed_rank_rounding(t: TTTensor | IndexTrain, pivot: int, ranks) -> TTTensor:
     """Round to prescribed interior bond ranks.
 
     ``ranks`` is one target for every bond, the interior targets or the
@@ -522,16 +545,25 @@ def select_p(a: SparseTensor, target_ranks=None) -> int:
     return best_pivot
 
 
+def _difference_size(dims, ranks_a, ranks_b) -> int:
+    """Total core entries of the difference of two trains with these
+    mode extents and bond ranks."""
+    return sum(
+        (ranks_a[k] + ranks_b[k]) * n * (ranks_a[k + 1] + ranks_b[k + 1])
+        for k, n in enumerate(dims)
+    )
+
+
 def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float, pivot: int) -> float:
     """``norm(reference - approx) / norm``, where ``norm`` is the norm of
     ``reference``, evaluated stably: :func:`fasttt`'s own measure.
 
     ``reference`` must be right-orthonormal right of ``pivot``, as the
     exact train is at the pivot it was built for.  That is not checked
-    here: :func:`fasttt` passes the train that
-    :func:`~sparsett.ttsvd.round_from_pivot` checked a moment earlier at
-    the same pivot, so a job checks it once.  Those cores are
-    never factored.  A sweep from the last core to the pivot writes the
+    here: :func:`fasttt` passes the train written from the index maps
+    that :func:`~sparsett.ttsvd.round_from_pivot` checked a moment
+    earlier at the same pivot.  Those cores are never factored.  A sweep
+    from the last core to the pivot writes the
     right interface of ``approx`` in the basis of the reference's
     interface plus an orthonormal residual: two Gram-Schmidt passes
     against the reference core, then one QR of the residual, whose width
@@ -550,12 +582,7 @@ def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float, pivot:
         raise ValueError("trains must share mode extents")
     d = reference.ndim
     _check_pivot(pivot, d)
-    total = sum(
-        (ra0 + rb0) * n * (ra1 + rb1)
-        for (ra0, n, ra1), (rb0, _, rb1) in zip(
-            (c.shape for c in reference.cores), (c.shape for c in approx.cores)
-        )
-    )
+    total = _difference_size(reference.dims, reference.ranks, approx.ranks)
     if total > _ERROR_MEASURE_CAP:
         raise ValueError(f"difference train size {total} exceeds measurement cap")
     # y = [x, s]: approx's right interface is x times the reference's
@@ -670,8 +697,8 @@ def fasttt(
         the interior targets or the full vector with unit edges.
 
     Returns ``(train, report)``; the rounding checks the exact train's
-    orthonormality, once.  Raises ``ValueError`` when the norm of ``a``
-    overflows float64.
+    orthonormality on its index maps.  Raises ``ValueError`` when the
+    norm of ``a`` overflows float64.
     """
     if not isinstance(a, SparseTensor):
         raise TypeError("fasttt expects a SparseTensor")
@@ -703,7 +730,7 @@ def fasttt(
         flops_model, flops_ttsvd_model = 0.0, 0.0
     else:
         fibers = build_structured_tt(a, pivot)
-        exact = parallel_vector_round(fibers)
+        exact = _deparallelise(fibers)
         num_fibers = fibers.num_fibers
         ranks_lossless = exact.ranks[1:-1]
         small = exact.num_params <= _ONE_THREAD_PARAMS
@@ -716,11 +743,12 @@ def fasttt(
                 tt = fixed_rank_rounding(exact, pivot, fixed_ranks)
 
             inner = sparse_inner_error(a, tt)
-            try:
-                # round_from_pivot checked ``exact`` at this pivot.
-                eps_actual = tt_relative_error(exact, tt, norm=norm_a, pivot=pivot)
+            if _difference_size(a.shape, exact.ranks, tt.ranks) <= _ERROR_MEASURE_CAP:
+                # round_from_pivot checked the maps of ``exact`` at this pivot.
+                reference = parallel_vector_round(exact)
+                eps_actual = tt_relative_error(reference, tt, norm=norm_a, pivot=pivot)
                 method = "tt_difference"
-            except ValueError:
+            else:
                 eps_actual, method = inner, "inner_identity"
                 notes.append(
                     f"difference train over the {_ERROR_MEASURE_CAP:,}-entry measure cap; "

@@ -78,6 +78,8 @@ def _coo_header(path, line: str) -> tuple[int, ...]:
     if len(head) < 3 or head[0] != "#" or head[1] != "shape":
         raise FormatError(f"{path}:1: expected header '# shape n1 ... nd'")
     try:
+        if "_" in line:  # int() reads 1_2 as 12; the body lines refuse it too
+            raise ValueError(f"digit separator '_' in {line.strip()!r}")
         return check_shape(int(tok) for tok in head[2:])
     except ValueError as exc:
         raise FormatError(f"{path}:1: bad shape header: {exc}") from None

@@ -3,8 +3,9 @@
 :func:`tt_svd` is the reference construction: sequential truncated SVDs
 over the unfoldings, with a result within ``eps`` of the input in
 relative Frobenius norm.  :func:`round_from_pivot` is the one rounding
-sweep; the sparse pipeline runs it at its own pivot, with the step
-rules of :mod:`sparsett.fasttt`.
+sweep; the sparse pipeline runs it at its own pivot on the exact train
+in index form (:class:`IndexTrain`), with the step rules of
+:mod:`sparsett.fasttt`.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import svd_truncate_delta
-from .tensor import check_shape
+from .tensor import _frozen, check_shape
 from .ttformat import TTTensor, _qr_sweep, tt_zero
 
-__all__ = ["tt_svd", "round_from_pivot", "flops_ttsvd", "full_ranks"]
+__all__ = ["tt_svd", "IndexTrain", "round_from_pivot", "flops_ttsvd", "full_ranks"]
 
 
 def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
@@ -72,45 +73,136 @@ def _check_pivot(pivot: int, d: int) -> None:
         raise ValueError(f"pivot {pivot} out of range for {d} modes")
 
 
+class IndexTrain:
+    """A train orthogonalized around ``pivot`` whose other cores are
+    index maps, as the sparse pipeline's exact train is.
+
+    ``cores[pivot]`` is dense.  Core ``k`` off the pivot is a
+    quasi-permutation (:class:`~sparsett.fasttt.QuasiPermMatrix`) with
+    one row per (bond, index) pair on the side away from the pivot,
+    ``r_k * n_k`` left of it and ``n_k * r_{k+1}`` right of it, and one
+    column per index of the bond that faces the pivot.  Written densely,
+    left core ``k`` unfolds to that ``(r_k n_k) x r_{k+1}`` matrix and
+    right core ``k`` to its ``r_k x (n_k r_{k+1})`` transpose; when the
+    kept rows of every map strictly increase, the train is orthogonalized
+    around ``pivot``, which :func:`round_from_pivot` checks.
+    """
+
+    __slots__ = ("dims", "pivot", "cores")
+
+    def __init__(self, dims, pivot: int, cores):
+        dims = check_shape(dims)
+        _check_pivot(pivot, len(dims))
+        cores = list(cores)
+        if len(cores) != len(dims):
+            raise ValueError(f"{len(dims)} modes need {len(dims)} cores, got {len(cores)}")
+        cores[pivot] = _frozen(cores[pivot], np.float64)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "pivot", int(pivot))
+        object.__setattr__(self, "cores", tuple(cores))
+        r = self.ranks
+        for k, c in enumerate(cores):
+            shape = (r[k], dims[k], r[k + 1])
+            fits = c.shape == shape if k == pivot else c.n_rows * c.n_cols == math.prod(shape)
+            if not fits:
+                raise ValueError(
+                    f"core {k} does not fit bonds {r[k]}, {r[k + 1]} and extent {dims[k]}"
+                )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IndexTrain is immutable")
+
+    @property
+    def ndim(self) -> int:
+        return len(self.dims)
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        maps = self.cores[: self.pivot] + self.cores[self.pivot + 1 :]
+        return (1, *(q.n_cols for q in maps), 1)
+
+    @property
+    def num_params(self) -> int:
+        """Parameters of the train written with dense cores."""
+        r = self.ranks
+        return sum(r[k] * n * r[k + 1] for k, n in enumerate(self.dims))
+
+
 def _rows_orthonormal(m: np.ndarray) -> bool:
     """Whether the rows of ``m`` are orthonormal, to 1e-8 in every entry
-    of the Gram matrix.
-
-    A matrix of 0s and 1s has an integer Gram matrix, so it is decided
-    exactly and without products: each row must hold one 1, and no two
-    rows may share a column.
-    """
-    if ((m == 0) | (m == 1)).all():
-        return bool((m.sum(axis=1) == 1).all() and (m.sum(axis=0) <= 1).all())
+    of the Gram matrix."""
     return bool(np.abs(m @ m.T - np.eye(m.shape[0])).max() <= 1e-8)
 
 
-def _check_pivot_orthogonal(t: TTTensor, pivot: int) -> None:
+def _check_index_pivot(t: TTTensor | IndexTrain, pivot: int) -> None:
+    # Only the pivot core of an index-form train is dense.
+    if isinstance(t, IndexTrain) and t.pivot != pivot:
+        raise ContractViolationError(
+            f"the train is in index form around pivot {t.pivot}, not {pivot}"
+        )
+
+
+def _check_pivot_orthogonal(t: TTTensor | IndexTrain, pivot: int) -> None:
     # The outward sweeps assume the cores left of the pivot are
-    # column-orthonormal and those right of it row-orthonormal.
+    # column-orthonormal and those right of it row-orthonormal.  An
+    # index map is so when its kept rows strictly increase: its columns
+    # are then distinct standard basis vectors.
+    _check_index_pivot(t, pivot)
     for k in (*range(pivot), *range(pivot + 1, t.ndim)):
-        r0, n, r1 = t.cores[k].shape
+        core = t.cores[k]
         left = k < pivot
-        rows = t.cores[k].reshape(r0 * n, r1).T if left else t.cores[k].reshape(r0, n * r1)
-        if not _rows_orthonormal(rows):
+        if isinstance(core, np.ndarray):
+            r0, n, r1 = core.shape
+            ok = _rows_orthonormal(core.reshape(r0 * n, r1).T if left else core.reshape(r0, n * r1))
+        else:
+            ok = bool((np.diff(core.col_to_row) > 0).all())
+        if not ok:
             raise ContractViolationError(
                 f"core {k} is not {'left' if left else 'right'}-orthonormal; "
                 f"the train is not orthogonalized around pivot {pivot}"
             )
 
 
-def round_from_pivot(t: TTTensor, pivot: int, right_step, left_step) -> TTTensor:
+def _carry_into(core, carry: np.ndarray, left: bool, n: int) -> np.ndarray:
+    """Multiply ``carry`` into the bond of ``core`` that faces the pivot.
+
+    Left of the pivot that is the core's right bond, ``core @ carry``;
+    right of it the left bond, ``carry.T @ core``.  An index map's
+    product places the carry's rows (left) or columns (right) at the
+    kept rows and writes a dense core of mode extent ``n``.
+    """
+    if isinstance(core, np.ndarray):
+        if left:
+            return np.tensordot(core, carry, axes=(2, 0))
+        return np.tensordot(carry, core, axes=(0, 0))
+    # A product with the 0/1 core turns -0.0 into +0.0; so does this
+    # sum.  LAPACK reads the sign of a zero, so without it the SVDs
+    # downstream would differ from the dense route's in the last bits.
+    carry = carry + 0.0
+    rank = carry.shape[1]
+    if left:
+        out = np.zeros((core.n_rows, rank))
+        out[core.col_to_row] = carry
+        return out.reshape(-1, n, rank)
+    out = np.zeros((rank, core.n_rows))
+    out[:, core.col_to_row] = carry.T
+    return out.reshape(rank, n, -1)
+
+
+def round_from_pivot(t: TTTensor | IndexTrain, pivot: int, right_step, left_step) -> TTTensor:
     """Round a train that is orthogonalized around ``pivot``.
 
-    The cores left of the pivot must be left-orthonormal and those right
-    of it right-orthonormal, so the pivot core carries the norm; a train
-    built around a different pivot raises
+    ``t`` is a :class:`TTTensor` or an :class:`IndexTrain` built around
+    ``pivot``.  The cores left of the pivot must be left-orthonormal and
+    those right of it right-orthonormal, so the pivot core carries the
+    norm; a train built around a different pivot raises
     :class:`ContractViolationError`.  The rounding is a left-to-right
     sweep of truncated SVDs from the pivot to the last core, a
     right-to-left QR sweep back to the pivot, and a right-to-left sweep
     of truncated SVDs from the pivot to the first core.  At pivot 0 no
     left sweep follows, so the QR sweep is skipped and the last core
-    carries the norm.
+    carries the norm.  An index-map core becomes dense at the carry
+    into it, before its own step.
 
     ``right_step(k, m)`` truncates the ``(r_k n_k) x r_{k+1}`` unfolding
     of core ``k`` in the first sweep, ``left_step(k, m)`` the transposed
@@ -120,15 +212,16 @@ def round_from_pivot(t: TTTensor, pivot: int, right_step, left_step) -> TTTensor
     d = t.ndim
     _check_pivot(pivot, d)
     _check_pivot_orthogonal(t, pivot)
+    dims = t.dims
     cores = list(t.cores)
     for k in range(pivot, d - 1):
         r0, n, r1 = cores[k].shape
         res = right_step(k, cores[k].reshape(r0 * n, r1))
         if res.rank == 0:
-            return tt_zero(t.dims)
+            return tt_zero(dims)
         cores[k] = res.u.reshape(r0, n, res.rank)
         carry = res.vt.T * res.s  # (r1, rank)
-        cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=(0, 0))
+        cores[k + 1] = _carry_into(cores[k + 1], carry, False, dims[k + 1])
     if pivot == 0:
         return TTTensor(cores)
     _qr_sweep(cores, pivot)
@@ -136,10 +229,10 @@ def round_from_pivot(t: TTTensor, pivot: int, right_step, left_step) -> TTTensor
         r0, n, r1 = cores[k].shape
         res = left_step(k, cores[k].reshape(r0, n * r1).T)
         if res.rank == 0:
-            return tt_zero(t.dims)
+            return tt_zero(dims)
         cores[k] = np.ascontiguousarray(res.u.T).reshape(res.rank, n, r1)
         carry = res.vt.T * res.s  # (r0, rank)
-        cores[k - 1] = np.tensordot(cores[k - 1], carry, axes=(2, 0))
+        cores[k - 1] = _carry_into(cores[k - 1], carry, True, dims[k - 1])
     return TTTensor(cores)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sparsett import (
     ContractViolationError,
     DecompositionReport,
     FiberSet,
+    IndexTrain,
     QuasiPermMatrix,
     SparseTensor,
     TTTensor,
@@ -342,6 +344,35 @@ class TestParallelVectorRound:
         parallel_vector_round(s)
         assert float_ops.count == 0.0
 
+    def test_index_train_writes_the_same_cores(self, rng, monkeypatch):
+        # The deparallelisation's index form, written out, is the train
+        # that the fibers give directly; no map is deparallelised twice.
+        module = importlib.import_module("sparsett.fasttt")
+        t = rand_sparse(rng, (3, 4, 2, 5), 0.3)
+        for pivot in range(t.ndim):
+            s = build_structured_tt(t, pivot)
+            exact, direct = module._deparallelise(s), parallel_vector_round(s)
+            assert exact.ranks == direct.ranks
+            assert exact.num_params == direct.num_params
+            for k, core in enumerate(exact.cores):
+                assert isinstance(core, np.ndarray) == (k == pivot)
+            with monkeypatch.context() as m:
+                m.setattr(module, "depar_quasi_perm", None)
+                written = parallel_vector_round(exact)
+            assert all(map(np.array_equal, written.cores, direct.cores))
+
+    def test_index_train_refuses_misfit_cores(self, rng):
+        module = importlib.import_module("sparsett.fasttt")
+        exact = module._deparallelise(build_structured_tt(rand_sparse(rng, (3, 4, 5), 0.3), 1))
+        with pytest.raises(ValueError, match="3 modes need 3 cores"):
+            IndexTrain(exact.dims, 1, exact.cores[:2])
+        with pytest.raises(ValueError, match="core 1 does not fit"):
+            IndexTrain(exact.dims, 1, [exact.cores[0], exact.cores[1][:, :-1], exact.cores[2]])
+        q = exact.cores[0]
+        with pytest.raises(ValueError, match="core 0 does not fit"):
+            IndexTrain(exact.dims, 1, [QuasiPermMatrix(q.n_rows + 1, q.n_cols, q.col_to_row),
+                                       *exact.cores[1:]])
+
 
 class TestRoundingModes:
     @pytest.fixture
@@ -429,8 +460,69 @@ class TestRoundingModes:
         with pytest.raises(ContractViolationError):
             fixed_rank_rounding(tt, pivot + 1, 2)
 
+    def test_index_form_pivot_mismatch_raises(self, exact_train):
+        t, pivot, _ = exact_train
+        exact = importlib.import_module("sparsett.fasttt")._deparallelise(
+            build_structured_tt(t, pivot)
+        )
+        want = f"the train is in index form around pivot {pivot}, not {pivot + 1}"
+        for rounding, arg in [
+            (efficient_tt_rounding, 0.1), (dynamic_tt_rounding, 0.1), (fixed_rank_rounding, 2)
+        ]:
+            with pytest.raises(ContractViolationError) as info:
+                rounding(exact, pivot + 1, arg)
+            assert str(info.value) == want
+
+    @pytest.mark.parametrize(
+        "shape, density",
+        [
+            ((7,), 0.5),
+            ((6, 5), 0.3),
+            ((5, 4, 3), 0.3),
+            ((1, 4, 1, 3), 0.5),
+            ((3, 4, 2), 0.0),
+            ((3, 2, 4), 1.0),
+            ((4, 3, 5, 2), 0.25),
+            ((3, 4, 1, 3, 2), 0.3),
+            ((3, 2, 3, 2, 2, 3), 0.2),
+        ],
+    )
+    def test_index_form_matches_dense_route(self, rng, shape, density):
+        # The oracle: each public wrapper on the dense 0/1 exact train.
+        # The SVDs see the same matrices, so the trains are equal, not
+        # close (TestCarryIntoIndexMap checks the signs of zeros).
+        settings = [
+            ("static", {"eps": 0.2}, lambda e, p: efficient_tt_rounding(e, p, 0.2)),
+            ("static", {"eps": 1e-14}, lambda e, p: efficient_tt_rounding(e, p, 1e-14)),
+            ("dynamic", {"eps": 0.2}, lambda e, p: dynamic_tt_rounding(e, p, 0.2)),
+            ("fixed_rank", {"fixed_ranks": 2}, lambda e, p: fixed_rank_rounding(e, p, 2)),
+        ]
+        for t in (rand_sparse(rng, shape, density) for _ in range(6)):
+            for pivot in range(t.ndim):
+                dense = parallel_vector_round(build_structured_tt(t, pivot))
+                for mode, kwargs, rounding in settings:
+                    got, _ = fasttt(t, pivot=pivot, mode=mode, **kwargs)
+                    want = rounding(dense, pivot) if t.nnz else dense
+                    assert got.ranks == want.ranks, (pivot, mode)
+                    assert all(map(np.array_equal, got.cores, want.cores)), (pivot, mode)
+
 
 class TestFastTTDriver:
+    def test_peak_memory_below_the_dense_exact_train(self):
+        # Only the pivot core is dense before the rounding; each other
+        # core becomes dense at the carry into it.  Written densely, this
+        # exact train is 124 MiB (the dense route peaked at 142 MiB).
+        a = gen_random_sparse((10,) * 5 + (3,), 0.01, seed=1, fill_last_mode=True)
+        tracemalloc.start()
+        try:
+            _, rep = fasttt(a, 0.1, mode="dynamic")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        r = (1, *rep.ranks_lossless, 1)
+        dense = 8 * sum(r[k] * n * r[k + 1] for k, n in enumerate(a.shape))
+        assert peak < dense / 4, (peak, dense)
+
     def test_norm_that_overflows_refused(self):
         # 1e160 squared overflows float64: rounding against an inf norm
         # would return ranks (1, 1) with a nan error.
@@ -774,18 +866,34 @@ class TestErrorMeasures:
         with pytest.raises(ValueError, match="exceeds measurement cap"):
             tt_relative_error(exact, exact, norm=1.0, pivot=1)
 
-    def test_each_job_checks_the_exact_train_once(self, monkeypatch):
-        # One orthonormality scan per non-pivot core, by the rounding; the
-        # measure relies on it rather than scanning the right cores again.
+    def test_exact_train_checked_by_its_index_maps(self, monkeypatch):
+        # No dense core is scanned: the rounding checks the index maps,
+        # and the measure's reference is written from those same maps.
         ttsvd = importlib.import_module("sparsett.ttsvd")
-        real, scans = ttsvd._rows_orthonormal, []
-        monkeypatch.setattr(ttsvd, "_rows_orthonormal", lambda m: scans.append(m.shape) or real(m))
+        scans = []
+        monkeypatch.setattr(ttsvd, "_rows_orthonormal", lambda m: scans.append(m.shape))
         t = gen_random_sparse((4, 5, 4, 3), 0.3, seed=1)
         for pivot in range(t.ndim):
-            scans.clear()
             _, rep = fasttt(t, pivot=pivot)
             assert rep.eps_actual_method == "tt_difference"
-            assert len(scans) == t.ndim - 1, (pivot, scans)
+        assert scans == []
+        # A map whose kept rows do not increase is refused like a dense
+        # core that is not orthonormal.
+        module = importlib.import_module("sparsett.fasttt")
+        exact = module._deparallelise(build_structured_tt(t, 2))
+        for k, side in [(0, "left"), (3, "right")]:
+            q = exact.cores[k]
+            assert q.n_cols > 1
+            cores = list(exact.cores)
+            cores[k] = QuasiPermMatrix(q.n_rows, q.n_cols, q.col_to_row[::-1])
+            bad = IndexTrain(exact.dims, 2, cores)
+            for rounding in (efficient_tt_rounding, dynamic_tt_rounding):
+                with pytest.raises(ContractViolationError) as info:
+                    rounding(bad, 2, 0.1)
+                assert str(info.value) == (
+                    f"core {k} is not {side}-orthonormal; "
+                    "the train is not orthogonalized around pivot 2"
+                )
 
     def test_resolution_follows_the_method(self):
         # Read from the method, never passed, so no report can state a

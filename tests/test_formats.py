@@ -227,6 +227,19 @@ class TestCOOArrayParse:
             ingest_coo(path)
         assert str(info.value) == f"{path}:2: unparsable entry '{line}'"
 
+    @pytest.mark.parametrize("header", ["# shape 1_2 2", "# shape 12 2_0"])
+    def test_underscored_extent_refused(self, tmp_path, header):
+        # The header follows the body lines' grammar: int() alone would
+        # read '1_2' as extent 12 in both parsers.
+        path = tmp_path / "u.coo"
+        path.write_text(f"{header}\n1 2 0.5\n")
+        want = f"{path}:1: bad shape header: digit separator '_' in '{header}'"
+        assert formats._coo_arrays(path) is None
+        for parse in (formats._coo_lines, ingest_coo):
+            with pytest.raises(FormatError) as info:
+                parse(path)
+            assert str(info.value) == want
+
     @pytest.mark.parametrize(
         "body, msg",
         [

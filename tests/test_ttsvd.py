@@ -3,6 +3,7 @@ import pytest
 
 from sparsett import (
     ContractViolationError,
+    QuasiPermMatrix,
     TTTensor,
     efficient_tt_rounding,
     flops_ttsvd,
@@ -14,7 +15,7 @@ from sparsett import (
     tt_to_full,
 )
 from sparsett.linalg import qr_economic, svd_truncate_rank
-from sparsett.ttsvd import _rows_orthonormal
+from sparsett.ttsvd import _carry_into, _rows_orthonormal
 from conftest import einsum_qr_sweep, rand_tt, rank1_tt
 
 
@@ -201,6 +202,30 @@ class TestRoundFromPivot:
             assert str(info.value) == message
 
 
+class TestCarryIntoIndexMap:
+    # The carry into an index map is placed, not multiplied, yet it must
+    # give the bits of the product with the 0/1 core: LAPACK reads the
+    # sign of a zero, and the product turns every -0.0 into +0.0.
+    q = QuasiPermMatrix(6, 3, [0, 2, 5])
+    carry = np.array([[1.5, -0.0], [-0.0, 0.0], [-2.0, -0.0]])
+
+    def test_left_of_the_pivot(self):
+        dense = self.q.to_dense().reshape(2, 3, 3)
+        want = np.tensordot(dense, self.carry, axes=(2, 0))
+        got = _carry_into(self.q, self.carry, True, 3)
+        assert got.shape == want.shape == (2, 3, 2)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0]).any()
+
+    def test_right_of_the_pivot(self):
+        dense = np.ascontiguousarray(self.q.to_dense().T).reshape(3, 3, 2)
+        want = np.tensordot(self.carry, dense, axes=(0, 0))
+        got = _carry_into(self.q, self.carry, False, 3)
+        assert got.shape == want.shape == (2, 3, 2)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0]).any()
+
+
 class TestOrthonormalRows:
     @pytest.mark.parametrize(
         "m, want",
@@ -217,6 +242,8 @@ class TestOrthonormalRows:
         ],
     )
     def test_zero_one_rule_matches_gram_rule(self, m, want):
+        # 0/1 matrices have integral Gram matrices, so the 1e-8 test
+        # decides them exactly.
         m = np.array(m, dtype=np.float64)
         gram = np.abs(m @ m.T - np.eye(m.shape[0])).max() <= 1e-8
         assert _rows_orthonormal(m) == gram == want
