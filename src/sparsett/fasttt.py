@@ -3,20 +3,20 @@
 The pipeline converts a sparse tensor exactly into train format without
 touching a dense unfolding, then compresses:
 
-1.  Group the nonzeros into fibers along a pivot mode
-    (:func:`build_structured_tt`).  The :class:`FiberSet` it returns is
-    the exact train in index form: its non-pivot cores are
-    quasi-permutations (:class:`QuasiPermMatrix`), so integer index maps
-    describe them completely.
-2.  Deparallelise those cores by pure index arithmetic
-    (:func:`depar_quasi_perm`), still exact, shrinking every interior
-    bond from the fiber count to at most ``min(R, prod of extents on the
-    short side)``.  The result stays in index form
-    (:class:`~sparsett.ttsvd.IndexTrain`): only the pivot core is
-    written, every other core is the index map the sweep kept.
+1.  Build the exact train by index arithmetic alone
+    (:func:`build_structured_tt`).  Grouped into ``R`` fibers along a
+    pivot mode, the nonzeros form a train whose interior bonds are all
+    ``R`` and whose non-pivot cores are quasi-permutations
+    (:class:`~sparsett.ttsvd.QuasiPermMatrix`), so integer index maps
+    describe them completely.  Two inward sweeps deparallelise those
+    cores (:func:`depar_quasi_perm`), still exact, shrinking every
+    interior bond to at most ``min(R, prod of extents on the side away
+    from the pivot)``.  The result is the exact train's one form, an
+    :class:`~sparsett.ttsvd.IndexTrain`: only the pivot core is written,
+    every other core is the index map the sweep kept.
     :func:`parallel_vector_round` writes it out with dense 0/1 cores,
     which only the difference measure needs.
-3.  Round with truncated SVD sweeps that start at the pivot and move
+2.  Round with truncated SVD sweeps that start at the pivot and move
     outward.  :func:`~sparsett.ttsvd.round_from_pivot` runs the sweeps;
     an index-map core becomes dense at the carry into it.
     :func:`efficient_tt_rounding` (static per-step tolerance),
@@ -24,7 +24,7 @@ touching a dense unfolding, then compresses:
     :func:`fixed_rank_rounding` (prescribed bond ranks) only supply the
     truncation rule of each step.
 
-:func:`fasttt` drives all three stages and reports what happened;
+:func:`fasttt` drives both stages and reports what happened;
 :func:`select_p` picks the pivot by the SVD cost model.  The error is
 measured by :func:`tt_relative_error`, past its cap by
 :func:`sparse_inner_error`; ``_RESOLUTION`` states each one's resolution.
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SVDResult, one_blas_thread, qr_economic, svd_truncate_delta, svd_truncate_rank
-from .tensor import SparseTensor, _frozen, _integral, check_shape, linearize
+from .tensor import SparseTensor, check_shape, linearize
 from .ttformat import (
     TTTensor,
     tt_add,
@@ -51,6 +51,7 @@ from .ttformat import (
 )
 from .ttsvd import (
     IndexTrain,
+    QuasiPermMatrix,
     _check_eps,
     _check_index_pivot,
     _check_pivot,
@@ -63,8 +64,6 @@ from .ttsvd import (
 __all__ = [
     "float_ops",
     "DecompositionReport",
-    "FiberSet",
-    "QuasiPermMatrix",
     "depar_general",
     "depar_quasi_perm",
     "build_structured_tt",
@@ -122,112 +121,6 @@ class _FlopCounter:
 
 
 float_ops = _FlopCounter()
-
-
-class FiberSet:
-    """The exact train of a sparse tensor in index form: its nonzero
-    mode-``pivot`` fibers.
-
-    A fiber is the 1-d slice obtained by fixing every coordinate except
-    the pivot one.  Only fibers holding at least one nonzero are stored.
-    Fixed tuples are kept in lexicographic order; within a fiber the
-    pivot coordinates are ascending.  Storage is CSR-like: fiber ``i``
-    owns entries ``indptr[i]:indptr[i+1]``.
-
-    Read as a train, every interior bond equals the fiber count ``R``.
-    Non-pivot core ``k`` is the quasi-permutation that sends fiber ``i``
-    to row ``fixed_coords[i, k if k < pivot else k - 1]`` of its
-    unfolding, and the pivot core holds fiber ``i`` in diagonal slice
-    ``i``; nothing of size ``R * n * R`` is materialized.
-    """
-
-    __slots__ = ("shape", "pivot", "fixed_coords", "indptr", "pivot_index", "values")
-
-    def __init__(self, shape, pivot, fixed_coords, indptr, pivot_index, values):
-        dims = check_shape(shape)
-        d = len(dims)
-        _check_pivot(pivot, d)
-        fixed_coords = _frozen(_integral(fixed_coords, "fixed coordinate"), np.int64)
-        indptr = _frozen(_integral(indptr, "index pointer"), np.int64)
-        pivot_index = _frozen(_integral(pivot_index, "pivot index"), np.int64)
-        values = _frozen(values, np.float64)
-        r = fixed_coords.shape[0] if fixed_coords.ndim else 0
-        fixed_coords = fixed_coords.reshape(r, d - 1)
-        if indptr.shape != (r + 1,) or indptr[0] != 0 or indptr[-1] != values.shape[0]:
-            raise ValueError("inconsistent fiber index pointers")
-        if pivot_index.shape != values.shape:
-            raise ValueError("pivot_index and values must hold one entry per nonzero")
-        if (np.diff(indptr) < 1).any():
-            raise ValueError("every stored fiber must hold at least one nonzero")
-        rest_dims = dims[:pivot] + dims[pivot + 1 :]
-        try:
-            keys = linearize(rest_dims, fixed_coords) if rest_dims else np.zeros(r, np.int64)
-        except ValueError:
-            raise ValueError(f"fixed coordinates out of range for shape {dims}") from None
-        if ((pivot_index < 0) | (pivot_index >= dims[pivot])).any():
-            raise ValueError(f"pivot indices out of range for extent {dims[pivot]}")
-        steps = np.diff(pivot_index)
-        steps[indptr[1:-1] - 1] = 1  # each new fiber may restart low
-        if (steps <= 0).any():
-            raise ValueError("pivot indices must be strictly increasing within each fiber")
-        if (np.diff(keys) <= 0).any():
-            raise ValueError("fixed tuples must be strictly increasing")
-        object.__setattr__(self, "shape", dims)
-        object.__setattr__(self, "pivot", int(pivot))
-        object.__setattr__(self, "fixed_coords", fixed_coords)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "pivot_index", pivot_index)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberSet is immutable")
-
-    @property
-    def num_fibers(self) -> int:
-        return self.fixed_coords.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self.values.shape[0]
-
-
-class QuasiPermMatrix:
-    """A zero-one matrix with exactly one 1 per column.
-
-    Stored as the map from column to the row holding its 1, so products
-    and factorizations reduce to integer index arithmetic.
-    """
-
-    __slots__ = ("n_rows", "n_cols", "col_to_row")
-
-    def __init__(self, n_rows: int, n_cols: int, col_to_row):
-        n_rows = int(n_rows)
-        n_cols = int(n_cols)
-        col_to_row = _frozen(_integral(col_to_row, "row index"), np.int64)
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("matrix extents must be nonnegative")
-        if col_to_row.shape != (n_cols,):
-            raise ValueError(f"col_to_row must have shape ({n_cols},)")
-        if n_cols and (col_to_row.min() < 0 or col_to_row.max() >= n_rows):
-            raise ValueError("column map points outside the row range")
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "col_to_row", col_to_row)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuasiPermMatrix is immutable")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
-    def to_dense(self) -> np.ndarray:
-        m = np.zeros((self.n_rows, self.n_cols))
-        m[self.col_to_row, np.arange(self.n_cols)] = 1.0
-        return m
-
-    def __repr__(self) -> str:
-        return f"QuasiPermMatrix(shape={self.shape})"
 
 
 def depar_general(m):
@@ -312,46 +205,37 @@ def _fiber_keys(shape, lin: np.ndarray, pivot: int) -> np.ndarray:
     return lin // (shape[pivot] * inner) * inner + lin % inner
 
 
-def build_structured_tt(a: SparseTensor, pivot: int) -> FiberSet:
-    """Group the nonzeros of ``a`` into mode-``pivot`` fibers: the exact
-    train in index form.
+def build_structured_tt(a: SparseTensor, pivot: int) -> IndexTrain:
+    """The exact train of ``a`` around mode ``pivot``, in index form.
 
-    One stable sort by fiber key groups them.  The tensor is stored in
-    linear order, so the fixed tuples come out in lexicographic order
-    and the pivot coordinates ascend within each fiber.  The number of
-    fibers is bounded by ``nnz`` and by the number of possible fixed
-    tuples.  An empty tensor yields zero fibers, which round to the zero
-    train downstream rather than raising.
+    One stable sort by fiber key groups the nonzeros into their ``R``
+    mode-``pivot`` fibers.  The tensor is stored in linear order, so the
+    fixed tuples come out in lexicographic order and the pivot
+    coordinates ascend within each fiber.  Read as a train, every
+    interior bond is then ``R``, and core ``k`` off the pivot is the
+    quasi-permutation that sends fiber ``i`` to its fixed coordinate in
+    mode ``k``.  Sweeps inward from both edges toward the pivot replace
+    each such core by its deparallelised factor and push the index map
+    into the neighbor.  Only the pivot core is written: the fiber values
+    are placed, no floating-point arithmetic happens.  Every kept map
+    strictly increases, so the train is orthogonalized around the pivot.
+    An empty tensor yields ``R = 0`` and zero bonds, which round to the
+    zero train downstream rather than raising.
     """
     if not isinstance(a, SparseTensor):
         raise TypeError("build_structured_tt expects a SparseTensor")
-    _check_pivot(pivot, a.ndim)
-    keys = _fiber_keys(a.shape, linearize(a.shape, a.coords), pivot)
+    dims, d = a.shape, a.ndim
+    _check_pivot(pivot, d)
+    keys = _fiber_keys(dims, linearize(dims, a.coords), pivot)
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    return FiberSet(
-        a.shape,
-        pivot,
-        np.delete(a.coords[order[starts]], pivot, axis=1),
-        np.append(starts, a.nnz),
-        a.coords[order, pivot],
-        a.values[order],
-    )
-
-
-def _deparallelise(s: FiberSet) -> IndexTrain:
-    """Losslessly compress the exact train by deparallelisation, in index
-    form.
-
-    Sweeps inward from both edges toward the pivot, replacing each
-    quasi-permutation core by its deparallelised factor and pushing the
-    index map into the neighbor.  Only the pivot core is written: the
-    fiber values are placed, no floating-point arithmetic happens.  Every
-    kept map strictly increases, so the train is orthogonalized around
-    the pivot.
-    """
-    dims, pivot, r_total = s.shape, s.pivot, s.num_fibers
-    d = len(dims)
+    del keys
+    # Each fiber's first nonzero, whose coordinates off the pivot are the
+    # fiber's; each nonzero's pivot coordinate and value in fiber order.
+    first = order[starts]
+    pivot_index, values = a.coords[order, pivot], a.values[order]
+    del order  # the sort's arrays go before the sweeps
+    r_total = starts.size
     cores: list = [None] * d
     # t_map / s_map send each fiber to its row of the bond left / right
     # of the pivot core after the modes swept so far.
@@ -360,7 +244,7 @@ def _deparallelise(s: FiberSet) -> IndexTrain:
     for k in range(pivot):
         n = dims[k]
         cores[k], t_fac = depar_quasi_perm(
-            QuasiPermMatrix(r_prev * n, r_total, t_map * n + s.fixed_coords[:, k])
+            QuasiPermMatrix(r_prev * n, r_total, t_map * n + a.coords[first, k])
         )
         t_map, r_prev = t_fac.col_to_row, t_fac.n_rows
     s_map = np.zeros(r_total, dtype=np.int64)
@@ -368,31 +252,28 @@ def _deparallelise(s: FiberSet) -> IndexTrain:
     for k in range(d - 1, pivot, -1):
         n = dims[k]
         cores[k], t_fac = depar_quasi_perm(
-            QuasiPermMatrix(n * r_next, r_total, s.fixed_coords[:, k - 1] * r_next + s_map)
+            QuasiPermMatrix(n * r_next, r_total, a.coords[first, k] * r_next + s_map)
         )
         s_map, r_next = t_fac.col_to_row, t_fac.n_rows
     pivot_core = np.zeros((r_prev, dims[pivot], r_next))
-    per_entry = np.repeat(np.arange(r_total), np.diff(s.indptr))
-    pivot_core[t_map[per_entry], s.pivot_index, s_map[per_entry]] = s.values
+    per_entry = np.repeat(np.arange(r_total), np.diff(starts, append=a.nnz))
+    pivot_core[t_map[per_entry], pivot_index, s_map[per_entry]] = values
     cores[pivot] = pivot_core
-    return IndexTrain(dims, pivot, cores)
+    return IndexTrain(dims, pivot, cores, r_total)
 
 
-def parallel_vector_round(s) -> TTTensor:
-    """Losslessly compress the exact train by deparallelisation, and
-    write it out with dense cores.
+def parallel_vector_round(s: IndexTrain) -> TTTensor:
+    """The exact train ``s``, written out with dense cores.
 
-    ``s`` is a :class:`FiberSet`, or the :class:`IndexTrain` already
-    deparallelised from one.  The result is an ordinary train with the
-    same entries, whose cores left of the pivot are left-orthonormal and
-    right of it right-orthonormal: each index map becomes its 0/1 core.
+    The result is an ordinary train with the same entries, whose cores
+    left of the pivot are left-orthonormal and right of it
+    right-orthonormal: each index map becomes its 0/1 core.  A train of
+    zero fibers is written as the zero train.
     """
-    if isinstance(s, FiberSet):
-        if s.num_fibers == 0:
-            return tt_zero(s.shape)
-        s = _deparallelise(s)
-    elif not isinstance(s, IndexTrain):
-        raise TypeError("parallel_vector_round expects a FiberSet")
+    if not isinstance(s, IndexTrain):
+        raise TypeError("parallel_vector_round expects an IndexTrain")
+    if s.num_fibers == 0:
+        return tt_zero(s.dims)
     cores = list(s.cores)
     for k, q in enumerate(cores):
         if k < s.pivot:
@@ -729,9 +610,8 @@ def fasttt(
         eps_actual, method, inner = 0.0, "exact", 0.0
         flops_model, flops_ttsvd_model = 0.0, 0.0
     else:
-        fibers = build_structured_tt(a, pivot)
-        exact = _deparallelise(fibers)
-        num_fibers = fibers.num_fibers
+        exact = build_structured_tt(a, pivot)
+        num_fibers = exact.num_fibers
         ranks_lossless = exact.ranks[1:-1]
         small = exact.num_params <= _ONE_THREAD_PARAMS
         with one_blas_thread() if small else nullcontext():

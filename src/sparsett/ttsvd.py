@@ -4,7 +4,8 @@
 over the unfoldings, with a result within ``eps`` of the input in
 relative Frobenius norm.  :func:`round_from_pivot` is the one rounding
 sweep; the sparse pipeline runs it at its own pivot on the exact train
-in index form (:class:`IndexTrain`), with the step rules of
+in index form (:class:`IndexTrain`, whose cores off the pivot are
+:class:`QuasiPermMatrix` index maps), with the step rules of
 :mod:`sparsett.fasttt`.
 """
 
@@ -16,10 +17,12 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import svd_truncate_delta
-from .tensor import _frozen, check_shape
+from .tensor import _frozen, _integral, check_shape
 from .ttformat import TTTensor, _qr_sweep, tt_zero
 
-__all__ = ["tt_svd", "IndexTrain", "round_from_pivot", "flops_ttsvd", "full_ranks"]
+__all__ = [
+    "tt_svd", "QuasiPermMatrix", "IndexTrain", "round_from_pivot", "flops_ttsvd", "full_ranks"
+]
 
 
 def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
@@ -73,41 +76,95 @@ def _check_pivot(pivot: int, d: int) -> None:
         raise ValueError(f"pivot {pivot} out of range for {d} modes")
 
 
-class IndexTrain:
-    """A train orthogonalized around ``pivot`` whose other cores are
-    index maps, as the sparse pipeline's exact train is.
+class QuasiPermMatrix:
+    """A zero-one matrix with exactly one 1 per column.
 
-    ``cores[pivot]`` is dense.  Core ``k`` off the pivot is a
-    quasi-permutation (:class:`~sparsett.fasttt.QuasiPermMatrix`) with
-    one row per (bond, index) pair on the side away from the pivot,
-    ``r_k * n_k`` left of it and ``n_k * r_{k+1}`` right of it, and one
-    column per index of the bond that faces the pivot.  Written densely,
-    left core ``k`` unfolds to that ``(r_k n_k) x r_{k+1}`` matrix and
-    right core ``k`` to its ``r_k x (n_k r_{k+1})`` transpose; when the
-    kept rows of every map strictly increase, the train is orthogonalized
-    around ``pivot``, which :func:`round_from_pivot` checks.
+    Stored as the map from column to the row holding its 1, so products
+    and factorizations reduce to integer index arithmetic.
     """
 
-    __slots__ = ("dims", "pivot", "cores")
+    __slots__ = ("n_rows", "n_cols", "col_to_row")
 
-    def __init__(self, dims, pivot: int, cores):
+    def __init__(self, n_rows: int, n_cols: int, col_to_row):
+        n_rows = int(n_rows)
+        n_cols = int(n_cols)
+        col_to_row = _frozen(_integral(col_to_row, "row index"), np.int64)
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError("matrix extents must be nonnegative")
+        if col_to_row.shape != (n_cols,):
+            raise ValueError(f"col_to_row must have shape ({n_cols},)")
+        if n_cols and (col_to_row.min() < 0 or col_to_row.max() >= n_rows):
+            raise ValueError("column map points outside the row range")
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "n_cols", n_cols)
+        object.__setattr__(self, "col_to_row", col_to_row)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuasiPermMatrix is immutable")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n_rows, self.n_cols)
+
+    def to_dense(self) -> np.ndarray:
+        m = np.zeros((self.n_rows, self.n_cols))
+        m[self.col_to_row, np.arange(self.n_cols)] = 1.0
+        return m
+
+    def __repr__(self) -> str:
+        return f"QuasiPermMatrix(shape={self.shape})"
+
+
+class IndexTrain:
+    """A train orthogonalized around ``pivot`` whose other cores are
+    index maps: the sparse pipeline's exact train, as
+    :func:`~sparsett.fasttt.build_structured_tt` builds it.
+
+    ``cores[pivot]`` is dense.  Core ``k`` off the pivot is a
+    :class:`QuasiPermMatrix` with one row per (bond, index) pair on the
+    side away from the pivot, ``r_k * n_k`` left of it and
+    ``n_k * r_{k+1}`` right of it, and one column per index of the bond
+    that faces the pivot.  Written densely, left core ``k`` unfolds to
+    that ``(r_k n_k) x r_{k+1}`` matrix and right core ``k`` to its
+    ``r_k x (n_k r_{k+1})`` transpose; when the kept rows of every map
+    strictly increase, the train is orthogonalized around ``pivot``,
+    which :func:`round_from_pivot` checks.  ``num_fibers`` is the number
+    ``R`` of nonzero mode-``pivot`` fibers the train was grouped from;
+    no bond exceeds it.
+    """
+
+    __slots__ = ("dims", "pivot", "cores", "num_fibers")
+
+    def __init__(self, dims, pivot: int, cores, num_fibers: int):
         dims = check_shape(dims)
         _check_pivot(pivot, len(dims))
         cores = list(cores)
         if len(cores) != len(dims):
             raise ValueError(f"{len(dims)} modes need {len(dims)} cores, got {len(cores)}")
+        for k, c in enumerate(cores):
+            if k != pivot and not isinstance(c, QuasiPermMatrix):
+                raise TypeError(
+                    f"core {k} is off pivot {pivot}, so it must be a QuasiPermMatrix, "
+                    f"not {type(c).__name__}"
+                )
         cores[pivot] = _frozen(cores[pivot], np.float64)
+        num_fibers = int(num_fibers)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "pivot", int(pivot))
         object.__setattr__(self, "cores", tuple(cores))
+        object.__setattr__(self, "num_fibers", num_fibers)
         r = self.ranks
         for k, c in enumerate(cores):
-            shape = (r[k], dims[k], r[k + 1])
-            fits = c.shape == shape if k == pivot else c.n_rows * c.n_cols == math.prod(shape)
+            if k == pivot:
+                fits = c.shape == (r[k], dims[k], r[k + 1])
+            else:
+                fits = c.n_rows == (r[k] * dims[k] if k < pivot else dims[k] * r[k + 1])
             if not fits:
                 raise ValueError(
                     f"core {k} does not fit bonds {r[k]}, {r[k + 1]} and extent {dims[k]}"
                 )
+        if num_fibers < 0 or any(b > num_fibers for b in r[1:-1]):
+            raise ValueError(f"fiber count {num_fibers} is negative or below a bond of {r}")
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexTrain is immutable")

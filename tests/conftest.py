@@ -48,16 +48,20 @@ def einsum_qr_sweep(cores, stop):
         cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], r)
 
 
-def structured_to_tt(s):
-    """The exact train of a fiber set with its undeparallelised dense
-    cores: every interior bond is the fiber count, so only for small
-    cases."""
+def structured_to_tt(a, pivot):
+    """The exact train of ``a`` at ``pivot`` with its undeparallelised
+    dense cores, one bond index per nonzero mode-``pivot`` fiber: every
+    interior bond is the fiber count, so only for small cases.  The
+    fibers are grouped here, with ``np.unique`` over the coordinates off
+    the pivot, not by the package."""
     from sparsett import TTTensor, tt_zero
 
-    dims, pivot, r = s.shape, s.pivot, s.num_fibers
-    d = len(dims)
-    if r == 0:
+    dims, d = a.shape, a.ndim
+    if a.nnz == 0:
         return tt_zero(dims)
+    fixed, fiber = np.unique(np.delete(a.coords, pivot, axis=1), axis=0, return_inverse=True)
+    fiber = fiber.reshape(-1)
+    r = fixed.shape[0]
     beta = np.arange(r)
     cores = []
     for k in range(d):
@@ -65,14 +69,13 @@ def structured_to_tt(s):
         r1 = r if k < d - 1 else 1
         core = np.zeros((r0, dims[k], r1))
         if k == pivot:
-            per_entry = np.repeat(beta, np.diff(s.indptr))
-            left = per_entry if k > 0 else np.zeros(s.nnz, np.int64)
-            right = per_entry if k < d - 1 else np.zeros(s.nnz, np.int64)
-            core[left, s.pivot_index, right] = s.values
+            left = fiber if k > 0 else 0
+            right = fiber if k < d - 1 else 0
+            core[left, a.coords[:, pivot], right] = a.values
         else:
-            ik = s.fixed_coords[:, k if k < pivot else k - 1]
-            left = beta if k > 0 else np.zeros(r, np.int64)
-            right = beta if k < d - 1 else np.zeros(r, np.int64)
+            ik = fixed[:, k if k < pivot else k - 1]
+            left = beta if k > 0 else 0
+            right = beta if k < d - 1 else 0
             core[left, ik, right] = 1.0
         cores.append(core)
     return TTTensor(cores)

@@ -10,7 +10,6 @@ import sparsett
 from sparsett import (
     ContractViolationError,
     DecompositionReport,
-    FiberSet,
     IndexTrain,
     QuasiPermMatrix,
     SparseTensor,
@@ -56,32 +55,42 @@ def fiber_cases(rng):
 
 class TestFiberExtraction:
     def test_fiber_count_matches_set_oracle(self, rng):
+        # The oracle groups the nonzeros into a dict of fibers; the train
+        # must have that many, no bond above it or above the dense extent
+        # of its side away from the pivot, and every entry of the input.
         for t in fiber_cases(rng):
             for pivot in range(t.ndim):
                 fibers = {}
                 for c, v in zip(t.coords.tolist(), t.values.tolist()):
                     fibers.setdefault(tuple(np.delete(c, pivot)), []).append((c[pivot], v))
-                fs = build_structured_tt(t, pivot)
-                assert fs.num_fibers == len(fibers)
-                for i, fixed in enumerate(sorted(fibers)):
-                    lo, hi = fs.indptr[i], fs.indptr[i + 1]
-                    assert tuple(fs.fixed_coords[i]) == fixed
-                    assert list(zip(fs.pivot_index[lo:hi], fs.values[lo:hi])) == sorted(
-                        fibers[fixed]
-                    )
+                want = np.zeros(t.shape)
+                for fixed, entries in fibers.items():
+                    for i, v in entries:
+                        want[(*fixed[:pivot], i, *fixed[pivot:])] = v
+                s = build_structured_tt(t, pivot)
+                assert s.num_fibers == len(fibers)
+                for k in range(1, t.ndim):
+                    outer = math.prod(t.shape[:k] if k <= pivot else t.shape[k:])
+                    assert s.ranks[k] <= min(len(fibers), outer)
+                assert np.array_equal(tt_to_full(parallel_vector_round(s)), want)
 
     def test_fixed_tuples_sorted_and_distinct(self, rng):
+        # Fibers sorted by distinct fixed tuples leave every kept map
+        # strictly increasing: the train is orthogonalized around the pivot.
         for t in fiber_cases(rng):
             for pivot in range(t.ndim):
-                keys = [tuple(r) for r in build_structured_tt(t, pivot).fixed_coords]
-                assert keys == sorted(keys)
-                assert len(set(keys)) == len(keys)
+                s = build_structured_tt(t, pivot)
+                for k, q in enumerate(s.cores):
+                    if k != pivot:
+                        assert np.all(np.diff(q.col_to_row) > 0)
 
     def test_each_fiber_nonempty(self, rng):
+        # Every kept bond index carries a fiber that holds a nonzero.
         t = rand_sparse(rng, (6, 6), 0.2)
         for pivot in (0, 1):
-            fs = build_structured_tt(t, pivot)
-            assert np.all(np.diff(fs.indptr) >= 1)
+            core = build_structured_tt(t, pivot).cores[pivot]
+            assert np.all(np.count_nonzero(core, axis=(1, 2)) >= 1)
+            assert np.all(np.count_nonzero(core, axis=(0, 1)) >= 1)
 
     def test_bounds(self, rng):
         t = rand_sparse(rng, (4, 5, 6), 0.1)
@@ -93,79 +102,29 @@ class TestFiberExtraction:
         t = SparseTensor((3, 4), np.zeros((0, 2), dtype=np.int64), np.zeros(0))
         fs = build_structured_tt(t, 0)
         assert fs.num_fibers == 0
+        assert fs.ranks == (1, 0, 1)
 
     def test_full_mode_grouping(self):
         coords = np.array([[i, j] for i in range(3) for j in range(4)])
         t = SparseTensor((3, 4), coords, np.arange(1.0, 13.0))
         fs = build_structured_tt(t, 1)
         assert fs.num_fibers == 3
-        assert np.all(np.diff(fs.indptr) == 4)
+        assert np.all(np.count_nonzero(fs.cores[1], axis=(1, 2)) == 4)
 
 
 class TestFiberSetValidation:
-    def test_inconsistent_indptr_rejected(self):
-        fixed = np.array([[0], [1]])
-        for indptr in ([0, 1], [1, 2, 3], [0, 1, 2]):
-            with pytest.raises(ValueError, match="index pointers"):
-                FiberSet((2, 3), 1, fixed, indptr, [0, 1, 2], [1.0, 2.0, 3.0])
-
-    def test_immutable(self):
-        arrays = (
-            np.array([[0], [1]]),
-            np.array([0, 2, 3]),
-            np.array([0, 2, 1]),
-            np.array([1.0, 2.0, 3.0]),
-        )
-        s = FiberSet((2, 3), 1, *arrays)
-        stored = (s.fixed_coords, s.indptr, s.pivot_index, s.values)
-        for a, b in zip(arrays, stored):
-            assert a.flags.writeable and np.shares_memory(a, b)
-            with pytest.raises(ValueError, match="read-only"):
-                b[0] = 1
-        with pytest.raises(AttributeError):
-            s.pivot = 0
-
-    def test_non_integral_index_arrays_rejected(self):
-        arrays = ([[0], [1]], [0, 1, 2], [0, 1], [1.0, 2.0])
-        for k, (bad, named) in enumerate([
-            ([[0.5], [1]], r"fixed coordinate \(0\.5,\) is not integral"),
-            ([0, 1.5, 2], "index pointer 1.5 is not integral"),
-            ([0, np.nan], "pivot index nan is not integral"),
-        ]):
-            with pytest.raises(ValueError, match=named):
-                FiberSet((2, 3), 1, *arrays[:k], bad, *arrays[k + 1 :])
-        s = FiberSet((2, 3), 1, *(np.asarray(a, np.float64) for a in arrays))
-        assert s.fixed_coords.tolist() == [[0], [1]] and s.pivot_index.tolist() == [0, 1]
-
-    def test_empty_fiber_rejected(self):
-        with pytest.raises(ValueError, match="at least one nonzero"):
-            FiberSet((2, 3), 1, [[0], [1]], [0, 2, 2], [0, 1], [1.0, 2.0])
-
-    def test_fixed_coords_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            FiberSet((2, 3), 0, [[5]], [0, 1], [0], [1.0])
-        # One fiber has no order to check, but its range is still checked.
-        for fixed in ([[0, 4]], [[-1, 0]]):
-            with pytest.raises(
-                ValueError, match=r"fixed coordinates out of range for shape \(2, 3, 4\)"
-            ):
-                FiberSet((2, 3, 4), 1, fixed, [0, 1], [0], [1.0])
-        # With one mode there are no fixed coordinates to check.
-        s = FiberSet((3,), 0, np.zeros((1, 0)), [0, 2], [0, 2], [1.0, 2.0])
-        assert s.num_fibers == 1
-
-    def test_pivot_index_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            FiberSet((2, 3), 0, [[1]], [0, 1], [-1], [1.0])
-
-    def test_pivot_index_must_increase_within_fiber(self):
-        with pytest.raises(ValueError, match="strictly increasing within"):
-            FiberSet((2, 3), 0, [[1]], [0, 2], [0, 0], [1.0, 2.0])
-
-    def test_fixed_tuples_must_increase(self):
-        for fixed in ([[1], [0]], [[1], [1]]):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                FiberSet((2, 3), 1, fixed, [0, 1, 2], [0, 1], [1.0, 2.0])
+    def test_immutable(self, rng):
+        # The exact train of the fibers is immutable, and holds its pivot
+        # core as a read-only view that leaves the caller's array writable.
+        s = build_structured_tt(rand_sparse(rng, (3, 4, 2), 0.5), 1)
+        for name in ("pivot", "cores", "num_fibers"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            s.cores[1][0, 0, 0] = 1.0
+        core = np.array(s.cores[1])
+        t = IndexTrain(s.dims, 1, [s.cores[0], core, s.cores[2]], s.num_fibers)
+        assert core.flags.writeable and np.shares_memory(core, t.cores[1])
 
     def test_build_rejects_non_sparse_input(self):
         with pytest.raises(TypeError):
@@ -251,13 +210,13 @@ class TestDeparQuasiPerm:
             depar_quasi_perm(np.eye(3))
 
 
-def dense_parallel_round(s):
-    """Reference rounding that runs the general deparallelisation on
-    materialized cores, checking the quasi-permutation property of every
-    matrix it hands over."""
-    tt = structured_to_tt(s)
+def dense_parallel_round(a, pivot):
+    """Reference rounding that runs the general deparallelisation on the
+    materialized cores of ``a``'s fibers at ``pivot``, checking the
+    quasi-permutation property of every matrix it hands over."""
+    tt = structured_to_tt(a, pivot)
     cores = [c.copy() for c in tt.cores]
-    d, pv = tt.ndim, s.pivot
+    d, pv = tt.ndim, pivot
     for k in range(pv):
         r0, n, r1 = cores[k].shape
         m = cores[k].reshape(r0 * n, r1)
@@ -318,9 +277,8 @@ class TestParallelVectorRound:
     def test_matches_general_route_ranks(self, rng):
         t = rand_sparse(rng, (4, 3, 4), 0.25)
         for pivot in range(3):
-            s = build_structured_tt(t, pivot)
-            fast = parallel_vector_round(s)
-            ref = dense_parallel_round(s)
+            fast = parallel_vector_round(build_structured_tt(t, pivot))
+            ref = dense_parallel_round(t, pivot)
             assert fast.ranks == ref.ranks
             assert np.allclose(tt_to_full(ref), t.to_dense(), atol=1e-13)
 
@@ -345,33 +303,51 @@ class TestParallelVectorRound:
         assert float_ops.count == 0.0
 
     def test_index_train_writes_the_same_cores(self, rng, monkeypatch):
-        # The deparallelisation's index form, written out, is the train
-        # that the fibers give directly; no map is deparallelised twice.
+        # Writing the index form out does no deparallelisation: only the
+        # pivot core is dense, and each map becomes its 0/1 core.
         module = importlib.import_module("sparsett.fasttt")
         t = rand_sparse(rng, (3, 4, 2, 5), 0.3)
         for pivot in range(t.ndim):
-            s = build_structured_tt(t, pivot)
-            exact, direct = module._deparallelise(s), parallel_vector_round(s)
-            assert exact.ranks == direct.ranks
-            assert exact.num_params == direct.num_params
+            exact = build_structured_tt(t, pivot)
             for k, core in enumerate(exact.cores):
                 assert isinstance(core, np.ndarray) == (k == pivot)
             with monkeypatch.context() as m:
                 m.setattr(module, "depar_quasi_perm", None)
                 written = parallel_vector_round(exact)
-            assert all(map(np.array_equal, written.cores, direct.cores))
+            assert written.ranks == exact.ranks
+            assert sum(c.size for c in written.cores) == exact.num_params
+            assert np.array_equal(tt_to_full(written), t.to_dense())
+            with pytest.raises(TypeError, match="parallel_vector_round expects an IndexTrain"):
+                parallel_vector_round(written)
 
     def test_index_train_refuses_misfit_cores(self, rng):
-        module = importlib.import_module("sparsett.fasttt")
-        exact = module._deparallelise(build_structured_tt(rand_sparse(rng, (3, 4, 5), 0.3), 1))
+        exact = build_structured_tt(rand_sparse(rng, (3, 4, 5), 0.3), 1)
+        r = exact.num_fibers
         with pytest.raises(ValueError, match="3 modes need 3 cores"):
-            IndexTrain(exact.dims, 1, exact.cores[:2])
+            IndexTrain(exact.dims, 1, exact.cores[:2], r)
         with pytest.raises(ValueError, match="core 1 does not fit"):
-            IndexTrain(exact.dims, 1, [exact.cores[0], exact.cores[1][:, :-1], exact.cores[2]])
+            IndexTrain(exact.dims, 1, [exact.cores[0], exact.cores[1][:, :-1], exact.cores[2]], r)
         q = exact.cores[0]
         with pytest.raises(ValueError, match="core 0 does not fit"):
             IndexTrain(exact.dims, 1, [QuasiPermMatrix(q.n_rows + 1, q.n_cols, q.col_to_row),
-                                       *exact.cores[1:]])
+                                       *exact.cores[1:]], r)
+        # A dense core off the pivot is named, not read as a map.
+        dense = parallel_vector_round(exact).cores
+        with pytest.raises(TypeError, match="core 2 is off pivot 1, so it must be a QuasiPermMatrix"):
+            IndexTrain(exact.dims, 1, [*exact.cores[:2], dense[2]], r)
+        # Zero bonds leave the maps' row counts to check.
+        with pytest.raises(ValueError, match="core 0 does not fit bonds 1, 0 and extent 3"):
+            IndexTrain((3, 4, 5), 1, [QuasiPermMatrix(7, 0, []), np.zeros((0, 4, 0)),
+                                      QuasiPermMatrix(11, 0, [])], 0)
+        with pytest.raises(ValueError, match="core 2 does not fit bonds 0, 1 and extent 5"):
+            IndexTrain((3, 4, 5), 1, [QuasiPermMatrix(3, 0, []), np.zeros((0, 4, 0)),
+                                      QuasiPermMatrix(11, 0, [])], 0)
+        assert IndexTrain((3, 4, 5), 1, [QuasiPermMatrix(3, 0, []), np.zeros((0, 4, 0)),
+                                         QuasiPermMatrix(5, 0, [])], 0).ranks == (1, 0, 0, 1)
+        # The fiber count bounds every bond.
+        for bad in (-1, max(exact.ranks[1:-1]) - 1):
+            with pytest.raises(ValueError, match=f"fiber count {bad} is negative or below a bond"):
+                IndexTrain(exact.dims, 1, exact.cores, bad)
 
 
 class TestRoundingModes:
@@ -462,9 +438,7 @@ class TestRoundingModes:
 
     def test_index_form_pivot_mismatch_raises(self, exact_train):
         t, pivot, _ = exact_train
-        exact = importlib.import_module("sparsett.fasttt")._deparallelise(
-            build_structured_tt(t, pivot)
-        )
+        exact = build_structured_tt(t, pivot)
         want = f"the train is in index form around pivot {pivot}, not {pivot + 1}"
         for rounding, arg in [
             (efficient_tt_rounding, 0.1), (dynamic_tt_rounding, 0.1), (fixed_rank_rounding, 2)
@@ -879,14 +853,13 @@ class TestErrorMeasures:
         assert scans == []
         # A map whose kept rows do not increase is refused like a dense
         # core that is not orthonormal.
-        module = importlib.import_module("sparsett.fasttt")
-        exact = module._deparallelise(build_structured_tt(t, 2))
+        exact = build_structured_tt(t, 2)
         for k, side in [(0, "left"), (3, "right")]:
             q = exact.cores[k]
             assert q.n_cols > 1
             cores = list(exact.cores)
             cores[k] = QuasiPermMatrix(q.n_rows, q.n_cols, q.col_to_row[::-1])
-            bad = IndexTrain(exact.dims, 2, cores)
+            bad = IndexTrain(exact.dims, 2, cores, exact.num_fibers)
             for rounding in (efficient_tt_rounding, dynamic_tt_rounding):
                 with pytest.raises(ContractViolationError) as info:
                     rounding(bad, 2, 0.1)

@@ -236,9 +236,9 @@ class TestStructuredTT:
     def test_reconstruction_and_ranks(self, rng):
         t = rand_sparse(rng, (4, 3, 5), 0.3)
         for pivot in range(3):
-            s = build_structured_tt(t, pivot)
-            full = tt_to_full(structured_to_tt(s))
-            assert np.array_equal(full, t.to_dense())
+            oracle = structured_to_tt(t, pivot)
+            assert np.array_equal(tt_to_full(oracle), t.to_dense())
+            assert oracle.ranks[1] == build_structured_tt(t, pivot).num_fibers
 
 
 class TestTensorize:
