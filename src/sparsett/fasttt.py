@@ -13,12 +13,15 @@ touching a dense unfolding, then compresses:
     interior bond to at most ``min(R, prod of extents on the side away
     from the pivot)``.  The result is the exact train's one form, an
     :class:`~sparsett.ttsvd.IndexTrain`: only the pivot core is written,
-    every other core is the index map the sweep kept.
-    :func:`parallel_vector_round` writes it out with dense 0/1 cores,
-    which only the difference measure needs.
-2.  Round with truncated SVD sweeps that start at the pivot and move
-    outward.  :func:`~sparsett.ttsvd.round_from_pivot` runs the sweeps;
-    an index-map core becomes dense at the carry into it.
+    every other core is the index map the sweep kept.  Its constructor
+    checks that every map's kept rows strictly increase, so the train is
+    orthogonalized around its pivot.  :func:`parallel_vector_round`
+    writes it out with dense 0/1 cores, which only the difference
+    measure needs.
+2.  Round with truncated SVD sweeps that start at the train's pivot and
+    move outward.  :func:`~sparsett.ttsvd.round_from_pivot` takes only
+    an ``IndexTrain``, reads its pivot and runs the sweeps; an index-map
+    core becomes dense at the carry into it.
     :func:`efficient_tt_rounding` (static per-step tolerance),
     :func:`dynamic_tt_rounding` (tolerance re-absorbs unspent budget) and
     :func:`fixed_rank_rounding` (prescribed bond ranks) only supply the
@@ -53,7 +56,6 @@ from .ttsvd import (
     IndexTrain,
     QuasiPermMatrix,
     _check_eps,
-    _check_index_pivot,
     _check_pivot,
     _input_norm,
     flops_ttsvd,
@@ -285,36 +287,37 @@ def parallel_vector_round(s: IndexTrain) -> TTTensor:
     return TTTensor(cores)
 
 
-def _unit_allowance(t: TTTensor | IndexTrain, pivot: int, eps: float) -> float:
-    """``eps * norm / (sqrt(p) + sqrt(d - 1 - p))`` for 0-based pivot ``p``.
+def _unit_allowance(t: IndexTrain, eps: float) -> float:
+    """``eps * norm / (sqrt(p) + sqrt(d - 1 - p))`` for the 0-based pivot
+    ``p`` of ``t``.
 
     With orthonormal cores on both sides the pivot core carries the
     norm.  Spending this much on each of the ``d - 1`` steps keeps the
     accumulated error within ``eps * norm``.
     """
+    if not isinstance(t, IndexTrain):
+        raise TypeError("the rounding expects an IndexTrain")
     _check_eps(eps)
-    d = t.ndim
-    _check_pivot(pivot, d)
-    _check_index_pivot(t, pivot)
+    d, pivot = t.ndim, t.pivot
     if d == 1:
         return 0.0
     norm = float(np.linalg.norm(t.cores[pivot].ravel()))
     return eps * norm / (math.sqrt(pivot) + math.sqrt(d - 1 - pivot))
 
 
-def efficient_tt_rounding(t: TTTensor | IndexTrain, pivot: int, eps: float) -> TTTensor:
+def efficient_tt_rounding(t: IndexTrain, eps: float) -> TTTensor:
     """Round an exact train with a static per-step tolerance.
 
     Every SVD step uses ``eps * norm / (sqrt(p - 1) + sqrt(d - p))``
-    (1-based pivot ``p``), which keeps the accumulated error within
-    ``eps * norm``.
+    (1-based pivot ``p`` of ``t``), which keeps the accumulated error
+    within ``eps * norm``.
     """
-    delta = _unit_allowance(t, pivot, eps)
+    delta = _unit_allowance(t, eps)
     step = lambda k, m: svd_truncate_delta(m, delta)
-    return round_from_pivot(t, pivot, step, step)
+    return round_from_pivot(t, step, step)
 
 
-def dynamic_tt_rounding(t: TTTensor | IndexTrain, pivot: int, eps: float) -> TTTensor:
+def dynamic_tt_rounding(t: IndexTrain, eps: float) -> TTTensor:
     """Round with per-step tolerances that re-absorb unspent budget.
 
     The total allowance ``eps * norm`` is split between the two sweeps
@@ -322,8 +325,8 @@ def dynamic_tt_rounding(t: TTTensor | IndexTrain, pivot: int, eps: float) -> TTT
     step takes ``remaining / sqrt(steps left)`` and the remainder is
     recomputed from what the truncation actually discarded.
     """
-    unit = _unit_allowance(t, pivot, eps)
-    d = t.ndim
+    unit = _unit_allowance(t, eps)
+    d, pivot = t.ndim, t.pivot
     left = [math.sqrt(pivot) * unit]
     right = [math.sqrt(d - 1 - pivot) * unit]
 
@@ -333,7 +336,7 @@ def dynamic_tt_rounding(t: TTTensor | IndexTrain, pivot: int, eps: float) -> TTT
         return res
 
     return round_from_pivot(
-        t, pivot, lambda k, m: spend(right, d - 1 - k, m), lambda k, m: spend(left, k, m)
+        t, lambda k, m: spend(right, d - 1 - k, m), lambda k, m: spend(left, k, m)
     )
 
 
@@ -345,7 +348,7 @@ def _rank_targets(shape, ranks) -> tuple[int, ...]:
     return targets
 
 
-def fixed_rank_rounding(t: TTTensor | IndexTrain, pivot: int, ranks) -> TTTensor:
+def fixed_rank_rounding(t: IndexTrain, ranks) -> TTTensor:
     """Round to prescribed interior bond ranks.
 
     ``ranks`` is one target for every bond, the interior targets or the
@@ -355,7 +358,6 @@ def fixed_rank_rounding(t: TTTensor | IndexTrain, pivot: int, ranks) -> TTTensor
     targets = _rank_targets(t.dims, ranks)
     return round_from_pivot(
         t,
-        pivot,
         lambda k, m: svd_truncate_rank(m, targets[k + 1]),
         lambda k, m: svd_truncate_rank(m, targets[k]),
     )
@@ -441,10 +443,10 @@ def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float, pivot:
 
     ``reference`` must be right-orthonormal right of ``pivot``, as the
     exact train is at the pivot it was built for.  That is not checked
-    here: :func:`fasttt` passes the train written from the index maps
-    that :func:`~sparsett.ttsvd.round_from_pivot` checked a moment
-    earlier at the same pivot.  Those cores are never factored.  A sweep
-    from the last core to the pivot writes the
+    here: :func:`fasttt` passes the train written from an
+    :class:`~sparsett.ttsvd.IndexTrain` around the same pivot, whose
+    constructor checked its index maps.  Those cores are never
+    factored.  A sweep from the last core to the pivot writes the
     right interface of ``approx`` in the basis of the reference's
     interface plus an orthonormal residual: two Gram-Schmidt passes
     against the reference core, then one QR of the residual, whose width
@@ -577,9 +579,10 @@ def fasttt(
         Bond targets, for fixed-rank mode only: one int for every bond,
         the interior targets or the full vector with unit edges.
 
-    Returns ``(train, report)``; the rounding checks the exact train's
-    orthonormality on its index maps.  Raises ``ValueError`` when the
-    norm of ``a`` overflows float64.
+    Returns ``(train, report)``; the exact train's constructor checks
+    its orthonormality on its index maps, and the rounding starts at its
+    pivot.  Raises ``ValueError`` when the norm of ``a`` overflows
+    float64.
     """
     if not isinstance(a, SparseTensor):
         raise TypeError("fasttt expects a SparseTensor")
@@ -616,15 +619,15 @@ def fasttt(
         small = exact.num_params <= _ONE_THREAD_PARAMS
         with one_blas_thread() if small else nullcontext():
             if mode == "static":
-                tt = efficient_tt_rounding(exact, pivot, eps)
+                tt = efficient_tt_rounding(exact, eps)
             elif mode == "dynamic":
-                tt = dynamic_tt_rounding(exact, pivot, eps)
+                tt = dynamic_tt_rounding(exact, eps)
             else:
-                tt = fixed_rank_rounding(exact, pivot, fixed_ranks)
+                tt = fixed_rank_rounding(exact, fixed_ranks)
 
             inner = sparse_inner_error(a, tt)
             if _difference_size(a.shape, exact.ranks, tt.ranks) <= _ERROR_MEASURE_CAP:
-                # round_from_pivot checked the maps of ``exact`` at this pivot.
+                # IndexTrain checked the maps of ``exact``, built at this pivot.
                 reference = parallel_vector_round(exact)
                 eps_actual = tt_relative_error(reference, tt, norm=norm_a, pivot=pivot)
                 method = "tt_difference"

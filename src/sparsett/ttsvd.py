@@ -3,9 +3,9 @@
 :func:`tt_svd` is the reference construction: sequential truncated SVDs
 over the unfoldings, with a result within ``eps`` of the input in
 relative Frobenius norm.  :func:`round_from_pivot` is the one rounding
-sweep; the sparse pipeline runs it at its own pivot on the exact train
-in index form (:class:`IndexTrain`, whose cores off the pivot are
-:class:`QuasiPermMatrix` index maps), with the step rules of
+sweep.  It takes the exact train in index form (:class:`IndexTrain`,
+whose cores off the pivot are :class:`QuasiPermMatrix` index maps) and
+starts at that train's pivot, with the step rules of
 :mod:`sparsett.fasttt`.
 """
 
@@ -126,11 +126,13 @@ class IndexTrain:
     ``n_k * r_{k+1}`` right of it, and one column per index of the bond
     that faces the pivot.  Written densely, left core ``k`` unfolds to
     that ``(r_k n_k) x r_{k+1}`` matrix and right core ``k`` to its
-    ``r_k x (n_k r_{k+1})`` transpose; when the kept rows of every map
-    strictly increase, the train is orthogonalized around ``pivot``,
-    which :func:`round_from_pivot` checks.  ``num_fibers`` is the number
-    ``R`` of nonzero mode-``pivot`` fibers the train was grouped from;
-    no bond exceeds it.
+    ``r_k x (n_k r_{k+1})`` transpose.  The kept rows of every map must
+    strictly increase: the map's columns are then distinct standard
+    basis vectors, so the train is orthogonalized around ``pivot``.  A
+    map that breaks this raises :class:`ContractViolationError`, so every
+    ``IndexTrain`` can be rounded.  ``num_fibers`` is the number ``R`` of
+    nonzero mode-``pivot`` fibers the train was grouped from; no bond
+    exceeds it.
     """
 
     __slots__ = ("dims", "pivot", "cores", "num_fibers")
@@ -163,6 +165,11 @@ class IndexTrain:
                 raise ValueError(
                     f"core {k} does not fit bonds {r[k]}, {r[k + 1]} and extent {dims[k]}"
                 )
+            if k != pivot and not (np.diff(c.col_to_row) > 0).all():
+                raise ContractViolationError(
+                    f"core {k} is not {'left' if k < pivot else 'right'}-orthonormal; "
+                    f"the train is not orthogonalized around pivot {pivot}"
+                )
         if num_fibers < 0 or any(b > num_fibers for b in r[1:-1]):
             raise ValueError(f"fiber count {num_fibers} is negative or below a bond of {r}")
 
@@ -185,53 +192,15 @@ class IndexTrain:
         return sum(r[k] * n * r[k + 1] for k, n in enumerate(self.dims))
 
 
-def _rows_orthonormal(m: np.ndarray) -> bool:
-    """Whether the rows of ``m`` are orthonormal, to 1e-8 in every entry
-    of the Gram matrix."""
-    return bool(np.abs(m @ m.T - np.eye(m.shape[0])).max() <= 1e-8)
-
-
-def _check_index_pivot(t: TTTensor | IndexTrain, pivot: int) -> None:
-    # Only the pivot core of an index-form train is dense.
-    if isinstance(t, IndexTrain) and t.pivot != pivot:
-        raise ContractViolationError(
-            f"the train is in index form around pivot {t.pivot}, not {pivot}"
-        )
-
-
-def _check_pivot_orthogonal(t: TTTensor | IndexTrain, pivot: int) -> None:
-    # The outward sweeps assume the cores left of the pivot are
-    # column-orthonormal and those right of it row-orthonormal.  An
-    # index map is so when its kept rows strictly increase: its columns
-    # are then distinct standard basis vectors.
-    _check_index_pivot(t, pivot)
-    for k in (*range(pivot), *range(pivot + 1, t.ndim)):
-        core = t.cores[k]
-        left = k < pivot
-        if isinstance(core, np.ndarray):
-            r0, n, r1 = core.shape
-            ok = _rows_orthonormal(core.reshape(r0 * n, r1).T if left else core.reshape(r0, n * r1))
-        else:
-            ok = bool((np.diff(core.col_to_row) > 0).all())
-        if not ok:
-            raise ContractViolationError(
-                f"core {k} is not {'left' if left else 'right'}-orthonormal; "
-                f"the train is not orthogonalized around pivot {pivot}"
-            )
-
-
-def _carry_into(core, carry: np.ndarray, left: bool, n: int) -> np.ndarray:
-    """Multiply ``carry`` into the bond of ``core`` that faces the pivot.
+def _carry_into(core: QuasiPermMatrix, carry: np.ndarray, left: bool, n: int) -> np.ndarray:
+    """Multiply ``carry`` into the bond of the index map ``core`` that
+    faces the pivot.
 
     Left of the pivot that is the core's right bond, ``core @ carry``;
-    right of it the left bond, ``carry.T @ core``.  An index map's
-    product places the carry's rows (left) or columns (right) at the
-    kept rows and writes a dense core of mode extent ``n``.
+    right of it the left bond, ``carry.T @ core``.  The product places
+    the carry's rows (left) or columns (right) at the kept rows and
+    writes a dense core of mode extent ``n``.
     """
-    if isinstance(core, np.ndarray):
-        if left:
-            return np.tensordot(core, carry, axes=(2, 0))
-        return np.tensordot(carry, core, axes=(0, 0))
     # A product with the 0/1 core turns -0.0 into +0.0; so does this
     # sum.  LAPACK reads the sign of a zero, so without it the SVDs
     # downstream would differ from the dense route's in the last bits.
@@ -246,30 +215,28 @@ def _carry_into(core, carry: np.ndarray, left: bool, n: int) -> np.ndarray:
     return out.reshape(rank, n, -1)
 
 
-def round_from_pivot(t: TTTensor | IndexTrain, pivot: int, right_step, left_step) -> TTTensor:
-    """Round a train that is orthogonalized around ``pivot``.
+def round_from_pivot(t: IndexTrain, right_step, left_step) -> TTTensor:
+    """Round the exact train ``t`` from its pivot outward.
 
-    ``t`` is a :class:`TTTensor` or an :class:`IndexTrain` built around
-    ``pivot``.  The cores left of the pivot must be left-orthonormal and
-    those right of it right-orthonormal, so the pivot core carries the
-    norm; a train built around a different pivot raises
-    :class:`ContractViolationError`.  The rounding is a left-to-right
-    sweep of truncated SVDs from the pivot to the last core, a
-    right-to-left QR sweep back to the pivot, and a right-to-left sweep
-    of truncated SVDs from the pivot to the first core.  At pivot 0 no
-    left sweep follows, so the QR sweep is skipped and the last core
-    carries the norm.  An index-map core becomes dense at the carry
-    into it, before its own step.
+    ``t`` is an :class:`IndexTrain`, whose constructor checked that it
+    is orthogonalized around ``t.pivot``: the cores left of the pivot
+    are left-orthonormal and those right of it right-orthonormal, so the
+    pivot core carries the norm.  The rounding is a left-to-right sweep
+    of truncated SVDs from the pivot to the last core, a right-to-left
+    QR sweep back to the pivot, and a right-to-left sweep of truncated
+    SVDs from the pivot to the first core.  At pivot 0 no left sweep
+    follows, so the QR sweep is skipped and the last core carries the
+    norm.  An index-map core becomes dense at the carry into it, before
+    its own step.
 
     ``right_step(k, m)`` truncates the ``(r_k n_k) x r_{k+1}`` unfolding
     of core ``k`` in the first sweep, ``left_step(k, m)`` the transposed
     ``(n_k r_{k+1}) x r_k`` unfolding in the last; both return an
     :class:`SVDResult`.  A step that keeps rank 0 yields the zero train.
     """
-    d = t.ndim
-    _check_pivot(pivot, d)
-    _check_pivot_orthogonal(t, pivot)
-    dims = t.dims
+    if not isinstance(t, IndexTrain):
+        raise TypeError("round_from_pivot expects an IndexTrain")
+    d, pivot, dims = t.ndim, t.pivot, t.dims
     cores = list(t.cores)
     for k in range(pivot, d - 1):
         r0, n, r1 = cores[k].shape

@@ -29,11 +29,21 @@ def rand_tt(rng: np.random.Generator, dims, ranks):
     return TTTensor(cores)
 
 
-def rank1_tt(vectors):
-    """Train of the outer product of the given mode vectors."""
-    from sparsett import TTTensor
+def rand_index_train(rng: np.random.Generator, dims, ranks, pivot):
+    """Random train in index form around ``pivot`` with the given
+    interior ranks: each map keeps a random increasing set of rows, and
+    the pivot core is Gaussian."""
+    from sparsett import IndexTrain, QuasiPermMatrix
 
-    return TTTensor([np.asarray(v, dtype=np.float64).reshape(1, -1, 1) for v in vectors])
+    r = (1, *ranks, 1)
+    cores = []
+    for k, n in enumerate(dims):
+        if k == pivot:
+            cores.append(rng.standard_normal((r[k], n, r[k + 1])))
+        else:
+            rows, cols = (r[k] * n, r[k + 1]) if k < pivot else (n * r[k + 1], r[k])
+            cores.append(QuasiPermMatrix(rows, cols, np.sort(rng.choice(rows, cols, replace=False))))
+    return IndexTrain(dims, pivot, cores, max(r))
 
 
 def einsum_qr_sweep(cores, stop):
@@ -46,6 +56,38 @@ def einsum_qr_sweep(cores, stop):
         q, r = qr_economic(cores[k].reshape(r0, n * r1).T)
         cores[k] = q.T.reshape(-1, n, r1)
         cores[k - 1] = np.einsum("abc,dc->abd", cores[k - 1], r)
+
+
+def dense_round_from_pivot(cores, pivot, right_step, left_step):
+    """Reference rounding: the sweeps of ``round_from_pivot`` on dense
+    cores orthogonalized around ``pivot``, with every carry a
+    ``tensordot`` into the neighbouring core.  Run on the cores that
+    ``parallel_vector_round`` writes, it is the dense route the
+    index-form carries must match bit for bit."""
+    from sparsett import TTTensor, tt_zero
+    from sparsett.ttformat import _qr_sweep
+
+    cores = list(cores)
+    d = len(cores)
+    dims = tuple(c.shape[1] for c in cores)
+    for k in range(pivot, d - 1):
+        r0, n, r1 = cores[k].shape
+        res = right_step(k, cores[k].reshape(r0 * n, r1))
+        if res.rank == 0:
+            return tt_zero(dims)
+        cores[k] = res.u.reshape(r0, n, res.rank)
+        cores[k + 1] = np.tensordot(res.vt.T * res.s, cores[k + 1], axes=(0, 0))
+    if pivot == 0:
+        return TTTensor(cores)
+    _qr_sweep(cores, pivot)
+    for k in range(pivot, 0, -1):
+        r0, n, r1 = cores[k].shape
+        res = left_step(k, cores[k].reshape(r0, n * r1).T)
+        if res.rank == 0:
+            return tt_zero(dims)
+        cores[k] = np.ascontiguousarray(res.u.T).reshape(res.rank, n, r1)
+        cores[k - 1] = np.tensordot(cores[k - 1], res.vt.T * res.s, axes=(2, 0))
+    return TTTensor(cores)
 
 
 def structured_to_tt(a, pivot):

@@ -510,8 +510,8 @@ class TestBench:
         pipeline = importlib.import_module("sparsett.fasttt")
         round_static = pipeline.efficient_tt_rounding
 
-        def scaled(t, pivot, eps):
-            cores = list(round_static(t, pivot, eps).cores)
+        def scaled(t, eps):
+            cores = list(round_static(t, eps).cores)
             cores[0] = cores[0] * 1.01
             return pipeline.TTTensor(cores)
 

@@ -26,6 +26,7 @@ from sparsett import (
     gen_fdm,
     gen_random_sparse,
     parallel_vector_round,
+    round_from_pivot,
     select_p,
     sparse_inner_error,
     tensorize_matrix,
@@ -37,7 +38,14 @@ from sparsett import (
     tt_zero,
 )
 from sparsett.fasttt import tt_relative_error
-from conftest import full_sweep_relative_error, rand_sparse, rand_tt, structured_to_tt
+from sparsett.linalg import svd_truncate_rank
+from conftest import (
+    dense_round_from_pivot,
+    full_sweep_relative_error,
+    rand_sparse,
+    rand_tt,
+    structured_to_tt,
+)
 
 
 def fiber_cases(rng):
@@ -354,61 +362,60 @@ class TestRoundingModes:
     @pytest.fixture
     def exact_train(self, rng):
         t = rand_sparse(rng, (5, 4, 6, 3), 0.2)
-        pivot = 1
-        return t, pivot, parallel_vector_round(build_structured_tt(t, pivot))
+        return t, build_structured_tt(t, 1)
 
     def test_static_error_contract(self, exact_train):
-        t, pivot, tt = exact_train
+        t, exact = exact_train
         dense = t.to_dense()
         norm = np.linalg.norm(dense)
         for eps in (0.5, 0.1, 0.01, 1e-14):
-            out = efficient_tt_rounding(tt, pivot, eps)
+            out = efficient_tt_rounding(exact, eps)
             rel = np.linalg.norm(tt_to_full(out) - dense) / norm
             assert rel <= eps + 1e-12
 
     def test_dynamic_error_contract(self, exact_train):
-        t, pivot, tt = exact_train
+        t, exact = exact_train
         dense = t.to_dense()
         norm = np.linalg.norm(dense)
         for eps in (0.5, 0.1, 0.01, 1e-14):
-            out = dynamic_tt_rounding(tt, pivot, eps)
+            out = dynamic_tt_rounding(exact, eps)
             rel = np.linalg.norm(tt_to_full(out) - dense) / norm
             assert rel <= eps + 1e-12
 
     def test_near_lossless_matches_oracle_ranks(self, exact_train):
-        t, pivot, tt = exact_train
-        out = efficient_tt_rounding(tt, pivot, 1e-14)
+        t, exact = exact_train
+        out = efficient_tt_rounding(exact, 1e-14)
         oracle = tt_svd(t.to_dense(), 1e-14)
         assert out.ranks == oracle.ranks
 
     def test_huge_budget_gives_zero_train(self, exact_train):
-        t, pivot, tt = exact_train
-        out = efficient_tt_rounding(tt, pivot, 1.5)
+        t, exact = exact_train
+        out = efficient_tt_rounding(exact, 1.5)
         assert np.array_equal(tt_to_full(out), np.zeros(t.shape))
 
     def test_fixed_rank_targets(self, exact_train):
-        t, pivot, tt = exact_train
-        lossless = tt.ranks[1:-1]
-        out = fixed_rank_rounding(tt, pivot, lossless)
+        t, exact = exact_train
+        lossless = exact.ranks[1:-1]
+        out = fixed_rank_rounding(exact, lossless)
         assert np.allclose(
             tt_to_full(out), t.to_dense(), atol=1e-12 * np.linalg.norm(t.values)
         )
-        out = fixed_rank_rounding(tt, pivot, 1)
+        out = fixed_rank_rounding(exact, 1)
         assert all(r == 1 for r in out.ranks[1:-1])
 
     def test_fixed_rank_clamps(self, exact_train):
-        t, pivot, tt = exact_train
-        out = fixed_rank_rounding(tt, pivot, 999)
+        _, exact = exact_train
+        out = fixed_rank_rounding(exact, 999)
         assert all(
-            r <= rt for r, rt in zip(out.ranks, tt.ranks)
+            r <= rt for r, rt in zip(out.ranks, exact.ranks)
         )
 
     def test_fixed_rank_error_above_unfolding_tail(self, exact_train):
         # no rank-r train can beat the best rank-r approximation of any
         # unfolding, so the achieved error must dominate that tail
-        t, pivot, tt = exact_train
+        t, exact = exact_train
         dense = t.to_dense()
-        out = fixed_rank_rounding(tt, pivot, 2)
+        out = fixed_rank_rounding(exact, 2)
         err = np.linalg.norm(tt_to_full(out) - dense)
         for k in range(1, t.ndim):
             m = dense.reshape(math.prod(t.shape[:k]), -1)
@@ -418,34 +425,47 @@ class TestRoundingModes:
             assert err >= tail - 1e-10
 
     def test_negative_eps_rejected(self, exact_train):
-        t, pivot, tt = exact_train
+        t, exact = exact_train
         for eps in (-1.0, float("nan"), math.inf):
             with pytest.raises(ValueError):
-                efficient_tt_rounding(tt, pivot, eps)
+                efficient_tt_rounding(exact, eps)
             with pytest.raises(ValueError):
-                dynamic_tt_rounding(tt, pivot, eps)
+                dynamic_tt_rounding(exact, eps)
             with pytest.raises(ValueError):
                 fasttt(t, eps=eps)
 
-    def test_pivot_mismatch_raises(self, exact_train):
-        _, pivot, tt = exact_train
-        with pytest.raises(ContractViolationError):
-            efficient_tt_rounding(tt, pivot + 1, 0.1)
-        with pytest.raises(ContractViolationError):
-            dynamic_tt_rounding(tt, pivot + 1, 0.1)
-        with pytest.raises(ContractViolationError):
-            fixed_rank_rounding(tt, pivot + 1, 2)
-
-    def test_index_form_pivot_mismatch_raises(self, exact_train):
-        t, pivot, _ = exact_train
-        exact = build_structured_tt(t, pivot)
-        want = f"the train is in index form around pivot {pivot}, not {pivot + 1}"
+    def test_dense_train_refused(self, exact_train):
+        # The rounding reads the pivot off the exact train in index form;
+        # the same train written with dense cores carries no pivot.
+        _, exact = exact_train
+        dense = parallel_vector_round(exact)
+        step = lambda k, m: svd_truncate_rank(m, 2)
+        with pytest.raises(TypeError, match="round_from_pivot expects an IndexTrain"):
+            round_from_pivot(dense, step, step)
         for rounding, arg in [
             (efficient_tt_rounding, 0.1), (dynamic_tt_rounding, 0.1), (fixed_rank_rounding, 2)
         ]:
-            with pytest.raises(ContractViolationError) as info:
-                rounding(exact, pivot + 1, arg)
-            assert str(info.value) == want
+            with pytest.raises(TypeError, match="expects an IndexTrain"):
+                rounding(dense, arg)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (3, 4, 2, 5)], ids=lambda s: f"d{len(s)}")
+    def test_empty_tensor_rounds_to_the_zero_train(self, shape):
+        # fasttt returns before the rounding when nnz is 0, so only this
+        # test rounds a train of zero fibers.
+        t = SparseTensor(shape, np.zeros((0, len(shape)), dtype=np.int64), np.zeros(0))
+        zero = tt_zero(shape)
+        for pivot in range(len(shape)):
+            exact = build_structured_tt(t, pivot)
+            assert exact.num_fibers == 0
+            assert exact.ranks[1:-1] == (0,) * (len(shape) - 1)
+            for out in (
+                efficient_tt_rounding(exact, 0.1),
+                efficient_tt_rounding(exact, 1e-14),
+                dynamic_tt_rounding(exact, 0.1),
+                fixed_rank_rounding(exact, 2),
+            ):
+                assert out.ranks == zero.ranks
+                assert all(map(np.array_equal, out.cores, zero.cores))
 
     @pytest.mark.parametrize(
         "shape, density",
@@ -461,22 +481,32 @@ class TestRoundingModes:
             ((3, 2, 3, 2, 2, 3), 0.2),
         ],
     )
-    def test_index_form_matches_dense_route(self, rng, shape, density):
-        # The oracle: each public wrapper on the dense 0/1 exact train.
-        # The SVDs see the same matrices, so the trains are equal, not
-        # close (TestCarryIntoIndexMap checks the signs of zeros).
+    def test_index_form_matches_dense_route(self, rng, shape, density, monkeypatch):
+        # The oracle: each policy's own steps, run by the dense-route
+        # sweep of conftest on the 0/1 exact train.  The SVDs see the same
+        # matrices, so the trains are equal, not close
+        # (TestCarryIntoIndexMap checks the signs of zeros).
+        module = importlib.import_module("sparsett.fasttt")
         settings = [
-            ("static", {"eps": 0.2}, lambda e, p: efficient_tt_rounding(e, p, 0.2)),
-            ("static", {"eps": 1e-14}, lambda e, p: efficient_tt_rounding(e, p, 1e-14)),
-            ("dynamic", {"eps": 0.2}, lambda e, p: dynamic_tt_rounding(e, p, 0.2)),
-            ("fixed_rank", {"fixed_ranks": 2}, lambda e, p: fixed_rank_rounding(e, p, 2)),
+            ("static", {"eps": 0.2}, lambda e: efficient_tt_rounding(e, 0.2)),
+            ("static", {"eps": 1e-14}, lambda e: efficient_tt_rounding(e, 1e-14)),
+            ("dynamic", {"eps": 0.2}, lambda e: dynamic_tt_rounding(e, 0.2)),
+            ("fixed_rank", {"fixed_ranks": 2}, lambda e: fixed_rank_rounding(e, 2)),
         ]
         for t in (rand_sparse(rng, shape, density) for _ in range(6)):
             for pivot in range(t.ndim):
-                dense = parallel_vector_round(build_structured_tt(t, pivot))
+                exact = build_structured_tt(t, pivot)
+                dense = parallel_vector_round(exact)
                 for mode, kwargs, rounding in settings:
                     got, _ = fasttt(t, pivot=pivot, mode=mode, **kwargs)
-                    want = rounding(dense, pivot) if t.nnz else dense
+                    if t.nnz:
+                        with monkeypatch.context() as m:
+                            m.setattr(module, "round_from_pivot", lambda e, right, left: (
+                                dense_round_from_pivot(dense.cores, e.pivot, right, left)
+                            ))
+                            want = rounding(exact)
+                    else:
+                        want = dense
                     assert got.ranks == want.ranks, (pivot, mode)
                     assert all(map(np.array_equal, got.cores, want.cores)), (pivot, mode)
 
@@ -765,15 +795,13 @@ class TestFlopsModel:
         assert flops_fasttt((9,), 0, (), ()) == 0.0
 
 
-def approximants(reference, pivot, rng):
-    """Trains to measure against ``reference``, which is orthogonalized
-    around ``pivot``: the three rounding modes, a near-lossless rounding,
-    the zero train, and a perturbed copy whose ranks exceed the
-    reference's."""
-    yield efficient_tt_rounding(reference, pivot, 0.3)
-    yield dynamic_tt_rounding(reference, pivot, 0.3)
-    yield fixed_rank_rounding(reference, pivot, 2)
-    yield efficient_tt_rounding(reference, pivot, 1e-14)
+def approximants(reference, rng):
+    """Trains to measure against ``reference``: TT-SVDs of its dense
+    form at three budgets, one of them near-lossless, the zero train,
+    and a perturbed copy whose ranks exceed the reference's."""
+    full = tt_to_full(reference)
+    for eps in (0.3, 0.05, 1e-14):
+        yield tt_svd(full, eps)
     yield tt_zero(reference.dims)
     noise = rand_tt(rng, reference.dims, [r + 2 for r in reference.ranks[1:-1]])
     scale = 1e-3 * tt_norm(reference) / tt_norm(noise)
@@ -813,7 +841,7 @@ class TestErrorMeasures:
         for pivot in range(len(shape)):
             exact = parallel_vector_round(build_structured_tt(t, pivot))
             norm = tt_norm(exact)
-            for approx in approximants(exact, pivot, rng):
+            for approx in approximants(exact, rng):
                 got = tt_relative_error(exact, approx, norm=norm, pivot=pivot)
                 want = full_sweep_relative_error(exact, approx, norm)
                 assert abs(got - want) <= 1e-14
@@ -824,7 +852,7 @@ class TestErrorMeasures:
         ref = tt_right_orthogonalize(rand_tt(rng, shape, [3] * (len(shape) - 1)))
         norm = tt_norm(ref)
         for pivot in range(len(shape)):
-            for approx in approximants(ref, 0, rng):
+            for approx in approximants(ref, rng):
                 got = tt_relative_error(ref, approx, norm=norm, pivot=pivot)
                 want = full_sweep_relative_error(ref, approx, norm)
                 assert abs(got - want) <= 1e-14
@@ -840,33 +868,24 @@ class TestErrorMeasures:
         with pytest.raises(ValueError, match="exceeds measurement cap"):
             tt_relative_error(exact, exact, norm=1.0, pivot=1)
 
-    def test_exact_train_checked_by_its_index_maps(self, monkeypatch):
-        # No dense core is scanned: the rounding checks the index maps,
-        # and the measure's reference is written from those same maps.
-        ttsvd = importlib.import_module("sparsett.ttsvd")
-        scans = []
-        monkeypatch.setattr(ttsvd, "_rows_orthonormal", lambda m: scans.append(m.shape))
+    def test_exact_train_checked_by_its_index_maps(self):
+        # The exact train is checked where it is made: a map whose kept
+        # rows do not increase is refused by the IndexTrain constructor,
+        # which names the core and its side, so no train that reaches the
+        # rounding or the measure's reference is unchecked.
         t = gen_random_sparse((4, 5, 4, 3), 0.3, seed=1)
-        for pivot in range(t.ndim):
-            _, rep = fasttt(t, pivot=pivot)
-            assert rep.eps_actual_method == "tt_difference"
-        assert scans == []
-        # A map whose kept rows do not increase is refused like a dense
-        # core that is not orthonormal.
         exact = build_structured_tt(t, 2)
         for k, side in [(0, "left"), (3, "right")]:
             q = exact.cores[k]
             assert q.n_cols > 1
             cores = list(exact.cores)
             cores[k] = QuasiPermMatrix(q.n_rows, q.n_cols, q.col_to_row[::-1])
-            bad = IndexTrain(exact.dims, 2, cores, exact.num_fibers)
-            for rounding in (efficient_tt_rounding, dynamic_tt_rounding):
-                with pytest.raises(ContractViolationError) as info:
-                    rounding(bad, 2, 0.1)
-                assert str(info.value) == (
-                    f"core {k} is not {side}-orthonormal; "
-                    "the train is not orthogonalized around pivot 2"
-                )
+            with pytest.raises(ContractViolationError) as info:
+                IndexTrain(exact.dims, 2, cores, exact.num_fibers)
+            assert str(info.value) == (
+                f"core {k} is not {side}-orthonormal; "
+                "the train is not orthogonalized around pivot 2"
+            )
 
     def test_resolution_follows_the_method(self):
         # Read from the method, never passed, so no report can state a

@@ -60,7 +60,8 @@ class TestTTTensor:
 
         # Every producer of trains hands out read-only cores.
         a = rand_sparse(rng, (4, 3, 5), 0.4)
-        exact = parallel_vector_round(build_structured_tt(a, 1))
+        index_form = build_structured_tt(a, 1)
+        exact = parallel_vector_round(index_form)
         save_tt(exact, tmp_path / "t.npz")
         step = lambda k, m: svd_truncate_rank(m, 2)
         trains = [
@@ -68,7 +69,7 @@ class TestTTTensor:
             fasttt(a)[0],
             tt_svd(a.to_dense(), 0.1),
             exact,
-            round_from_pivot(exact, 1, step, step),
+            round_from_pivot(index_form, step, step),
             tt_right_orthogonalize(t),
             load_tt(tmp_path / "t.npz"),
         ]
