@@ -5,7 +5,7 @@ that own the conventions the decomposition code relies on: tail-scan
 truncation, a numerical-rank cutoff for ``delta == 0``, deterministic
 singular-vector signs, and reported truncation errors.
 
-Every SVD goes through one of three kernels:
+Every SVD goes through one of four kernels, tried in this order:
 
 - A step of :func:`svd_truncate_delta` with ``delta > 0`` on a matrix
   whose smaller side is at least 256 first tries a randomized range
@@ -15,7 +15,18 @@ Every SVD goes through one of three kernels:
   and that residual is part of the reported ``trunc_error``.  When the
   energy it must capture, ``||M||^2 - delta^2``, exceeds 16 times its
   largest squared singular value, or the residual is above ``delta``,
-  the step goes to the full SVD below instead.
+  the step goes to the Gram route below.
+- A step the sketch hands over is factored from the eigendecomposition
+  of its short-side Gram matrix, when ``delta**2`` is at least 100
+  times a bound on that Gram's eigenvalue error,
+  ``n * (m + n) * eps * ||M||_F**2`` for an ``m``-by-``n`` matrix with
+  ``n`` the short side.  It keeps the smallest rank whose eigenvalue
+  tail plus that bound is within ``delta**2``.  A wide matrix takes the
+  eigenvectors as ``U``; a tall one takes ``M V_r`` made orthonormal by
+  one Cholesky pass.  The factors are ``U`` and ``U^T M``, and the
+  exact residual ``||M - U U^T M||_F`` is the reported ``trunc_error``.
+  A step below the guard, or whose residual is above ``delta``, goes
+  to the full SVD below.
 - A matrix with ``rows >= 32 * cols`` and ``rows * cols >= 2**18`` is
   factored by CholeskyQR2 followed by a ``cols``-by-``cols`` SVD.  It
   goes to LAPACK instead when either Cholesky factorization fails, when
@@ -26,9 +37,9 @@ Every SVD goes through one of three kernels:
 - Every other matrix goes straight to LAPACK: ``gesdd``, then
   ``gesvd`` if ``gesdd`` does not converge.
 
-Only the sketched steps differ from a full SVD: their factors are not
-bit-identical to ``gesdd``'s, and their kept rank can come out above
-the optimal one, never below it.
+Only the sketched and Gram steps differ from a full SVD: their factors
+are not bit-identical to ``gesdd``'s, and their kept rank can come out
+above the optimal one, never below it.
 """
 
 from __future__ import annotations
@@ -57,7 +68,11 @@ class SVDResult:
     ``trunc_error`` is the Frobenius norm of the discarded part,
     ``m - u @ diag(s) @ vt``: the square root of the sum of discarded
     squared singular values, plus, for a sketched step, the squared
-    norm of the part of ``m`` outside the sketch's range.
+    norm of the part of ``m`` outside the sketch's range.  For a step
+    of the Gram route it is that norm measured directly, ``s`` holds
+    the square roots of the Gram's eigenvalues, and the rows of ``vt``
+    are orthonormal only to the Gram's resolution; the columns of ``u``
+    are orthonormal to machine precision on every route.
     """
 
     u: np.ndarray
@@ -151,14 +166,15 @@ def _full_svd(m: np.ndarray):
     return _lapack_svd(m)
 
 
-# Where the sketch runs, and its width.  Measured on a 2-vCPU VM (min
-# of 5): the 1008x1264 pivot step of the QTT 32^3 Laplacian (numerical
-# rank 4, delta 2.2e-8) took 10 ms against 450 ms for gesdd, with a
-# residual of 1.4e-12.  The image-shaped steps of the benchmark's
-# ``pixels`` workload keep 93% of their rank; there the sketch fails
-# the energy test and hands over, 3.5 ms before a 69 ms gesdd at
-# 300x957 and 10 ms before 324 ms at 2800x639.  No benchmark step
-# certified at a wider sketch, so none is tried.
+# Where the sketch and the Gram route run, and the sketch's width.
+# Measured on a 2-vCPU VM (min of 5): the 1008x1264 pivot step of the
+# QTT 32^3 Laplacian (numerical rank 4, delta 2.2e-8) took 10 ms
+# against 450 ms for gesdd, with a residual of 1.4e-12.  The
+# image-shaped steps of the benchmark's ``pixels`` workload keep over
+# 90% of their rank; there the sketch fails the energy test and hands
+# over to the Gram route, 4 ms before 20 ms at 300x957 (gesdd: 66 ms)
+# and 11 ms before 219 ms at 2800x639 (gesdd: 319 ms).  No benchmark
+# step certified at a wider sketch, so none is tried.
 _SKETCH_MIN_DIM = 256
 _SKETCH_WIDTH = 16
 
@@ -185,6 +201,57 @@ def _sketched_svd(m: np.ndarray, delta: float):
     if residual_sq > delta * delta:
         return None
     return q @ ub, s, vt, residual_sq
+
+
+# Guard of the Gram route.  The computed Gram matrix of an m-by-n
+# matrix M, n its short side, is within ``m * eps * ||M||_F**2`` of the
+# exact one in Frobenius norm (each entry is a dot product of length m),
+# and ``eigh`` is backward stable, adding a perturbation of order
+# ``n * eps * ||M||_F**2``.  A sum of eigenvalues, such as a discarded
+# tail, moves by at most the nuclear norm of the perturbation, at most
+# sqrt(n) times its Frobenius norm; ``n * (m + n) * eps * ||M||_F**2``
+# bounds that with a further sqrt(n) for eigh's constant.  The route
+# runs only where delta**2 is 100 times the bound, so adding the bound
+# to the tail takes at most 1% of the step's budget.
+_GRAM_MARGIN = 100.0
+
+
+def _gram_svd(m: np.ndarray, delta: float):
+    # The Gram's eigenvalues are the squared singular values to within
+    # ``bound``, so the smallest rank whose computed tail plus ``bound``
+    # is within delta**2 is never below the exact rule's rank.  A wide
+    # M takes the eigenvectors as U; a tall one forms ``M V_r``, whose
+    # columns are orthogonal only to the Gram's resolution, and makes
+    # them orthonormal with one Cholesky pass.  ``B = U^T M`` and the
+    # residual ``m - U B`` are formed explicitly, as for the sketch.
+    # Returns ``(u, s, vt, residual**2)`` with only the kept triplets,
+    # or None to take the full SVD.
+    rows, cols = m.shape
+    short, long = min(rows, cols), max(rows, cols)
+    bound = short * (short + long) * np.finfo(np.float64).eps * float(np.vdot(m, m))
+    if not delta * delta >= _GRAM_MARGIN * bound:
+        return None
+    wide = rows <= cols
+    lam, w = np.linalg.eigh(m @ m.T if wide else m.T @ m)
+    lam, w = lam[::-1], w[:, ::-1]
+    tails = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
+    rank = int(np.argmax(tails + bound <= delta * delta))
+    if wide:
+        u = np.ascontiguousarray(w[:, :rank])
+    else:
+        y = m @ w[:, :rank]
+        c = _upper_cholesky(y.T @ y)
+        if c is None:
+            return None
+        u = y @ np.linalg.inv(c)
+    b = u.T @ m
+    r = u @ b
+    r -= m
+    residual_sq = float(np.vdot(r, r))
+    if residual_sq > delta * delta:
+        return None
+    s = np.sqrt(lam[:rank])
+    return u, s, b / s[:, None], residual_sq
 
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
@@ -237,11 +304,11 @@ def svd_truncate_delta(m, delta: float) -> SVDResult:
     discarded.
 
     A matrix whose smaller side is at least 256 may be factored by a
-    certified sketch (see the module docstring).  Its singular values
-    are then those of the sketch, its residual counts against
-    ``delta`` and is included in ``trunc_error``, which still equals
-    the error of the returned factors, and the kept rank is at least
-    the rank the rule above gives on the exact singular values.
+    certified sketch or by the Gram route (see the module docstring).
+    Its singular values are then those of the sketch, or the square
+    roots of the Gram's eigenvalues; ``trunc_error`` is still the error
+    of the returned factors, and the kept rank is at least the rank the
+    rule above gives on the exact singular values.
     """
     m = _check_matrix(m)
     if not delta >= 0:
@@ -254,7 +321,13 @@ def svd_truncate_delta(m, delta: float) -> SVDResult:
             cut = max(m.shape) * np.finfo(np.float64).eps * s[0]
             rank = int(np.count_nonzero(s >= cut))
         return _truncated(u, s, vt, rank)
-    sketch = _sketched_svd(m, delta) if min(m.shape) >= _SKETCH_MIN_DIM else None
+    sketch = None
+    if min(m.shape) >= _SKETCH_MIN_DIM:
+        sketch = _sketched_svd(m, delta)
+        gram = _gram_svd(m, delta) if sketch is None else None
+        if gram is not None:
+            u, s, vt, residual_sq = gram
+            return _truncated(u, s, vt, s.size, residual_sq)
     u, s, vt, residual_sq = sketch if sketch is not None else (*_full_svd(m), 0.0)
     # tails[r] = squared error of keeping rank r
     sq = s * s

@@ -127,10 +127,12 @@ class IndexTrain:
     that faces the pivot.  Written densely, left core ``k`` unfolds to
     that ``(r_k n_k) x r_{k+1}`` matrix and right core ``k`` to its
     ``r_k x (n_k r_{k+1})`` transpose.  The kept rows of every map must
-    strictly increase: the map's columns are then distinct standard
-    basis vectors, so the train is orthogonalized around ``pivot``.  A
-    map that breaks this raises :class:`ContractViolationError`, so every
-    ``IndexTrain`` can be rounded.  ``num_fibers`` is the number ``R`` of
+    strictly increase, the canonical order the build produces: the map's
+    columns are then distinct standard basis vectors, so the train is
+    orthogonalized around ``pivot``.  A map that breaks this, even one
+    whose rows are distinct and so still orthonormal, raises
+    :class:`ContractViolationError`, so every ``IndexTrain`` can be
+    rounded.  ``num_fibers`` is the number ``R`` of
     nonzero mode-``pivot`` fibers the train was grouped from; no bond
     exceeds it.
     """
@@ -167,8 +169,8 @@ class IndexTrain:
                 )
             if k != pivot and not (np.diff(c.col_to_row) > 0).all():
                 raise ContractViolationError(
-                    f"core {k} is not {'left' if k < pivot else 'right'}-orthonormal; "
-                    f"the train is not orthogonalized around pivot {pivot}"
+                    f"the kept rows of core {k}, {'left' if k < pivot else 'right'} "
+                    f"of pivot {pivot}, do not strictly increase"
                 )
         if num_fibers < 0 or any(b > num_fibers for b in r[1:-1]):
             raise ValueError(f"fiber count {num_fibers} is negative or below a bond of {r}")

@@ -883,8 +883,7 @@ class TestErrorMeasures:
             with pytest.raises(ContractViolationError) as info:
                 IndexTrain(exact.dims, 2, cores, exact.num_fibers)
             assert str(info.value) == (
-                f"core {k} is not {side}-orthonormal; "
-                "the train is not orthogonalized around pivot 2"
+                f"the kept rows of core {k}, {side} of pivot 2, do not strictly increase"
             )
 
     def test_resolution_follows_the_method(self):

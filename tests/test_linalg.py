@@ -285,15 +285,20 @@ def low_rank(rng, rows: int, cols: int, s, noise: float) -> np.ndarray:
     return (u * np.asarray(s)) @ v.T + noise * rng.standard_normal((rows, cols))
 
 
-def assert_certified(m: np.ndarray, res, delta: float, s0: np.ndarray):
+def assert_certified(m: np.ndarray, res, delta: float):
     # The reported error is that of the returned factors and within delta.
     err = np.linalg.norm(m - (res.u * res.s) @ res.vt)
     assert err * (1 - 1e-12) <= res.trunc_error <= delta
     assert np.linalg.norm(res.u.T @ res.u - np.eye(res.rank), 2) <= 1e-13
-    # A projection's singular values never exceed the matrix's own.
-    assert np.all(res.s <= s0[: res.rank] + 1e-12 * s0[0])
     top = np.argmax(np.abs(res.u), axis=0)
     assert np.all(res.u[top, np.arange(res.rank)] >= 0.0)
+
+
+def gram_bound(m: np.ndarray) -> float:
+    """The Gram route's stated bound on its eigenvalue error; the route
+    runs where ``delta**2`` is at least 100 times it."""
+    short, long = sorted(m.shape)
+    return short * (short + long) * np.finfo(np.float64).eps * float(np.vdot(m, m))
 
 
 class TestLowRankPath:
@@ -315,7 +320,9 @@ class TestLowRankPath:
             assert res.rank >= want
             if delta in wide or delta > tails[6]:
                 assert res.rank == want
-            assert_certified(m, res, delta, s0)
+            assert_certified(m, res, delta)
+            # A projection's singular values never exceed the matrix's own.
+            assert np.all(res.s <= s0[: res.rank] + 1e-12 * s0[0])
             signal = min(res.rank, 6)
             assert np.abs(res.s[:signal] - s0[:signal]).max() <= 1e-12 * s0[0]
             assert_same_result(res, svd_truncate_delta(m, delta))
@@ -323,25 +330,47 @@ class TestLowRankPath:
         assert set(lapack_shapes) == {(16, 900)}
 
     @pytest.mark.parametrize(
-        "make, delta",
+        "make",
         [
             # Energy far above what 16 columns can hold.
-            (lambda rng: rng.standard_normal((300, 400)), None),
+            lambda rng: rng.standard_normal((300, 400)),
             # A flat rank-70 spectrum: wider than the sketch.
-            (lambda rng: low_rank(rng, 600, 900, [1.0] * 70, 1e-6), 1e-3),
+            lambda rng: low_rank(rng, 600, 900, [1.0] * 70, 1e-6),
             # Rank 10 passes the energy test, but the noise left outside
             # the sketch fails the residual certificate.
-            (lambda rng: low_rank(rng, 600, 900, [1.0] * 10, 1e-3), 1e-3),
+            lambda rng: low_rank(rng, 600, 900, [1.0] * 10, 1e-3),
         ],
         ids=["high-rank", "width-limit", "residual"],
     )
-    def test_fallback_is_the_full_svd(self, rng, lapack_shapes, make, delta):
+    def test_fallback_is_the_full_svd(self, rng, lapack_shapes, make):
+        # A budget below the Gram route's guard: the sketch hands over,
+        # and the step is the full SVD.
         m = make(rng)
-        delta = 0.5 * np.linalg.norm(m) if delta is None else delta
+        delta = 0.5 * np.sqrt(100 * gram_bound(m))
         res = svd_truncate_delta(m, delta)
         # One sketch, then LAPACK on the whole matrix.
         assert lapack_shapes == [(16, m.shape[1]), m.shape]
         assert_same_result(res, gesdd_result(m, res.rank))
+        assert res.rank == oracle_rank(scipy.linalg.svd(m, compute_uv=False), delta)
+
+    @pytest.mark.parametrize(
+        "make, delta",
+        [
+            (lambda rng: rng.standard_normal((300, 400)), None),
+            # Within delta of rank 10 plus part of the noise, which is more
+            # than the sketch leaves outside its range.
+            (lambda rng: low_rank(rng, 600, 900, [1.0] * 10, 1e-3), 0.5),
+        ],
+        ids=["high-rank", "residual"],
+    )
+    def test_one_sketch_then_gram(self, rng, lapack_shapes, make, delta):
+        m = make(rng)
+        delta = 0.5 * np.linalg.norm(m) if delta is None else delta
+        assert delta * delta >= 100 * gram_bound(m)
+        res = svd_truncate_delta(m, delta)
+        # The sketch's small SVD, and no SVD of the whole matrix.
+        assert lapack_shapes == [(16, m.shape[1])]
+        assert_certified(m, res, delta)
         assert res.rank == oracle_rank(scipy.linalg.svd(m, compute_uv=False), delta)
 
     def test_never_sketched(self, rng, lapack_shapes):
@@ -352,6 +381,75 @@ class TestLowRankPath:
         res = svd_truncate_delta(narrow, 1e-3)
         assert_same_result(res, gesdd_result(narrow, res.rank))
         assert lapack_shapes == [(600, 900)] * 4 + [(255, 900)] * 2
+
+
+def geometric(rng, shape) -> np.ndarray:
+    """Singular values spread geometrically from 1 down to 1e-8."""
+    rows, cols = shape
+    m = conditioned(rng, max(shape), min(shape), 1e8)
+    return m if rows >= cols else m.T
+
+
+class TestGramPath:
+    """A step the sketch hands over is factored from its short-side Gram
+    matrix where ``delta**2`` is at least 100 times the Gram's bound."""
+
+    SHAPES = [(1200, 300), (300, 1200)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["tall", "wide"])
+    def test_matches_oracle(self, rng, lapack_shapes, shape):
+        m = geometric(rng, shape)
+        s0 = scipy.linalg.svd(m, compute_uv=False)
+        tails = np.sqrt(np.cumsum((s0**2)[::-1])[::-1])
+        bound = gram_bound(m)
+        # Geometric midpoints between the tails of ranks r and r - 1, each
+        # out of the sketch's reach, and a budget just above the guard.
+        deltas = [float(np.sqrt(tails[r] * tails[r - 1])) for r in (30, 80, 130)]
+        for delta in deltas + [(1 + 1e-6) * np.sqrt(100 * bound)]:
+            res = svd_truncate_delta(m, delta)
+            want = oracle_rank(s0, delta)
+            assert res.rank >= want
+            if delta in deltas:
+                assert res.rank == want
+            assert_certified(m, res, delta)
+            assert np.abs(res.s**2 - s0[: res.rank] ** 2).max() <= bound
+        assert lapack_shapes == [(16, shape[1])] * 4
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["tall", "wide"])
+    def test_just_below_the_guard_is_gesdd(self, rng, lapack_shapes, shape):
+        m = geometric(rng, shape)
+        floor = np.sqrt(100 * gram_bound(m))
+        res = svd_truncate_delta(m, (1 - 1e-6) * floor)
+        assert lapack_shapes == [(16, shape[1]), shape]
+        assert_same_result(res, gesdd_result(m, res.rank))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["tall", "wide"])
+    def test_failed_certificate_is_the_full_svd(self, rng, lapack_shapes, monkeypatch, shape):
+        # An eigh that understates the spectrum keeps too small a rank,
+        # so the measured residual exceeds delta and the step is redone.
+        eigh = np.linalg.eigh
+
+        def understated(g):
+            lam, w = eigh(g)
+            return 0.25 * lam, w
+
+        monkeypatch.setattr(np.linalg, "eigh", understated)
+        m = geometric(rng, shape)
+        s0 = scipy.linalg.svd(m, compute_uv=False)
+        tails = np.sqrt(np.cumsum((s0**2)[::-1])[::-1])
+        delta = float(np.sqrt(tails[80] * tails[79]))
+        assert linalg._gram_svd(m, delta) is None
+        lapack_shapes.clear()
+        res = svd_truncate_delta(m, delta)
+        assert lapack_shapes == [(16, shape[1]), shape]
+        assert_same_result(res, gesdd_result(m, res.rank))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["tall", "wide"])
+    def test_zero_matrix(self, shape):
+        u, s, vt, residual_sq = linalg._gram_svd(np.zeros(shape), 1.0)
+        assert (u.shape, s.shape, vt.shape, residual_sq) == ((shape[0], 0), (0,), (0, shape[1]), 0.0)
+        res = svd_truncate_delta(np.zeros(shape), 1.0)
+        assert res.rank == 0 and res.trunc_error == 0.0
 
 
 class TestGesvdFallback:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsett import (
+    ContractViolationError,
     IndexTrain,
     QuasiPermMatrix,
     flops_ttsvd,
@@ -75,6 +76,16 @@ class TestTTSVD:
         t = tt_svd(a, 0.1)
         assert np.linalg.norm(tt_to_full(t) - a) <= 0.1 * np.linalg.norm(a)
 
+    def test_gram_step_within_eps(self, rng, lapack_shapes):
+        # The 256x256 second step keeps far too much energy for the sketch
+        # and is factored by the Gram route: no full SVD of that shape.
+        a = rng.standard_normal((16, 16, 16, 16))
+        t = tt_svd(a, 0.1)
+        assert (256, 256) not in lapack_shapes
+        assert t.ranks[2] < 256
+        rel = np.linalg.norm(tt_to_full(t) - a) / np.linalg.norm(a)
+        assert rel <= 0.1
+
 
 def tt_norm_is_zero(t) -> bool:
     return all(np.all(c == 0.0) for c in t.cores)
@@ -129,6 +140,22 @@ class TestRoundFromPivot:
             before = core.copy()
             round_from_pivot(t, step, step)
             assert np.array_equal(core, before)
+
+
+@pytest.mark.parametrize("k, side", [(0, "left"), (3, "right")])
+def test_index_train_refuses_kept_rows_out_of_order(rng, k, side):
+    # Distinct kept rows in decreasing order still give an orthonormal
+    # 0/1 core; the constructor refuses the order, and says so.
+    base = rand_index_train(rng, (3, 4, 5, 4), (3, 6, 4), 2)
+    q = base.cores[k]
+    flipped = QuasiPermMatrix(q.n_rows, q.n_cols, q.col_to_row[::-1])
+    dense = flipped.to_dense()
+    assert np.array_equal(dense.T @ dense, np.eye(q.n_cols))
+    cores = list(base.cores)
+    cores[k] = flipped
+    with pytest.raises(ContractViolationError) as info:
+        IndexTrain(base.dims, 2, cores, base.num_fibers)
+    assert str(info.value) == f"the kept rows of core {k}, {side} of pivot 2, do not strictly increase"
 
 
 class TestCarryIntoIndexMap:
