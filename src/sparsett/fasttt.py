@@ -17,7 +17,7 @@ touching a dense unfolding, then compresses:
     checks that every map's kept rows strictly increase, so the train is
     orthogonalized around its pivot.  :func:`parallel_vector_round`
     writes it out with dense 0/1 cores, which only the difference
-    measure needs.
+    measure needs, and the measure makes that call itself.
 2.  Round with truncated SVD sweeps that start at the train's pivot and
     move outward.  :func:`~sparsett.ttsvd.round_from_pivot` takes only
     an ``IndexTrain``, reads its pivot and runs the sweeps; an index-map
@@ -29,8 +29,11 @@ touching a dense unfolding, then compresses:
 
 :func:`fasttt` drives both stages and reports what happened;
 :func:`select_p` picks the pivot by the SVD cost model.  The error is
-measured by :func:`tt_relative_error`, past its cap by
-:func:`sparse_inner_error`; ``_RESOLUTION`` states each one's resolution.
+measured by :func:`tt_relative_error`, which, like the rounding, takes
+the exact ``IndexTrain`` and reads its pivot.  Past the size cap that
+:func:`fasttt` checks before it calls that measure, the error is
+measured by :func:`sparse_inner_error`; ``_RESOLUTION`` states each
+one's resolution.
 """
 
 from __future__ import annotations
@@ -437,38 +440,33 @@ def _difference_size(dims, ranks_a, ranks_b) -> int:
     )
 
 
-def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float, pivot: int) -> float:
-    """``norm(reference - approx) / norm``, where ``norm`` is the norm of
-    ``reference``, evaluated stably: :func:`fasttt`'s own measure.
+def tt_relative_error(exact: IndexTrain, approx: TTTensor, norm: float) -> float:
+    """``norm(exact - approx) / norm``, where ``norm`` is the norm of
+    ``exact``, evaluated stably: :func:`fasttt`'s own measure.
 
-    ``reference`` must be right-orthonormal right of ``pivot``, as the
-    exact train is at the pivot it was built for.  That is not checked
-    here: :func:`fasttt` passes the train written from an
-    :class:`~sparsett.ttsvd.IndexTrain` around the same pivot, whose
-    constructor checked its index maps.  Those cores are never
-    factored.  A sweep from the last core to the pivot writes the
-    right interface of ``approx`` in the basis of the reference's
-    interface plus an orthonormal residual: two Gram-Schmidt passes
-    against the reference core, then one QR of the residual, whose width
-    is at most the bond rank of ``approx``.  Each step costs
-    O(n r_ref r_ref' r_approx) rather than a QR of the stacked cores.
-    Folded into both pivot cores (the approximant's negated), the
-    coefficients leave a difference of the cores up to the pivot, whose
-    orthogonalized norm resolves errors down to machine precision
-    instead of the ``~1e-8`` floor of the expanded inner-product form.
-
-    Raises ``ValueError`` when the whole difference train would exceed
-    ``_ERROR_MEASURE_CAP`` entries; the sweep never builds that train,
-    but past the cap it costs far more than the job it checks.
+    ``exact`` is the exact train in index form; the measure reads its
+    pivot and writes its dense 0/1 cores with
+    :func:`parallel_vector_round`.  Those cores are never factored.  A
+    sweep from the last core to the pivot writes the right interface of
+    ``approx`` in the basis of the exact train's interface plus an
+    orthonormal residual: one projection against the exact core, exact
+    because its rows are distinct unit vectors, then one QR of the
+    residual, whose width is at most the bond rank of ``approx``.  Each
+    step costs O(n r_exact r_exact' r_approx) rather than a QR of the
+    stacked cores.  Folded into both pivot cores (the approximant's
+    negated), the coefficients leave a difference of the cores up to
+    the pivot, whose orthogonalized norm resolves errors down to machine
+    precision instead of the ``~1e-8`` floor of the expanded
+    inner-product form.  The measure has no size cap of its own:
+    :func:`fasttt` decides from the ranks whether to call it.
     """
-    if reference.dims != approx.dims:
+    if not isinstance(exact, IndexTrain):
+        raise TypeError("tt_relative_error expects an IndexTrain")
+    if exact.dims != approx.dims:
         raise ValueError("trains must share mode extents")
-    d = reference.ndim
-    _check_pivot(pivot, d)
-    total = _difference_size(reference.dims, reference.ranks, approx.ranks)
-    if total > _ERROR_MEASURE_CAP:
-        raise ValueError(f"difference train size {total} exceeds measurement cap")
-    # y = [x, s]: approx's right interface is x times the reference's
+    d, pivot = exact.ndim, exact.pivot
+    reference = parallel_vector_round(exact)
+    # y = [x, s]: approx's right interface is x times the exact train's
     # plus s times rows orthonormal to it; at the last pivot both
     # interfaces are the scalar 1.
     y = np.ones((1, 1))
@@ -478,11 +476,8 @@ def tt_relative_error(reference: TTTensor, approx: TTTensor, norm: float, pivot:
         a = reference.cores[k].reshape(ra0, n * ra1)
         c = (approx.cores[k].reshape(rb0 * n, -1) @ y).reshape(rb0, n, -1)
         part = c[:, :, :ra1].reshape(rb0, n * ra1)
-        x = np.zeros((rb0, ra0))
-        for _ in range(2):  # twice is enough against orthonormal rows
-            g = part @ a.T
-            part -= g @ a
-            x += g
+        x = part @ a.T
+        part -= x @ a
         c[:, :, :ra1] = part.reshape(rb0, n, ra1)
         _, r = qr_economic(c.reshape(rb0, -1).T)
         y = np.concatenate([x, r.T], axis=1)
@@ -627,10 +622,7 @@ def fasttt(
 
             inner = sparse_inner_error(a, tt)
             if _difference_size(a.shape, exact.ranks, tt.ranks) <= _ERROR_MEASURE_CAP:
-                # IndexTrain checked the maps of ``exact``, built at this pivot.
-                reference = parallel_vector_round(exact)
-                eps_actual = tt_relative_error(reference, tt, norm=norm_a, pivot=pivot)
-                method = "tt_difference"
+                eps_actual, method = tt_relative_error(exact, tt, norm_a), "tt_difference"
             else:
                 eps_actual, method = inner, "inner_identity"
                 notes.append(

@@ -32,7 +32,6 @@ from sparsett import (
     tensorize_matrix,
     tt_add,
     tt_norm,
-    tt_right_orthogonalize,
     tt_svd,
     tt_to_full,
     tt_zero,
@@ -814,9 +813,9 @@ MEASURE_SHAPES = [(7,), (6, 5), (5, 4, 3), (4, 3, 5, 2), (3, 2, 3, 2, 3), (3, 2,
 class TestErrorMeasures:
     def test_tt_relative_error_matches_dense(self, rng):
         t = rand_sparse(rng, (5, 5, 5), 0.2)
-        tt = tt_right_orthogonalize(fasttt(t)[0])
+        exact = build_structured_tt(t, 0)
         rounded, _ = fasttt(t, eps=0.3)
-        got = tt_relative_error(tt, rounded, norm=tt_norm(tt), pivot=0)
+        got = tt_relative_error(exact, rounded, norm=np.linalg.norm(t.values))
         dense = t.to_dense()
         want = np.linalg.norm(tt_to_full(rounded) - dense) / np.linalg.norm(dense)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
@@ -831,42 +830,35 @@ class TestErrorMeasures:
 
     def test_exact_train_measures_zero(self, rng):
         t = rand_sparse(rng, (4, 4, 4), 0.3)
-        tt = parallel_vector_round(build_structured_tt(t, 1))
-        exact, _ = fasttt(t)
-        assert tt_relative_error(tt, exact, norm=tt_norm(tt), pivot=1) <= 1e-12
+        exact = build_structured_tt(t, 1)
+        rounded, _ = fasttt(t)
+        assert tt_relative_error(exact, rounded, norm=np.linalg.norm(t.values)) <= 1e-12
 
     @pytest.mark.parametrize("shape", MEASURE_SHAPES, ids=lambda s: f"d{len(s)}")
     def test_exact_reference_matches_full_sweep(self, rng, shape):
         t = rand_sparse(rng, shape, 0.3)
         for pivot in range(len(shape)):
-            exact = parallel_vector_round(build_structured_tt(t, pivot))
-            norm = tt_norm(exact)
-            for approx in approximants(exact, rng):
-                got = tt_relative_error(exact, approx, norm=norm, pivot=pivot)
-                want = full_sweep_relative_error(exact, approx, norm)
+            exact = build_structured_tt(t, pivot)
+            dense = parallel_vector_round(exact)
+            norm = tt_norm(dense)
+            for approx in approximants(dense, rng):
+                got = tt_relative_error(exact, approx, norm=norm)
+                want = full_sweep_relative_error(dense, approx, norm)
                 assert abs(got - want) <= 1e-14
 
-    @pytest.mark.parametrize("shape", MEASURE_SHAPES, ids=lambda s: f"d{len(s)}")
-    def test_right_orthogonal_reference_matches_full_sweep(self, rng, shape):
-        # A right-orthogonalized train is a valid reference at every pivot.
-        ref = tt_right_orthogonalize(rand_tt(rng, shape, [3] * (len(shape) - 1)))
-        norm = tt_norm(ref)
-        for pivot in range(len(shape)):
-            for approx in approximants(ref, rng):
-                got = tt_relative_error(ref, approx, norm=norm, pivot=pivot)
-                want = full_sweep_relative_error(ref, approx, norm)
-                assert abs(got - want) <= 1e-14
-
-    def test_measure_is_the_pipelines_own(self, rng, monkeypatch):
-        # Not exported; past its cap it still refuses with ValueError, the
-        # refusal that sends fasttt to the inner identity.
+    def test_measure_is_the_pipelines_own(self):
+        # Not exported: fasttt is its one caller, and it decides the cap.
         module = importlib.import_module("sparsett.fasttt")
         assert "tt_relative_error" not in sparsett.__all__
         assert "tt_relative_error" not in module.__all__
-        exact = parallel_vector_round(build_structured_tt(rand_sparse(rng, (4, 5, 4), 0.3), 1))
-        monkeypatch.setattr(module, "_ERROR_MEASURE_CAP", 0)
-        with pytest.raises(ValueError, match="exceeds measurement cap"):
-            tt_relative_error(exact, exact, norm=1.0, pivot=1)
+
+    def test_measure_refuses_a_dense_reference(self, rng):
+        # The measure reads its pivot off the exact train in index form;
+        # the same train written with dense cores carries no pivot.
+        exact = build_structured_tt(rand_sparse(rng, (4, 5, 4), 0.3), 1)
+        dense = parallel_vector_round(exact)
+        with pytest.raises(TypeError, match="tt_relative_error expects an IndexTrain"):
+            tt_relative_error(dense, dense, norm=1.0)
 
     def test_exact_train_checked_by_its_index_maps(self):
         # The exact train is checked where it is made: a map whose kept
