@@ -15,7 +15,9 @@ Every SVD goes through one of four kernels, tried in this order:
   and that residual is part of the reported ``trunc_error``.  When the
   energy it must capture, ``||M||^2 - delta^2``, exceeds 16 times its
   largest squared singular value, or the residual is above ``delta``,
-  the step goes to the Gram route below.
+  the step goes to the Gram route below.  A step whose energy exceeds
+  16 times ``||M||_1 ||M||_inf``, a bound on the squared singular
+  values, goes there without a sketch.
 - A step the sketch hands over is factored from the eigendecomposition
   of its short-side Gram matrix, when ``delta**2`` is at least 100
   times a bound on that Gram's eigenvalue error,
@@ -28,8 +30,10 @@ Every SVD goes through one of four kernels, tried in this order:
   A step below the guard, or whose residual is above ``delta``, goes
   to the full SVD below.
 - A matrix with ``rows >= 32 * cols`` and ``rows * cols >= 2**18`` is
-  factored by CholeskyQR2 followed by a ``cols``-by-``cols`` SVD.  It
-  goes to LAPACK instead when either Cholesky factorization fails, when
+  factored by CholeskyQR2, on its nonzero rows only, followed by a
+  ``cols``-by-``cols`` SVD; the rank rules and every other route see the
+  full matrix.  It goes to LAPACK, on the full matrix, when fewer
+  nonzero rows than columns remain, when either Cholesky fails, when
   the diagonal of the first Cholesky factor ``R1`` spans more than 1e6,
   when the row sums of ``|R1^-1| |R1|`` exceed 1e4, or when the
   first-pass ``Q1^T Q1`` differs from the identity by more than 0.1 in
@@ -158,12 +162,19 @@ def _full_svd(m: np.ndarray):
     # against 298 ms at 2800x639, though tiny matrices lose to its fixed
     # cost (44 against 9 us at 64x2).  They stay because lowering them
     # moves benchmark steps onto this path with no measurement of that.
+    # A zero row adds nothing to ``m^T m`` and gives a zero row of Q, so
+    # CholeskyQR2 factors only the nonzero rows; ``rows`` then tells
+    # ``_truncated`` where they go back, in ``m``'s memory order.
     rows, cols = m.shape
     if rows >= 32 * cols and rows * cols >= 2**18:
-        usv = _cholesky_qr2_svd(m)
-        if usv is not None:
-            return usv
-    return _lapack_svd(m)
+        keep = m.any(axis=1)
+        kept = int(np.count_nonzero(keep))
+        if kept >= cols:
+            a = m if kept == rows else m[keep]
+            usv = _cholesky_qr2_svd(a)
+            if usv is not None:
+                return (*usv, None if a is m else (keep, "F" if m.flags.f_contiguous else "C"))
+    return (*_lapack_svd(m), None)
 
 
 # Where the sketch and the Gram route run, and the sketch's width.
@@ -172,8 +183,9 @@ def _full_svd(m: np.ndarray):
 # against 450 ms for gesdd, with a residual of 1.4e-12.  The
 # image-shaped steps of the benchmark's ``pixels`` workload keep over
 # 90% of their rank; there the sketch fails the energy test and hands
-# over to the Gram route, 4 ms before 20 ms at 300x957 (gesdd: 66 ms)
-# and 11 ms before 219 ms at 2800x639 (gesdd: 319 ms).  No benchmark
+# over to the Gram route, 4 ms before 20 ms at 300x957 (gesdd: 66 ms).
+# At 2800x639 (Gram 219 ms, gesdd 319 ms) the norm bound fails the
+# energy test first and saves the sketch's 11 ms.  No benchmark
 # step certified at a wider sketch, so none is tried.
 _SKETCH_MIN_DIM = 256
 _SKETCH_WIDTH = 16
@@ -186,14 +198,21 @@ def _sketched_svd(m: np.ndarray, delta: float):
     # explicitly; ``||m||^2 - ||B||^2`` would cancel to far above delta.
     # A passing certificate implies ``||B||^2 >= ||m||^2 - delta^2``, so
     # a sketch whose ``_SKETCH_WIDTH * s[0]**2`` falls short needs no residual.
+    # Since ``s[0]**2 <= ||m||_1 ||m||_inf``, that bound can fail the same
+    # test before any sketch is drawn.
     # Returns ``(u, s, vt, residual**2)``, or None to take the full SVD.
+    energy = float(np.linalg.norm(m)) ** 2 - delta * delta
+    a = np.abs(m)
+    if energy > _SKETCH_WIDTH * float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()):
+        return None
+    del a
     rows, cols = m.shape
     rng = np.random.default_rng([rows, cols])
     q = np.linalg.qr(m @ rng.standard_normal((cols, _SKETCH_WIDTH)))[0]
     q = np.linalg.qr(m @ np.linalg.qr(m.T @ q)[0])[0]
     b = q.T @ m
     ub, s, vt = _lapack_svd(b)
-    if float(np.linalg.norm(m)) ** 2 - delta * delta > _SKETCH_WIDTH * float(s[0]) ** 2:
+    if energy > _SKETCH_WIDTH * float(s[0]) ** 2:
         return None
     r = q @ b
     r -= m
@@ -282,14 +301,21 @@ def _check_matrix(m) -> np.ndarray:
 
 
 def _truncated(
-    u: np.ndarray, s: np.ndarray, vt: np.ndarray, rank: int, residual_sq: float = 0.0
+    u: np.ndarray, s: np.ndarray, vt: np.ndarray, rank: int, residual_sq: float = 0.0, rows=None
 ) -> SVDResult:
     # Keep the leading ``rank`` triplets, with the norm of the discarded
-    # tail (and of a sketch's residual) and deterministic signs.
+    # tail (and of a sketch's residual) and deterministic signs.  Given
+    # ``rows = (keep, order)``, ``u`` holds only the rows ``keep`` marks;
+    # no zero row holds a column's largest entry, so after the sign fix
+    # ``u`` is scattered into zeros of full height in memory ``order``.
     trunc_error = float(np.sqrt(max(float(np.sum((s * s)[rank:])) + residual_sq, 0.0)))
     u = np.ascontiguousarray(u[:, :rank])
     vt = np.ascontiguousarray(vt[:rank, :])
     _fix_signs(u, vt)
+    if rows is not None:
+        keep, order = rows
+        u, compact = np.zeros((keep.size, rank), order=order), u
+        u[keep] = compact
     return SVDResult(u=u, s=s[:rank].copy(), vt=vt, rank=rank, trunc_error=trunc_error)
 
 
@@ -314,13 +340,13 @@ def svd_truncate_delta(m, delta: float) -> SVDResult:
     if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if delta == 0.0:
-        u, s, vt = _full_svd(m)
+        u, s, vt, rows = _full_svd(m)
         if s.size == 0 or s[0] == 0.0:
             rank = 0
         else:
             cut = max(m.shape) * np.finfo(np.float64).eps * s[0]
             rank = int(np.count_nonzero(s >= cut))
-        return _truncated(u, s, vt, rank)
+        return _truncated(u, s, vt, rank, rows=rows)
     sketch = None
     if min(m.shape) >= _SKETCH_MIN_DIM:
         sketch = _sketched_svd(m, delta)
@@ -328,12 +354,15 @@ def svd_truncate_delta(m, delta: float) -> SVDResult:
         if gram is not None:
             u, s, vt, residual_sq = gram
             return _truncated(u, s, vt, s.size, residual_sq)
-    u, s, vt, residual_sq = sketch if sketch is not None else (*_full_svd(m), 0.0)
+    if sketch is not None:
+        (u, s, vt, residual_sq), rows = sketch, None
+    else:
+        (u, s, vt, rows), residual_sq = _full_svd(m), 0.0
     # tails[r] = squared error of keeping rank r
     sq = s * s
     tails = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]]) + residual_sq
     rank = int(np.argmax(tails <= delta * delta))
-    return _truncated(u, s, vt, rank, residual_sq)
+    return _truncated(u, s, vt, rank, residual_sq, rows)
 
 
 def svd_truncate_rank(m, r: int) -> SVDResult:
@@ -345,9 +374,9 @@ def svd_truncate_rank(m, r: int) -> SVDResult:
     m = _check_matrix(m)
     if r < 0:
         raise ValueError(f"target rank must be nonnegative, got {r}")
-    u, s, vt = _full_svd(m)
+    u, s, vt, rows = _full_svd(m)
     rank = int(min(r, min(m.shape)))
-    return _truncated(u, s, vt, rank)
+    return _truncated(u, s, vt, rank, rows=rows)
 
 
 def qr_economic(m) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsett import SparseTensor
+from sparsett import SparseTensor, linalg
 from sparsett.tensor import delinearize
 
 
@@ -150,4 +150,17 @@ def lapack_shapes(monkeypatch):
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+@pytest.fixture
+def cholqr2_shapes(monkeypatch):
+    """Shapes of the matrices that reach the CholeskyQR2 kernel."""
+    shapes, kernel = [], linalg._cholesky_qr2_svd
+
+    def recording(a):
+        shapes.append(a.shape)
+        return kernel(a)
+
+    monkeypatch.setattr(linalg, "_cholesky_qr2_svd", recording)
     return shapes

@@ -553,6 +553,18 @@ class TestFastTTDriver:
         assert (16, 1264) in lapack_shapes
         assert max(min(shape) for shape in lapack_shapes) < 256
 
+    def test_stencil_steps_factor_only_their_nonzero_rows(self, cholqr2_shapes):
+        # Criterion 6's input at pivot 1: both 23200x58 steps take
+        # CholeskyQR2 on their nonzero rows, 1920 (the fibers) on the
+        # right step and 58 * 58 on the left, and keep the lossless ranks.
+        dims = (20, 20, 20)
+        a = tensorize_matrix(gen_fdm(20, 20, 20, coeffs="random", seed=1234), dims, dims)
+        _, rep = fasttt(a, eps=1e-14, pivot=1)
+        assert rep.num_fibers == 1920
+        assert cholqr2_shapes == [(1920, 58), (58 * 58, 58)]
+        assert rep.ranks == rep.ranks_lossless == (58, 58)
+        assert rep.eps_actual <= 5e-14
+
     def test_near_lossless_and_report(self, rng):
         t = rand_sparse(rng, (5, 6, 4), 0.2)
         tt, rep = fasttt(t)

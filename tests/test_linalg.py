@@ -266,6 +266,65 @@ class TestTallSkinnyPath:
         svd_truncate_rank(m, 3)
         assert lapack_shapes == [shape]
 
+    def test_zero_rows_are_left_out(self, rng, lapack_shapes, cholqr2_shapes):
+        # The shape rule is judged on 20000x40; the kernel then sees only
+        # the ~1000 nonzero rows, and U's zero rows are exactly +0.0.
+        m = conditioned(rng, 20000, 40, 1e3)
+        zero = rng.random(20000) < 0.95
+        m[zero] = 0.0
+        kept = 20000 - int(zero.sum())
+        assert kept < 32 * 40
+        s0 = scipy.linalg.svd(m, compute_uv=False)
+        tails = np.sqrt(np.cumsum((s0**2)[::-1])[::-1])
+        deltas = [0.0] + [float(np.sqrt(tails[r] * tails[r - 1])) for r in (1, 5, 20, 39)]
+        results = [svd_truncate_delta(m, delta) for delta in deltas]
+        results += [svd_truncate_rank(m, r) for r in (0, 7, 40, 50)]
+        # delta == 0 keeps the numerical rank under the full shape's cutoff,
+        # and svd_truncate_rank clamps to the full shape's short side.
+        numerical = int(np.count_nonzero(s0 >= 20000 * np.finfo(np.float64).eps * s0[0]))
+        want = [numerical] + [oracle_rank(s0, d) for d in deltas[1:]] + [0, 7, 40, 40]
+        assert [res.rank for res in results] == want
+        for res in results:
+            assert res.u.shape == (20000, res.rank)
+            assert_matches_oracle(m, res)
+            assert np.linalg.norm(res.u.T @ res.u - np.eye(res.rank), 2) <= 1e-13
+            assert not res.u[zero].any() and not np.signbit(res.u[zero]).any()
+        assert cholqr2_shapes == [(kept, 40)] * len(results)
+        assert set(lapack_shapes) == {(40, 40)}
+        # A transposed view, as the rounding's left steps pass, gets U in
+        # its own memory order, so transposing U back needs no copy.
+        res = svd_truncate_rank(np.asfortranarray(m), 40)
+        assert res.u.flags.f_contiguous
+        assert_same_result(res, results[-1])
+
+    def test_fewer_nonzero_rows_than_columns_is_gesdd(
+        self, rng, lapack_shapes, cholqr2_shapes
+    ):
+        m = np.zeros((20000, 40))
+        m[rng.choice(20000, 30, replace=False)] = rng.standard_normal((30, 40))
+        results = [svd_truncate_delta(m, 0.0), svd_truncate_rank(m, 35)]
+        assert [res.rank for res in results] == [30, 35]
+        assert cholqr2_shapes == []
+        assert lapack_shapes == [m.shape] * 2
+        for res in results:
+            assert_same_result(res, gesdd_result(m, res.rank))
+
+    def test_rank_deficient_with_zero_rows_is_gesdd_on_the_full_matrix(
+        self, rng, lapack_shapes, cholqr2_shapes
+    ):
+        # Shaped like the 20^3 Laplacian's 23200x58 step at pivot 1: 1920
+        # nonzero rows, numerical rank 2.  A guard refuses the compacted
+        # matrix, and gesdd then factors all 23200 rows, whose result the
+        # rank decision at eps 1e-14 relies on bit for bit.
+        m = np.zeros((23200, 58))
+        m[np.sort(rng.choice(23200, 1920, replace=False))] = conditioned(rng, 1920, 58, 4.0, 2)
+        results = [svd_truncate_delta(m, delta) for delta in (0.0, 1e-14 * np.linalg.norm(m))]
+        assert cholqr2_shapes == [(1920, 58)] * 2
+        assert lapack_shapes == [m.shape] * 2
+        for res in results:
+            assert res.rank == 2
+            assert_same_result(res, gesdd_result(m, res.rank))
+
     def test_numpy_1_cholesky_signature(self, rng, lapack_shapes, monkeypatch):
         # NumPy 1.x's cholesky takes no ``upper`` keyword; the path must
         # not need it, or every tall matrix would raise TypeError there.
@@ -414,6 +473,23 @@ class TestGramPath:
             assert_certified(m, res, delta)
             assert np.abs(res.s**2 - s0[: res.rank] ** 2).max() <= bound
         assert lapack_shapes == [(16, shape[1])] * 4
+
+    def test_norm_bound_skips_the_sketch(self, rng, lapack_shapes):
+        # One nonzero per row, as in an image-shaped step: the energy to
+        # capture exceeds 16 * ||M||_1 ||M||_inf >= 16 * sigma_1**2, so the
+        # sketch's energy test would fail and no sketch is drawn.
+        m = np.zeros((2400, 300))
+        m[np.arange(2400), rng.integers(0, 300, 2400)] = rng.uniform(1.0, 2.0, 2400)
+        delta = 0.5 * np.linalg.norm(m)
+        a = np.abs(m)
+        assert 0.75 * np.vdot(m, m) > 16 * a.sum(axis=0).max() * a.sum(axis=1).max()
+        assert linalg._sketched_svd(m, delta) is None
+        res = svd_truncate_delta(m, delta)
+        assert lapack_shapes == []
+        u, s, vt, residual_sq = linalg._gram_svd(m, delta)
+        assert_same_result(res, linalg._truncated(u, s, vt, s.size, residual_sq))
+        assert_certified(m, res, delta)
+        assert res.rank == oracle_rank(scipy.linalg.svd(m, compute_uv=False), delta)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=["tall", "wide"])
     def test_just_below_the_guard_is_gesdd(self, rng, lapack_shapes, shape):
