@@ -99,7 +99,7 @@ _ERROR_MEASURE_CAP = 20_000_000
 # inner-product identity's cancellation leaves readings up to 8.5e-8 on
 # exact trains (the QTT Laplacian), so within 1e-6 of eps a reading tells
 # a met contract from a broken one no better than noise.
-_RESOLUTION = {"exact": 0.0, "tt_difference": 1e-12, "inner_identity": 1e-6, "dense": 1e-12}
+_RESOLUTION = {"tt_difference": 1e-12, "inner_identity": 1e-6, "dense": 1e-12}
 
 # Exact trains up to this many parameters are rounded and measured on one
 # BLAS thread.  perfbench on a 2-vCPU VM (15 s runs, seeds 1-3): without
@@ -603,34 +603,29 @@ def fasttt(
 
     if a.nnz == 0:
         notes.append("input has no nonzeros; returning the zero train")
-        tt = tt_zero(a.shape)
-        num_fibers, ranks_lossless = 0, (0,) * (d - 1)
-        eps_actual, method, inner = 0.0, "exact", 0.0
-        flops_model, flops_ttsvd_model = 0.0, 0.0
-    else:
-        exact = build_structured_tt(a, pivot)
-        num_fibers = exact.num_fibers
-        ranks_lossless = exact.ranks[1:-1]
-        small = exact.num_params <= _ONE_THREAD_PARAMS
-        with one_blas_thread() if small else nullcontext():
-            if mode == "static":
-                tt = efficient_tt_rounding(exact, eps)
-            elif mode == "dynamic":
-                tt = dynamic_tt_rounding(exact, eps)
-            else:
-                tt = fixed_rank_rounding(exact, fixed_ranks)
+    exact = build_structured_tt(a, pivot)
+    num_fibers = exact.num_fibers
+    ranks_lossless = exact.ranks[1:-1]
+    small = exact.num_params <= _ONE_THREAD_PARAMS
+    with one_blas_thread() if small else nullcontext():
+        if mode == "static":
+            tt = efficient_tt_rounding(exact, eps)
+        elif mode == "dynamic":
+            tt = dynamic_tt_rounding(exact, eps)
+        else:
+            tt = fixed_rank_rounding(exact, fixed_ranks)
 
-            inner = sparse_inner_error(a, tt)
-            if _difference_size(a.shape, exact.ranks, tt.ranks) <= _ERROR_MEASURE_CAP:
-                eps_actual, method = tt_relative_error(exact, tt, norm_a), "tt_difference"
-            else:
-                eps_actual, method = inner, "inner_identity"
-                notes.append(
-                    f"difference train over the {_ERROR_MEASURE_CAP:,}-entry measure cap; "
-                    f"eps_actual is the inner-product identity, resolution {_RESOLUTION[method]:.0e}"
-                )
-        flops_model = flops_fasttt(a.shape, pivot, ranks_lossless, tt.ranks)
-        flops_ttsvd_model = flops_ttsvd(a.shape, tt.ranks)
+        inner = sparse_inner_error(a, tt)
+        if _difference_size(a.shape, exact.ranks, tt.ranks) <= _ERROR_MEASURE_CAP:
+            eps_actual, method = tt_relative_error(exact, tt, norm_a), "tt_difference"
+        else:
+            eps_actual, method = inner, "inner_identity"
+            notes.append(
+                f"difference train over the {_ERROR_MEASURE_CAP:,}-entry measure cap; "
+                f"eps_actual is the inner-product identity, resolution {_RESOLUTION[method]:.0e}"
+            )
+    flops_model = flops_fasttt(a.shape, pivot, ranks_lossless, tt.ranks)
+    flops_ttsvd_model = flops_ttsvd(a.shape, tt.ranks)
     report = DecompositionReport(
         shape=a.shape,
         nnz=a.nnz,

@@ -120,7 +120,7 @@ class TestDecompose:
 
     @pytest.mark.parametrize(
         "method, resolution",
-        [("tt_difference", 1e-12), ("inner_identity", 1e-6), ("exact", 0.0), ("dense", 1e-12)],
+        [("tt_difference", 1e-12), ("inner_identity", 1e-6), ("dense", 1e-12)],
     )
     def test_each_measure_states_its_resolution(
         self, coo_file, tmp_path, capsys, monkeypatch, method, resolution
@@ -128,20 +128,27 @@ class TestDecompose:
         argv = ["decompose", "--in", str(coo_file)]
         if method == "inner_identity":
             monkeypatch.setattr(importlib.import_module("sparsett.fasttt"), "_ERROR_MEASURE_CAP", 0)
-        elif method == "exact":
-            (tmp_path / "empty.coo").write_text("# shape 5 4 6\n")
-            argv = ["decompose", "--in", str(tmp_path / "empty.coo")]
         elif method == "dense":
             argv.extend(["--method", "ttsvd"])
         report = tmp_path / "report.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the empty file's "no entries"
-            assert main([*argv, "--report", str(report)]) == 0
+        assert main([*argv, "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
         assert doc["eps_actual_method"] == method
         assert doc["eps_actual_resolution"] == resolution
         assert isinstance(doc["eps_actual"], float)
         assert f"(resolution {resolution:.0e})" in capsys.readouterr().out
+
+    def test_empty_input_is_measured_by_the_difference(self, tmp_path, capsys):
+        empty, report = tmp_path / "empty.coo", tmp_path / "report.json"
+        empty.write_text("# shape 5 4 6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the empty file's "no entries"
+            assert main(["decompose", "--in", str(empty), "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["eps_actual"] == 0.0
+        assert doc["eps_actual_method"] == "tt_difference"
+        assert doc["eps_actual_resolution"] == 1e-12
+        assert "input has no nonzeros; returning the zero train" in capsys.readouterr().err
 
     def test_fixed_mode_without_eps_skips_gate(self, tmp_path, rng):
         t = rand_sparse(rng, (4, 4, 4), 0.8)

@@ -37,7 +37,7 @@ from sparsett import (
     tt_zero,
 )
 from sparsett.fasttt import tt_relative_error
-from sparsett.linalg import svd_truncate_rank
+from sparsett.linalg import svd_truncate_delta, svd_truncate_rank
 from conftest import (
     dense_round_from_pivot,
     full_sweep_relative_error,
@@ -449,8 +449,7 @@ class TestRoundingModes:
 
     @pytest.mark.parametrize("shape", [(5,), (3, 4), (3, 4, 2, 5)], ids=lambda s: f"d{len(s)}")
     def test_empty_tensor_rounds_to_the_zero_train(self, shape):
-        # fasttt returns before the rounding when nnz is 0, so only this
-        # test rounds a train of zero fibers.
+        # Each rounding, called directly, on a train of zero fibers.
         t = SparseTensor(shape, np.zeros((0, len(shape)), dtype=np.int64), np.zeros(0))
         zero = tt_zero(shape)
         for pivot in range(len(shape)):
@@ -553,17 +552,44 @@ class TestFastTTDriver:
         assert (16, 1264) in lapack_shapes
         assert max(min(shape) for shape in lapack_shapes) < 256
 
-    def test_stencil_steps_factor_only_their_nonzero_rows(self, cholqr2_shapes):
-        # Criterion 6's input at pivot 1: both 23200x58 steps take
-        # CholeskyQR2 on their nonzero rows, 1920 (the fibers) on the
-        # right step and 58 * 58 on the left, and keep the lossless ranks.
+    def test_stencil_steps_factor_only_their_nonzero_rows(self, lapack_shapes, cholqr2_shapes):
+        # Criterion 6's input at pivot 1: both 23200x58 steps factor only
+        # their nonzero rows, 1920 (the fibers) on the right step and
+        # 58 * 58 on the left.  Both are below CholeskyQR2's 2**18 entries,
+        # so gesdd takes them, and they keep the lossless ranks.
         dims = (20, 20, 20)
         a = tensorize_matrix(gen_fdm(20, 20, 20, coeffs="random", seed=1234), dims, dims)
         _, rep = fasttt(a, eps=1e-14, pivot=1)
         assert rep.num_fibers == 1920
-        assert cholqr2_shapes == [(1920, 58), (58 * 58, 58)]
+        assert cholqr2_shapes == []
+        assert lapack_shapes == [(1920, 58), (58 * 58, 58)]
         assert rep.ranks == rep.ranks_lossless == (58, 58)
         assert rep.eps_actual <= 5e-14
+
+    def test_laplacian_rank_does_not_depend_on_row_order(self, lapack_shapes, monkeypatch):
+        # Criterion 5's 23200x58 right step at eps 1e-14: its budget is
+        # below gesdd's noise on the 1920 nonzero rows, so the noise floor
+        # decides the rank.  It is 2 in every row order and memory order.
+        pipeline = importlib.import_module("sparsett.fasttt")
+        steps, step = [], pipeline.svd_truncate_delta
+
+        def recording(m, delta):
+            steps.append((m.copy(), delta))
+            return step(m, delta)
+
+        monkeypatch.setattr(pipeline, "svd_truncate_delta", recording)
+        dims = (20, 20, 20)
+        _, rep = fasttt(tensorize_matrix(gen_fdm(20, 20, 20), dims, dims), eps=1e-14, pivot=1)
+        assert rep.ranks == (2, 2)
+        m, delta = steps[0]
+        assert m.shape == (23200, 58) and np.count_nonzero(m.any(axis=1)) == 1920
+        lapack_shapes.clear()
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            shuffled = m[rng.permutation(m.shape[0])]
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                assert svd_truncate_delta(layout(shuffled), delta).rank == 2
+        assert lapack_shapes == [(1920, 58)] * 40
 
     def test_near_lossless_and_report(self, rng):
         t = rand_sparse(rng, (5, 6, 4), 0.2)
@@ -669,11 +695,19 @@ class TestFastTTDriver:
             fasttt(t, eps=None, mode="fixed", fixed_ranks=(2, 2))
 
     def test_empty_input(self):
+        # No branch of its own: the exact train has zero bonds, every
+        # rounding gives the zero train, and the difference measure reads 0.
         t = SparseTensor((3, 4, 5), np.zeros((0, 3), dtype=np.int64), np.zeros(0))
-        tt, rep = fasttt(t)
-        assert np.array_equal(tt_to_full(tt), np.zeros((3, 4, 5)))
-        assert rep.eps_actual == 0.0
-        assert rep.warnings
+        for pivot in (None, 0, 1, 2):
+            for mode, ranks in (("static", None), ("dynamic", None), ("fixed_rank", 2)):
+                tt, rep = fasttt(t, pivot=pivot, mode=mode, fixed_ranks=ranks)
+                assert tt.ranks == (1, 1, 1, 1)
+                assert np.array_equal(tt_to_full(tt), np.zeros((3, 4, 5)))
+                assert rep.pivot == (0 if pivot is None else pivot)
+                assert rep.num_fibers == 0 and rep.ranks_lossless == (0, 0)
+                assert rep.eps_actual == rep.eps_actual_inner == 0.0
+                assert rep.eps_actual_method == "tt_difference"
+                assert rep.warnings == ("input has no nonzeros; returning the zero train",)
 
     def test_fixed_rank_needs_ranks_even_when_empty(self, rng):
         empty = SparseTensor((3, 4, 5), np.zeros((0, 3), dtype=np.int64), np.zeros(0))

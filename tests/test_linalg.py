@@ -49,6 +49,23 @@ class TestSVDTruncateDelta:
         res = svd_truncate_delta(u @ v, 0.0)
         assert res.rank == 1
 
+    @pytest.mark.parametrize("shape", [(200, 50), (50, 200), (2000, 50)])
+    def test_noise_below_the_floor_is_dropped(self, rng, shape):
+        # Rank 3 plus noise at 0.1 of the floor min(shape) * eps * s[0]:
+        # rank 3 at delta 0 and at a delta below the noise, whose tail
+        # alone would keep it, and the dropped noise counts in trunc_error.
+        floor = min(shape) * np.finfo(np.float64).eps
+        noise = rng.standard_normal(shape)
+        noise *= 0.1 * floor / np.linalg.norm(noise, 2)
+        m = low_rank(rng, *shape, [1.0, 0.5, 0.25], 0.0) + noise
+        s0 = scipy.linalg.svd(m, compute_uv=False)
+        delta = 0.01 * floor
+        assert oracle_rank(s0, delta) > 3
+        for d in (0.0, delta):
+            res = svd_truncate_delta(m, d)
+            assert res.rank == 3
+            assert d < res.trunc_error < floor * s0[0]
+
     def test_rank_zero_above_norm(self, rng):
         m = rng.standard_normal((5, 5))
         res = svd_truncate_delta(m, np.linalg.norm(m) * 1.001)
@@ -267,8 +284,8 @@ class TestTallSkinnyPath:
         assert lapack_shapes == [shape]
 
     def test_zero_rows_are_left_out(self, rng, lapack_shapes, cholqr2_shapes):
-        # The shape rule is judged on 20000x40; the kernel then sees only
-        # the ~1000 nonzero rows, and U's zero rows are exactly +0.0.
+        # Only the ~1000 nonzero rows are factored: too few for the shape
+        # rule, so gesdd takes them, and U's zero rows are exactly +0.0.
         m = conditioned(rng, 20000, 40, 1e3)
         zero = rng.random(20000) < 0.95
         m[zero] = 0.0
@@ -279,51 +296,68 @@ class TestTallSkinnyPath:
         deltas = [0.0] + [float(np.sqrt(tails[r] * tails[r - 1])) for r in (1, 5, 20, 39)]
         results = [svd_truncate_delta(m, delta) for delta in deltas]
         results += [svd_truncate_rank(m, r) for r in (0, 7, 40, 50)]
-        # delta == 0 keeps the numerical rank under the full shape's cutoff,
-        # and svd_truncate_rank clamps to the full shape's short side.
-        numerical = int(np.count_nonzero(s0 >= 20000 * np.finfo(np.float64).eps * s0[0]))
-        want = [numerical] + [oracle_rank(s0, d) for d in deltas[1:]] + [0, 7, 40, 40]
+        # svd_truncate_rank clamps to the short side, which is unchanged.
+        want = [40] + [oracle_rank(s0, d) for d in deltas[1:]] + [0, 7, 40, 40]
         assert [res.rank for res in results] == want
         for res in results:
             assert res.u.shape == (20000, res.rank)
             assert_matches_oracle(m, res)
             assert np.linalg.norm(res.u.T @ res.u - np.eye(res.rank), 2) <= 1e-13
             assert not res.u[zero].any() and not np.signbit(res.u[zero]).any()
-        assert cholqr2_shapes == [(kept, 40)] * len(results)
-        assert set(lapack_shapes) == {(40, 40)}
+        assert cholqr2_shapes == []
+        assert lapack_shapes == [(kept, 40)] * len(results)
         # A transposed view, as the rounding's left steps pass, gets U in
         # its own memory order, so transposing U back needs no copy.
         res = svd_truncate_rank(np.asfortranarray(m), 40)
         assert res.u.flags.f_contiguous
         assert_same_result(res, results[-1])
 
+    def test_zero_rows_are_left_out_of_cholqr2(self, rng, lapack_shapes, cholqr2_shapes):
+        # About 8000 of 20000 rows are nonzero: the compacted matrix still
+        # passes the shape rule, so CholeskyQR2 factors exactly those rows.
+        m = conditioned(rng, 20000, 40, 1e3)
+        zero = rng.random(20000) < 0.6
+        m[zero] = 0.0
+        res = svd_truncate_rank(m, 40)
+        assert cholqr2_shapes == [(20000 - int(zero.sum()), 40)]
+        assert lapack_shapes == [(40, 40)]
+        assert not res.u[zero].any() and not np.signbit(res.u[zero]).any()
+        assert_matches_oracle(m, res)
+
     def test_fewer_nonzero_rows_than_columns_is_gesdd(
         self, rng, lapack_shapes, cholqr2_shapes
     ):
+        # Too few nonzero rows to drop the rest: the whole matrix passes
+        # the shape rule, CholeskyQR2 refuses it and gesdd factors it.
         m = np.zeros((20000, 40))
         m[rng.choice(20000, 30, replace=False)] = rng.standard_normal((30, 40))
         results = [svd_truncate_delta(m, 0.0), svd_truncate_rank(m, 35)]
         assert [res.rank for res in results] == [30, 35]
-        assert cholqr2_shapes == []
+        assert cholqr2_shapes == [m.shape] * 2
         assert lapack_shapes == [m.shape] * 2
         for res in results:
             assert_same_result(res, gesdd_result(m, res.rank))
 
-    def test_rank_deficient_with_zero_rows_is_gesdd_on_the_full_matrix(
+    def test_rank_deficient_with_zero_rows_is_gesdd_on_the_nonzero_rows(
         self, rng, lapack_shapes, cholqr2_shapes
     ):
         # Shaped like the 20^3 Laplacian's 23200x58 step at pivot 1: 1920
-        # nonzero rows, numerical rank 2.  A guard refuses the compacted
-        # matrix, and gesdd then factors all 23200 rows, whose result the
-        # rank decision at eps 1e-14 relies on bit for bit.
+        # nonzero rows, numerical rank 2.  They are too few for the shape
+        # rule, so gesdd factors them and U is scattered back.
         m = np.zeros((23200, 58))
-        m[np.sort(rng.choice(23200, 1920, replace=False))] = conditioned(rng, 1920, 58, 4.0, 2)
+        keep = np.zeros(23200, dtype=bool)
+        keep[rng.choice(23200, 1920, replace=False)] = True
+        m[keep] = conditioned(rng, 1920, 58, 4.0, 2)
         results = [svd_truncate_delta(m, delta) for delta in (0.0, 1e-14 * np.linalg.norm(m))]
-        assert cholqr2_shapes == [(1920, 58)] * 2
-        assert lapack_shapes == [m.shape] * 2
+        assert cholqr2_shapes == []
+        assert lapack_shapes == [(1920, 58)] * 2
+        want = gesdd_result(m[keep], 2)
         for res in results:
             assert res.rank == 2
-            assert_same_result(res, gesdd_result(m, res.rank))
+            assert res.u[keep].tobytes() == want.u.tobytes() and not res.u[~keep].any()
+            assert res.s.tobytes() == want.s.tobytes()
+            assert res.vt.tobytes() == want.vt.tobytes()
+            assert res.trunc_error == want.trunc_error
 
     def test_numpy_1_cholesky_signature(self, rng, lapack_shapes, monkeypatch):
         # NumPy 1.x's cholesky takes no ``upper`` keyword; the path must
