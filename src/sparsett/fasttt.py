@@ -444,41 +444,39 @@ def tt_relative_error(exact: IndexTrain, approx: TTTensor, norm: float) -> float
     """``norm(exact - approx) / norm``, where ``norm`` is the norm of
     ``exact``, evaluated stably: :func:`fasttt`'s own measure.
 
-    ``exact`` is the exact train in index form; the measure reads its
-    pivot and writes its dense 0/1 cores with
-    :func:`parallel_vector_round`.  Those cores are never factored.  A
-    sweep from the last core to the pivot writes the right interface of
-    ``approx`` in the basis of the exact train's interface plus an
-    orthonormal residual: one projection against the exact core, exact
-    because its rows are distinct unit vectors, then one QR of the
-    residual, whose width is at most the bond rank of ``approx``.  Each
-    step costs O(n r_exact r_exact' r_approx) rather than a QR of the
-    stacked cores.  Folded into both pivot cores (the approximant's
-    negated), the coefficients leave a difference of the cores up to
-    the pivot, whose orthogonalized norm resolves errors down to machine
-    precision instead of the ``~1e-8`` floor of the expanded
-    inner-product form.  The measure has no size cap of its own:
-    :func:`fasttt` decides from the ranks whether to call it.
+    ``exact`` is the exact train in index form.  A sweep from the last
+    core to the pivot writes the right interface of ``approx`` in the
+    basis of the exact train's interface plus an orthonormal residual,
+    and reads only the exact train's index maps: the projection gathers
+    the entries at each map's kept rows, and the residual is what is
+    left once those entries are zeroed, both exact because the kept rows
+    are distinct unit vectors.  One QR of the residual, whose width is
+    at most the bond rank of ``approx``, ends the step; no product with
+    a 0/1 core is formed.  The cores up to the pivot are written dense
+    by :func:`parallel_vector_round` and never factored.  Folded into
+    both pivot cores (the approximant's negated), the coefficients leave
+    a difference of the cores up to the pivot, whose orthogonalized norm
+    resolves errors down to machine precision instead of the ``~1e-8``
+    floor of the expanded inner-product form.  The measure has no size
+    cap of its own: :func:`fasttt` decides from the ranks whether to
+    call it.
     """
     if not isinstance(exact, IndexTrain):
         raise TypeError("tt_relative_error expects an IndexTrain")
     if exact.dims != approx.dims:
         raise ValueError("trains must share mode extents")
-    d, pivot = exact.ndim, exact.pivot
+    d, pivot, dims = exact.ndim, exact.pivot, exact.dims
     reference = parallel_vector_round(exact)
     # y = [x, s]: approx's right interface is x times the exact train's
     # plus s times rows orthonormal to it; at the last pivot both
     # interfaces are the scalar 1.
     y = np.ones((1, 1))
     for k in range(d - 1, pivot, -1):
-        ra0, n, ra1 = reference.cores[k].shape
-        rb0 = approx.cores[k].shape[0]
-        a = reference.cores[k].reshape(ra0, n * ra1)
+        q, n, rb0 = exact.cores[k], dims[k], approx.cores[k].shape[0]
         c = (approx.cores[k].reshape(rb0 * n, -1) @ y).reshape(rb0, n, -1)
-        part = c[:, :, :ra1].reshape(rb0, n * ra1)
-        x = part @ a.T
-        part -= x @ a
-        c[:, :, :ra1] = part.reshape(rb0, n, ra1)
+        i, j = np.divmod(q.col_to_row, q.n_rows // n)
+        x = c[:, i, j]
+        c[:, i, j] = 0.0
         _, r = qr_economic(c.reshape(rb0, -1).T)
         y = np.concatenate([x, r.T], axis=1)
     r0, n, ra1 = reference.cores[pivot].shape

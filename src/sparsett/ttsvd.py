@@ -256,7 +256,7 @@ def round_from_pivot(t: IndexTrain, right_step, left_step) -> TTTensor:
         res = left_step(k, cores[k].reshape(r0, n * r1).T)
         if res.rank == 0:
             return tt_zero(dims)
-        cores[k] = np.ascontiguousarray(res.u.T).reshape(res.rank, n, r1)
+        cores[k] = res.u.T.reshape(res.rank, n, r1)
         carry = res.vt.T * res.s  # (r0, rank)
         cores[k - 1] = _carry_into(cores[k - 1], carry, True, dims[k - 1])
     return TTTensor(cores)

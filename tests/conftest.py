@@ -85,7 +85,7 @@ def dense_round_from_pivot(cores, pivot, right_step, left_step):
         res = left_step(k, cores[k].reshape(r0, n * r1).T)
         if res.rank == 0:
             return tt_zero(dims)
-        cores[k] = np.ascontiguousarray(res.u.T).reshape(res.rank, n, r1)
+        cores[k] = res.u.T.reshape(res.rank, n, r1)
         cores[k - 1] = np.tensordot(cores[k - 1], res.vt.T * res.s, axes=(2, 0))
     return TTTensor(cores)
 

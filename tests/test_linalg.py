@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sparsett import linalg
 from sparsett.linalg import (
-    _fix_signs,
     _openblas_threads,
     one_blas_thread,
     qr_economic,
@@ -115,17 +114,25 @@ class TestSVDTruncateDelta:
     def test_sign_rule_matches_column_loop(self, rng):
         # Reference: per column, the first largest-magnitude entry of u is
         # made nonnegative.  Small integers make ties in magnitude common.
+        # Each case goes through the one result path twice: with every
+        # row factored, and with u's rows scattered among zero rows.
+        keep = np.array([False, True, True, False, True, True, True])
         for _ in range(300):
             u = rng.integers(-2, 3, (5, 4)).astype(float)
+            s = np.array([4.0, 3.0, 2.0, 1.0])
             vt = rng.standard_normal((4, 3))
             want_u, want_vt = u.copy(), vt.copy()
             for j in range(4):
                 if want_u[np.argmax(np.abs(want_u[:, j])), j] < 0.0:
                     want_u[:, j] = -want_u[:, j]
                     want_vt[j] = -want_vt[j]
-            _fix_signs(u, vt)
-            assert u.tobytes() == want_u.tobytes()
-            assert vt.tobytes() == want_vt.tobytes()
+            res = linalg._truncated(np.zeros((5, 3)), None, u, s, vt, 4)
+            assert res.u.tobytes() == want_u.tobytes()
+            assert res.vt.tobytes() == want_vt.tobytes()
+            res = linalg._truncated(np.zeros((7, 3)), keep, u, s, vt, 4)
+            assert res.u[keep].tobytes() == want_u.tobytes()
+            assert not res.u[~keep].any() and not np.signbit(res.u[~keep]).any()
+            assert res.vt.tobytes() == want_vt.tobytes()
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -135,6 +142,33 @@ class TestSVDTruncateDelta:
         for delta in (-0.5, float("nan")):
             with pytest.raises(ValueError):
                 svd_truncate_delta(np.ones((2, 2)), delta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("alone", [False, True], ids=["in-a-nonzero-row", "alone-in-a-row"])
+    def test_nonfinite_entries_of_a_compacted_matrix_are_refused(self, rng, bad, alone):
+        # Most rows are zero, so only the nonzero rows are factored; a
+        # non-finite entry makes its row nonzero and the check on the
+        # factored rows refuses it, even alone in an otherwise-zero row.
+        m = np.zeros((200, 4))
+        m[::10] = rng.standard_normal((20, 4))
+        m[5 if alone else 10, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            svd_truncate_delta(m, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            svd_truncate_rank(m, 2)
+
+    def test_u_takes_the_memory_order_of_the_input(self, rng):
+        # A transposed view with no zero row, as most of the rounding's
+        # left steps pass, gets u in its own memory order, as a step whose
+        # zero rows are dropped does; transposing u back needs no copy.
+        m = rng.standard_normal((40, 6))
+        want = svd_truncate_delta(m, 0.1)
+        assert want.u.flags.c_contiguous
+        f = np.asfortranarray(m)
+        for res in (svd_truncate_delta(f, 0.1), svd_truncate_rank(f, want.rank)):
+            assert res.u.flags.f_contiguous
+            assert res.u.tobytes("A") == np.asfortranarray(want.u).tobytes("A")
+            assert res.vt.tobytes() == want.vt.tobytes()
 
 
 class TestSVDTruncateRank:
@@ -180,7 +214,7 @@ def conditioned(rng, rows: int, cols: int, cond: float, rank: int | None = None)
 def gesdd_result(m: np.ndarray, rank: int):
     """What the LAPACK path returns: ``_truncated`` of NumPy's gesdd."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return linalg._truncated(u, s, vt, rank)
+    return linalg._truncated(m, None, u, s, vt, rank)
 
 
 def assert_matches_oracle(m: np.ndarray, res, tol: float = 1e-13):
@@ -521,7 +555,7 @@ class TestGramPath:
         res = svd_truncate_delta(m, delta)
         assert lapack_shapes == []
         u, s, vt, residual_sq = linalg._gram_svd(m, delta)
-        assert_same_result(res, linalg._truncated(u, s, vt, s.size, residual_sq))
+        assert_same_result(res, linalg._truncated(m, None, u, s, vt, s.size, residual_sq))
         assert_certified(m, res, delta)
         assert res.rank == oracle_rank(scipy.linalg.svd(m, compute_uv=False), delta)
 
