@@ -88,21 +88,28 @@ def tt_zero(dims) -> TTTensor:
     return TTTensor([np.zeros((1, n, 1)) for n in dims])
 
 
-_ENTRIES_BATCH = 4096
+_ENTRIES_FLOATS = 1 << 22
 
 
 def tt_entries(t: TTTensor, coords) -> np.ndarray:
     """Evaluate many entries; ``coords`` is ``(n, d)``, 0-based.
 
-    The coordinates go in batches of ``batch = _ENTRIES_BATCH`` rows.
-    Each batch carries a ``(batch, r_k)`` block of partial products
-    through the modes.  At mode ``k >= 1`` the rows are stably sorted by
-    ``coords[:, k]``, and every run of rows with the same index ``i`` is
-    multiplied by the slice ``G[k][:, i, :]`` in one GEMM.  No
-    ``r_k x batch x r_{k+1}`` gather of core slices is formed, so the
-    working memory is O(batch * max r_k) floats and every flop is
-    BLAS-3.  A coordinate outside ``[0, n_k)`` or not a whole number
-    raises ``ValueError``.
+    Consecutive coordinates that agree on modes ``0..k`` share one
+    partial product ``G[0][:, i_0, :] @ ... @ G[k][:, i_k, :]``.  Each
+    distinct prefix's row is computed once, from its parent prefix's row
+    times ``G[k][:, i_k, :]``; the new rows of a mode are grouped by
+    ``i_k``, and each group is one GEMM.  Only neighbouring rows are
+    compared, so the saving comes from sorted input: in lexicographic
+    order (the order :class:`SparseTensor` stores) every distinct prefix
+    is one run, and the rows at bond ``k`` are the distinct prefixes.
+    Unsorted or repeated coordinates give the same values and cost no
+    more than one product per coordinate and mode.
+
+    The coordinates go in contiguous chunks of
+    ``_ENTRIES_FLOATS // max(r_k)`` rows, so the working memory is a few
+    ``(rows, max r_k)`` blocks of at most ``_ENTRIES_FLOATS`` floats
+    each, and every flop is BLAS-3.  A coordinate outside ``[0, n_k)`` or
+    not a whole number raises ``ValueError``.
     """
     coords = np.asarray(_integral(coords), dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != t.ndim:
@@ -110,25 +117,31 @@ def tt_entries(t: TTTensor, coords) -> np.ndarray:
     if ((coords < 0) | (coords >= np.asarray(t.dims))).any():
         raise ValueError(f"coords out of range for mode extents {t.dims}")
     out = np.empty(coords.shape[0])
-    for lo in range(0, coords.shape[0], _ENTRIES_BATCH):
-        c = coords[lo : lo + _ENTRIES_BATCH]
-        # Row j of ``v`` belongs to coordinate ``rows[j]`` of the batch.
-        rows = np.arange(c.shape[0])
-        v = t.cores[0][0, c[:, 0], :]
+    chunk = max(1, _ENTRIES_FLOATS // max(t.ranks))
+    for lo in range(0, coords.shape[0], chunk):
+        c = coords[lo : lo + chunk]
+        # ``new[j]``: row j's prefix differs from row j-1's.  Row p of
+        # ``v`` is the partial product of the p-th distinct prefix.
+        new = np.ones(c.shape[0], dtype=bool)
+        new[1:] = c[1:, 0] != c[:-1, 0]
+        v = t.cores[0][0, c[new, 0], :]
         for k in range(1, t.ndim):
             core = t.cores[k]
-            idx = c[rows, k]
+            pid = new.cumsum() - 1
+            new[1:] |= c[1:, k] != c[:-1, k]
+            idx = c[new, k]
             order = idx.argsort(kind="stable")
             idx = idx[order]
-            rows = rows[order]
-            v = v[order]
+            parent = pid[new][order]
             cuts = ((idx[1:] != idx[:-1]).nonzero()[0] + 1).tolist()
             bounds = [0, *cuts, idx.size]
             prod = np.empty((idx.size, core.shape[2]))
             for s, e in zip(bounds[:-1], bounds[1:]):
-                np.matmul(v[s:e], core[:, idx[s], :], out=prod[s:e])
-            v = prod
-        out[lo + rows] = v[:, 0]
+                np.matmul(v.take(parent[s:e], axis=0), core[:, idx[s], :], out=prod[s:e])
+            del v  # the parents' rows go before the next block is made
+            v = np.empty_like(prod)
+            v[order] = prod
+        out[lo : lo + c.shape[0]] = v[new.cumsum() - 1, 0]
     return out
 
 
@@ -177,7 +190,9 @@ def tt_norm(t: TTTensor) -> float:
     """Frobenius norm by contracting the train with itself."""
     w = np.ones((1, 1))
     for c in t.cores:
-        w = np.tensordot(np.tensordot(w, c, axes=(0, 0)), c, axes=((0, 1), (0, 1)))
+        r0, n, r1 = c.shape
+        part = (w.T @ c.reshape(r0, n * r1)).reshape(r0 * n, r1)
+        w = part.T @ c.reshape(r0 * n, r1)
     return float(np.sqrt(max(w[0, 0], 0.0)))
 
 
@@ -188,7 +203,8 @@ def _qr_sweep(cores: list[np.ndarray], stop: int) -> None:
         r0, n, r1 = cores[k].shape
         q, r = qr_economic(cores[k].reshape(r0, n * r1).T)
         cores[k] = np.ascontiguousarray(q.T).reshape(q.shape[1], n, r1)
-        cores[k - 1] = np.tensordot(cores[k - 1], r, axes=(2, 1))
+        a, b, _ = cores[k - 1].shape
+        cores[k - 1] = (cores[k - 1].reshape(a * b, r0) @ r.T).reshape(a, b, -1)
 
 
 def tt_right_orthogonalize(t: TTTensor) -> TTTensor:

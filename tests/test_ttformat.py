@@ -79,30 +79,73 @@ class TestTTTensor:
                     g[...] = 7.0
 
 
+def _chunk_rows(monkeypatch, t, rows):
+    """Make ``tt_entries`` take ``rows`` coordinates per chunk on ``t``."""
+    monkeypatch.setattr(ttformat, "_ENTRIES_FLOATS", rows * max(t.ranks))
+
+
+def _tensordot_norm(t):
+    """The norm as two ``tensordot`` contractions per core: the formula
+    ``tt_norm`` used before it spelt the same GEMMs with ``@``."""
+    w = np.ones((1, 1))
+    for c in t.cores:
+        w = np.tensordot(np.tensordot(w, c, axes=(0, 0)), c, axes=((0, 1), (0, 1)))
+    return float(np.sqrt(max(w[0, 0], 0.0)))
+
+
 class TestEntriesAndFull:
     def test_entries_batched(self, rng, monkeypatch):
-        monkeypatch.setattr(ttformat, "_ENTRIES_BATCH", 64)
         t = rand_tt(rng, (4, 4, 4), (3, 3))
+        _chunk_rows(monkeypatch, t, 64)
         coords = np.stack([rng.integers(0, 4, 300) for _ in range(3)], axis=1)
         got = tt_entries(t, coords)
         want = tt_to_full(t)[tuple(coords.T)]
         assert np.allclose(got, want, atol=1e-12)
 
-    @pytest.mark.parametrize("batch", [1, 7, 64, 4096])
-    def test_entries_unsorted_repeated_mixed_ranks(self, rng, monkeypatch, batch):
-        monkeypatch.setattr(ttformat, "_ENTRIES_BATCH", batch)
+    @pytest.mark.parametrize("rows", [1, 7, 64, 4096])
+    def test_entries_unsorted_repeated_mixed_ranks(self, rng, monkeypatch, rows):
         # Bond ranks 1, 5, 2, 7 around modes of different extents; the
         # coordinates are unsorted and repeat, and 7 does not divide 250.
         t = rand_tt(rng, (3, 5, 4, 6, 2), (1, 5, 2, 7))
+        _chunk_rows(monkeypatch, t, rows)
         coords = np.stack([rng.integers(0, n, 125) for n in t.dims], axis=1)
         coords = np.concatenate([coords, coords[::-1]])
         got = tt_entries(t, coords)
         want = tt_to_full(t)[tuple(coords.T)]
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_entries_sorted_runs_cut_by_chunks(self, rng, monkeypatch, rows):
+        # Lexicographic order with long shared prefixes: a random 70% of
+        # the coordinates of a (2, 3, 4, 5) grid, with one of them given
+        # ten times in a row; chunks of 7 and 64 rows end inside runs.
+        t = rand_tt(rng, (2, 3, 4, 5), (4, 6, 3))
+        _chunk_rows(monkeypatch, t, rows)
+        grid = np.argwhere(np.ones(t.dims, dtype=bool))
+        coords = grid[rng.random(len(grid)) < 0.7]
+        coords = np.insert(coords, 20, np.repeat(coords[20:21], 9, axis=0), axis=0)
+        assert (np.diff(linearize(t.dims, coords)) >= 0).all()
+        got = tt_entries(t, coords)
+        want = tt_to_full(t)[tuple(coords.T)]
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_entries_independent_of_order_and_repeats(self, rng):
+        t = rand_tt(rng, (4, 3, 5, 2, 3), (3, 5, 4, 2))
+        lin = np.sort(rng.choice(math.prod(t.dims), 200, replace=False))
+        ordered = np.stack(np.unravel_index(lin, t.dims), axis=1)
+        want = tt_entries(t, ordered)
+        perm = rng.permutation(len(ordered))
+        shuffled = np.empty_like(want)
+        shuffled[perm] = tt_entries(t, ordered[perm])
+        repeated = tt_entries(t, np.repeat(ordered, 3, axis=0)).reshape(-1, 3)
+        scale = np.abs(want).max()
+        assert np.allclose(shuffled, want, rtol=1e-13, atol=1e-13 * scale)
+        for j in range(3):
+            assert np.allclose(repeated[:, j], want, rtol=1e-13, atol=1e-13 * scale)
+
     def test_entries_one_mode(self, rng, monkeypatch):
-        monkeypatch.setattr(ttformat, "_ENTRIES_BATCH", 3)
         t = rand_tt(rng, (9,), ())
+        _chunk_rows(monkeypatch, t, 3)
         coords = np.array([[4], [0], [8], [4]])
         assert np.array_equal(tt_entries(t, coords), t.cores[0][0, [4, 0, 8, 4], 0])
 
@@ -130,23 +173,27 @@ class TestEntriesAndFull:
             tt_entries(t, [[0, 0, 0]])
 
     def test_entries_memory_is_batch_times_rank(self, rng, monkeypatch):
-        # Bonds of 300: a gather of r * batch * r slices would take
+        # Bonds of 300: a gather of r * rows * r slices would take
         # 300 * 64 * 300 * 8 bytes = 46 MB, while the grouped products
-        # need a few (batch, r) blocks of 154 kB each.
-        r, batch = 300, 64
-        monkeypatch.setattr(ttformat, "_ENTRIES_BATCH", batch)
+        # need a few (rows, r) blocks of 154 kB each, in chunks of 64
+        # rows.  Shuffled coordinates share no prefix; sorted ones share
+        # most of theirs.
+        r, rows = 300, 64
         t = rand_tt(rng, (6, 6, 6), (r, r))
-        coords = np.stack([rng.integers(0, 6, 1000) for _ in range(3)], axis=1)
-        tt_entries(t, coords[:batch])
-        tracemalloc.start()
-        try:
-            got = tt_entries(t, coords)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * batch * r * 8
-        want = tt_to_full(t)[tuple(coords.T)]
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        _chunk_rows(monkeypatch, t, rows)
+        shuffled = np.stack([rng.integers(0, 6, 1000) for _ in range(3)], axis=1)
+        ordered = shuffled[np.argsort(linearize(t.dims, shuffled), kind="stable")]
+        tt_entries(t, shuffled[:rows])
+        for coords in (shuffled, ordered):
+            tracemalloc.start()
+            try:
+                got = tt_entries(t, coords)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * rows * r * 8
+            want = tt_to_full(t)[tuple(coords.T)]
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_full_cap(self, rng):
         t = rand_tt(rng, (10, 10, 10), (1, 1))
@@ -184,6 +231,15 @@ class TestAlgebra:
         assert tt_norm(t) == pytest.approx(
             np.linalg.norm(tt_to_full(t)), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "dims, ranks",
+        [((7,), ()), ((3, 4), (1,)), ((3, 4, 2, 3), (2, 3, 2)), ((5, 2, 6, 3, 4), (4, 1, 9, 3))],
+    )
+    def test_norm_matches_tensordot_bit_for_bit(self, rng, dims, ranks):
+        for _ in range(5):
+            t = rand_tt(rng, dims, ranks)
+            assert tt_norm(t) == _tensordot_norm(t)
 
 
 class TestOrthogonalize:
