@@ -10,7 +10,6 @@ from .generators import *
 from .linalg import *
 from .tensor import *
 from .ttformat import *
-from .ttsvd import *
 
 __version__ = "0.1.0"
 
@@ -19,8 +18,6 @@ __version__ = "0.1.0"
 # above shadows the module of the same name.
 __all__ = [
     name
-    for module in (
-        "errors", "fasttt", "formats", "generators", "linalg", "tensor", "ttformat", "ttsvd"
-    )
+    for module in ("errors", "fasttt", "formats", "generators", "linalg", "tensor", "ttformat")
     for name in _sys.modules[f"{__name__}.{module}"].__all__
 ] + ["__version__"]

@@ -35,8 +35,7 @@ from .formats import (
 )
 from .generators import gen_fdm, gen_random_sparse
 from .tensor import SparseTensor
-from .ttformat import TTTensor, tensorize_matrix, tt_to_full
-from .ttsvd import flops_ttsvd, tt_svd
+from .ttformat import TTTensor, flops_ttsvd, tensorize_matrix, tt_svd, tt_to_full
 
 __all__ = ["main"]
 
@@ -54,9 +53,10 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 def _load_input(path: str, row_dims, col_dims):
     """Read a tensor from ``.coo`` text or a MatrixMarket file.
 
-    Matrix inputs are fused into a tensor and need ``--row-dims`` and
-    ``--col-dims``; a refused matrix is named by file, a repeated entry
-    by its 1-based (row, col).  Returns ``(tensor, matrix_dims_or_None)``.
+    Matrix inputs (``.mtx`` or ``.mm``) are fused into a tensor and need
+    ``--row-dims`` and ``--col-dims``, which any other input refuses; a
+    refused matrix is named by file, a repeated entry by its 1-based
+    (row, col).  Returns ``(tensor, matrix_dims_or_None)``.
     """
     suffix = Path(path).suffix.lower()
     if suffix in (".mtx", ".mm"):
@@ -74,6 +74,9 @@ def _load_input(path: str, row_dims, col_dims):
                 k = exc.positions[1]
                 exc = f"duplicate entry ({matrix.row[k] + 1}, {matrix.col[k] + 1})"
             raise FormatError(f"{path}: {exc}") from None
+    for flag, given in (("--row-dims", row_dims), ("--col-dims", col_dims)):
+        if given is not None:
+            raise FormatError(f"{path}: tensor input does not take {flag}")
     return ingest_coo(path), None
 
 
@@ -327,7 +330,9 @@ def cmd_gen_fdm(args) -> int:
     if len(grid) != 3:
         raise FormatError(f"--grid needs three extents, got {args.grid!r}")
     matrix = gen_fdm(*grid, coeffs=args.coeffs, seed=args.seed)
-    scipy.io.mmwrite(args.out, matrix, precision=17)
+    # Through a handle: given a name, mmwrite appends .mtx to any other.
+    with open(args.out, "wb") as fh:
+        scipy.io.mmwrite(fh, matrix, precision=17)
     print(f"wrote {args.out}: {matrix.shape[0]} x {matrix.shape[1]}, nnz {matrix.nnz}")
     return 0
 
@@ -344,7 +349,7 @@ def cmd_gen_random(args) -> int:
 
 def _add_decompose_options(parser: argparse.ArgumentParser) -> None:
     """The ``decompose`` flags, which bench cases take as fields too."""
-    parser.add_argument("--in", dest="input", required=True, help=".coo or .mtx input")
+    parser.add_argument("--in", dest="input", required=True, help=".coo tensor, or .mtx/.mm matrix input")
     parser.add_argument("--method", choices=("fasttt", "ttsvd"), default="fasttt")
     parser.add_argument("--eps", type=float, default=None, help="relative error budget (default 1e-14)")
     parser.add_argument("--p", type=int, default=None, help="pivot mode, 1-based (default: auto)")

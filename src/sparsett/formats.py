@@ -232,10 +232,12 @@ def write_report(doc: dict[str, Any], path) -> None:
 
 
 def save_tt(t: TTTensor, path, **metadata) -> None:
-    """Archive a train as an ``.npz`` file (one array per core)."""
+    """Archive a train in ``.npz`` format (one array per core) at
+    ``path`` itself: ``np.savez`` would append ``.npz`` to another name."""
     arrays = {f"core_{k}": c for k, c in enumerate(t.cores)}
     meta = {f"meta_{k}": np.asarray(v) for k, v in metadata.items()}
-    np.savez(path, num_cores=np.asarray(t.ndim), **arrays, **meta)
+    with open(path, "wb") as fh:
+        np.savez(fh, num_cores=np.asarray(t.ndim), **arrays, **meta)
 
 
 def load_tt(path) -> TTTensor:

@@ -1,5 +1,6 @@
-"""Tensor-train values with dense cores, and the matrix tensorization
-that turns a sparse matrix into a tensor.
+"""Tensor-train values with dense cores, the classical dense
+construction, and the matrix tensorization that turns a sparse matrix
+into a tensor.
 
 A train with cores ``G[0] .. G[d-1]`` (each ``(r_prev, n_k, r_next)``,
 edge ranks 1) represents
@@ -8,6 +9,10 @@ edge ranks 1) represents
 
 Mode extents and bond ranks follow the same 0-based, last-index-fastest
 conventions as :mod:`sparsett.tensor`.
+
+:func:`tt_svd` is the reference construction: sequential truncated SVDs
+over the unfoldings, with a result within ``eps`` of the input in
+relative Frobenius norm.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 import numpy as np
 import scipy.sparse
 
-from .linalg import qr_economic
+from .linalg import qr_economic, svd_truncate_delta
 from .tensor import DENSE_CAP, SparseTensor, _frozen, _integral, check_shape
 
 __all__ = [
@@ -28,6 +33,9 @@ __all__ = [
     "tt_to_full",
     "tt_norm",
     "tt_right_orthogonalize",
+    "tt_svd",
+    "flops_ttsvd",
+    "full_ranks",
     "tensorize_matrix",
 ]
 
@@ -213,6 +221,94 @@ def tt_right_orthogonalize(t: TTTensor) -> TTTensor:
     cores = list(t.cores)
     _qr_sweep(cores, 0)
     return TTTensor(cores)
+
+
+def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
+    """Decompose a dense tensor with per-step tolerance
+    ``eps / sqrt(d-1) * norm(a)``, which keeps the total relative error
+    within ``eps``.  Raises ``ValueError`` when ``norm(a)`` overflows."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    _check_eps(eps)
+    dims = a.shape
+    d = a.ndim
+    if d == 0:
+        raise ValueError("input must have at least one mode")
+    norm = _input_norm(a.ravel())
+    if d == 1:
+        return TTTensor([a.reshape(1, -1, 1)])
+    delta = eps / math.sqrt(d - 1) * norm
+    cores = []
+    c = a
+    r = 1
+    for k in range(d - 1):
+        m = c.reshape(r * dims[k], -1)
+        res = svd_truncate_delta(m, delta)
+        if res.rank == 0:
+            return tt_zero(dims)
+        cores.append(res.u.reshape(r, dims[k], res.rank))
+        c = res.s[:, None] * res.vt
+        r = res.rank
+    cores.append(c.reshape(r, dims[-1], 1))
+    return TTTensor(cores)
+
+
+def _check_eps(eps: float) -> None:
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+
+
+def _input_norm(values: np.ndarray) -> float:
+    """Frobenius norm of the input's entries; ``ValueError`` when it is not
+    finite, since the squares of the entries then overflow float64."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(values))
+    if not math.isfinite(norm):
+        raise ValueError(
+            f"the input's norm is {norm}: its squared entries overflow float64"
+        )
+    return norm
+
+
+def full_ranks(shape, ranks) -> tuple[int, ...]:
+    """Normalize a rank vector to full length ``d+1`` with unit edges.
+
+    Accepts one int for every interior bond, the interior ranks (length
+    ``d-1``) or the full vector.
+    """
+    dims = check_shape(shape)
+    d = len(dims)
+    if isinstance(ranks, (int, np.integer)):
+        ranks = (ranks,) * (d - 1)
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) == d - 1:
+        ranks = (1,) + ranks + (1,)
+    if len(ranks) != d + 1:
+        raise ValueError(
+            f"rank vector must have length {d - 1} or {d + 1}, got {len(ranks)}"
+        )
+    if ranks[0] != 1 or ranks[-1] != 1:
+        raise ValueError("edge ranks must be 1")
+    if any(r < 0 for r in ranks):
+        raise ValueError("ranks must be nonnegative")
+    return ranks
+
+
+def flops_ttsvd(shape, ranks) -> float:
+    """Cost model for :func:`tt_svd`.
+
+    One truncated SVD of an ``m x n`` matrix is charged
+    ``m * n * min(m, n)``; step ``k`` factorizes the
+    ``(r_{k-1} n_k) x (n_{k+1} ... n_d)`` unfolding.
+    """
+    dims = check_shape(shape)
+    d = len(dims)
+    r = full_ranks(dims, ranks)
+    total = 0
+    for k in range(1, d):  # unfolding after modes 1..d-1 (1-based)
+        rows = r[k - 1] * dims[k - 1]
+        cols = math.prod(dims[k:])
+        total += rows * cols * min(rows, cols)
+    return float(total)
 
 
 def _check_factors(dims, total: int, what: str) -> tuple[int, ...]:

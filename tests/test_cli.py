@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 
-from sparsett import SparseTensor, gen_random_sparse, ingest_coo, load_tt, tt_to_full, write_coo
+from sparsett import (
+    SparseTensor, gen_fdm, gen_random_sparse, ingest_coo, load_tt, tt_to_full, write_coo
+)
 from sparsett import cli
 from sparsett.cli import main
 from conftest import rand_sparse
@@ -42,6 +45,13 @@ class TestDecompose:
         assert tt.dims == (5, 4, 6)
         out = capsys.readouterr().out
         assert "eps_actual" in out
+
+    def test_save_tt_writes_the_path_given(self, coo_file, tmp_path):
+        train = tmp_path / "model.tt"
+        assert main(["decompose", "--in", str(coo_file), "--save-tt", str(train)]) == 0
+        assert train.exists()
+        assert not (tmp_path / "model.tt.npz").exists()
+        assert load_tt(train).dims == (5, 4, 6)
 
     def test_explicit_pivot_recorded(self, coo_file, tmp_path):
         report = tmp_path / "report.json"
@@ -214,6 +224,29 @@ class TestDecompose:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("name, flags, message", [
+        ("m.mtx", ("--row-dims", "3,x", "--col-dims", "2"),
+         "expected comma-separated integers, got '3,x'"),
+        ("m.mtx", ("--row-dims", "2", "--col-dims", "1,2"),
+         "row and column factorizations need equal length"),
+        ("e.coo", (), "{path}: empty file, missing shape header"),
+        ("t.coo", ("--mode", "fixed", "--ranks", "2,-1"), "ranks must be nonnegative"),
+        ("t.coo", ("--row-dims", "2,2"), "{path}: tensor input does not take --row-dims"),
+        ("t.coo", ("--col-dims", "2,2"), "{path}: tensor input does not take --col-dims"),
+    ], ids=["bad-integer", "factor-counts", "empty-coo", "negative-rank", "row-dims", "col-dims"])
+    def test_refusal_exits_two_and_names_its_cause(self, tmp_path, rng, capsys, name, flags, message):
+        path, report = tmp_path / name, tmp_path / "report.json"
+        if name == "m.mtx":
+            self.write_mtx(path, "1 2 1.0", "2 1 2.0")
+        elif name == "e.coo":
+            path.write_text("")
+        else:
+            write_coo(rand_sparse(rng, (5, 4, 6), 0.2), path)
+        assert main(["decompose", "--in", str(path), *flags, "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message.format(path=path)}\n"
+        assert not report.exists()
+
     def test_symmetric_matrix_listing_both_halves_refused(self, tmp_path, capsys):
         # The expanded half repeats the listed one; which of the two is
         # named first depends on the reader's expansion order.
@@ -374,6 +407,20 @@ class TestBench:
         assert by_name["fixed"]["ok"] is True
         assert by_name["static"]["ok"] is False
         assert "--ranks" in by_name["static"]["error"]
+
+    def test_matrix_dims_on_a_tensor_fail_their_case(self, tmp_path, rng):
+        files = self.write_inputs(tmp_path, rng)
+        rc, out_dir = self.run_manifest(tmp_path, {"cases": [
+            {"name": "plain", "file": files[0], "compare_ttsvd": False},
+            {"name": "dims", "file": files[0], "row_dims": [2, 2], "compare_ttsvd": False},
+        ]})
+        assert rc == 1
+        by_name = {c["name"]: c for c in json.loads((out_dir / "summary.json").read_text())["cases"]}
+        assert by_name["plain"]["ok"] is True
+        assert by_name["dims"]["ok"] is False
+        assert by_name["dims"]["error"] == (
+            f"FormatError: {files[0]}: tensor input does not take --row-dims"
+        )
 
     def test_failed_case_recorded(self, tmp_path, rng):
         files = self.write_inputs(tmp_path, rng)
@@ -610,6 +657,13 @@ class TestBench:
         manifest.write_text(json.dumps({"cases": []}))
         assert main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
 
+    def test_manifest_that_is_not_json_exits_two(self, tmp_path, capsys):
+        manifest, out_dir = tmp_path / "bad.json", tmp_path / "o"
+        manifest.write_text("cases: []\n")
+        assert main(["bench", "--manifest", str(manifest), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: Expecting value: ")
+        assert not out_dir.exists()
+
 
 class TestGenerators:
     def test_gen_random_round_trip(self, tmp_path):
@@ -623,6 +677,21 @@ class TestGenerators:
         ref = gen_random_sparse((6, 7, 8), 0.05, seed=3)
         assert np.array_equal(t.coords, ref.coords)
         assert np.array_equal(t.values, ref.values)
+
+    def test_gen_fdm_writes_the_path_given(self, tmp_path):
+        # .mm is read as MatrixMarket, and no .mtx is appended to it.
+        out = tmp_path / "f.mm"
+        assert main(["gen-fdm", "--grid", "2,2,2", "--out", str(out)]) == 0
+        assert not (tmp_path / "f.mm.mtx").exists()
+        assert main(["decompose", "--in", str(out), "--row-dims", "2,2,2",
+                     "--col-dims", "2,2,2"]) == 0
+
+    def test_gen_fdm_mtx_bytes_unchanged(self, tmp_path):
+        out, ref = tmp_path / "f.mtx", tmp_path / "ref.mtx"
+        argv = ["gen-fdm", "--grid", "3,2,2", "--coeffs", "random", "--seed", "4", "--out", str(out)]
+        assert main(argv) == 0
+        scipy.io.mmwrite(str(ref), gen_fdm(3, 2, 2, coeffs="random", seed=4), precision=17)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_gen_fdm_bad_grid_exits_two(self, tmp_path):
         assert main(["gen-fdm", "--grid", "2,2", "--out", str(tmp_path / "m.mtx")]) == 2

@@ -311,6 +311,7 @@ class TestMatrixMarket:
             ("%%MatrixMarket matrix array real general", "array"),
             ("%%MatrixMarket matrix coordinate real hermitian", "hermitian"),
             ("%%MatrixMarket matrix coordinate real skew-symmetric", "skew-symmetric"),
+            ("%%MatrixMarket vector coordinate real general", "object 'vector'"),
         ],
     )
     def test_variants_rejected_by_name(self, tmp_path, banner, named):

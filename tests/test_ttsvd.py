@@ -13,7 +13,7 @@ from sparsett import (
     tt_to_full,
 )
 from sparsett.linalg import svd_truncate_rank
-from sparsett.ttsvd import _carry_into
+from sparsett.fasttt import _carry_into
 from conftest import einsum_qr_sweep, rand_index_train
 
 
