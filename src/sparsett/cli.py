@@ -169,13 +169,14 @@ def cmd_decompose(args) -> int:
     actual = f"{doc['eps_actual']:.3e} (resolution {doc['eps_actual_resolution']:.0e})"
     print(f"eps          {doc['eps']:.3e}   eps_actual {actual}")
     print(f"cpu_time_s   {doc['cpu_time_s']:.3f}")
-    if args.report:
-        write_report(doc, args.report)
+    # The train first: a report is left only beside the train it describes.
     if args.save_tt:
         meta = {}
         if matrix_dims:
             meta = {"row_dims": list(matrix_dims[0]), "col_dims": list(matrix_dims[1])}
         save_tt(tt, args.save_tt, **meta)
+    if args.report:
+        write_report(doc, args.report)
     breach = _contract_breach(report, args)
     if breach:
         raise ContractViolationError(breach)  # exit 1

@@ -89,9 +89,9 @@ _MODES = ("static", "dynamic", "fixed_rank")
 # difference of the cores up to the pivot only, but the cap keeps it off
 # inputs where that dwarfs the job.  Lifted, on a 2-vCPU VM (three fresh
 # processes each, timing the second of two decompositions), it took
-# 2.6-3.0 s and 1.2 GB more peak RSS on the benchmark's ``fdm30`` input
-# (seed 1), whose decomposition takes 0.22-0.24 s and 321 MB, and
-# 1.0-1.2 s and 680 MB more on ``pixels`` (0.30-0.36 s and 136 MB),
+# 0.54-0.55 s and 530 MB more peak RSS on the benchmark's ``fdm30`` input
+# (seed 1), whose decomposition takes 0.18-0.23 s and 368 MB, and
+# 1.09-1.20 s and 680 MB more on ``pixels`` (0.25-0.30 s and 160 MB),
 # whose pivot is the last mode, so the whole difference is orthogonalized.
 _ERROR_MEASURE_CAP = 20_000_000
 
@@ -644,14 +644,19 @@ def tt_relative_error(exact: IndexTrain, approx: TTTensor, norm: float) -> float
     left once those entries are zeroed, both exact because the kept rows
     are distinct unit vectors.  One QR of the residual, whose width is
     at most the bond rank of ``approx``, ends the step; no product with
-    a 0/1 core is formed.  The cores up to the pivot are written dense
-    by :func:`parallel_vector_round` and never factored.  Folded into
-    both pivot cores (the approximant's negated), the coefficients leave
-    a difference of the cores up to the pivot, whose orthogonalized norm
-    resolves errors down to machine precision instead of the ``~1e-8``
-    floor of the expanded inner-product form.  The measure has no size
-    cap of its own: :func:`fasttt` decides from the ranks whether to
-    call it.
+    a 0/1 core is formed.  Folded into both pivot cores (the
+    approximant's negated), the coefficients leave a difference train of
+    the cores up to the pivot, the exact train's written dense by
+    :func:`parallel_vector_round`; its norm is that of the end core a QR
+    sweep orthogonalizes it toward.  When the pivot core's transposed
+    unfolding is tall its QR could not shrink the bond, so the train is
+    swept reversed: the cores left of the pivot are factored and the
+    pivot core only absorbs one ``R``.  Otherwise, as at the last pivot,
+    that QR shrinks the bond and the sweep factors every core but the
+    first.  Either way the reading resolves errors down to machine
+    precision instead of the ``~1e-8`` floor of the expanded
+    inner-product form.  The measure has no size cap of its own:
+    :func:`fasttt` decides from the ranks whether to call it.
     """
     if not isinstance(exact, IndexTrain):
         raise TypeError("tt_relative_error expects an IndexTrain")
@@ -680,6 +685,9 @@ def tt_relative_error(exact: IndexTrain, approx: TTTensor, norm: float) -> float
         TTTensor([*reference.cores[:pivot], ref_core.reshape(r0, -1, 1)]),
         TTTensor([*approx.cores[:pivot], approx_core.reshape(rb0, -1, 1)]),
     )
+    w, h, _ = diff.cores[-1].shape
+    if h > w:  # a QR of the tall pivot unfolding cannot shrink its bond
+        diff = TTTensor([c.transpose(2, 1, 0) for c in reversed(diff.cores)])
     num = float(np.linalg.norm(tt_right_orthogonalize(diff).cores[0].ravel()))
     return num / norm if norm > 0 else (0.0 if num == 0.0 else math.inf)
 

@@ -53,6 +53,19 @@ class TestDecompose:
         assert not (tmp_path / "model.tt.npz").exists()
         assert load_tt(train).dims == (5, 4, 6)
 
+    def test_unwritable_train_leaves_no_report(self, coo_file, tmp_path, capsys):
+        # The train is saved before the report is written, so a run that
+        # cannot save its train leaves no report that reads as finished.
+        report = tmp_path / "report.json"
+        missing = tmp_path / "nodir"
+        rc = main([
+            "decompose", "--in", str(coo_file),
+            "--save-tt", str(missing / "t.npz"), "--report", str(report),
+        ])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not report.exists()
+
     def test_explicit_pivot_recorded(self, coo_file, tmp_path):
         report = tmp_path / "report.json"
         rc = main([

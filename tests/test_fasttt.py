@@ -36,8 +36,9 @@ from sparsett import (
     tt_to_full,
     tt_zero,
 )
+from sparsett import ttformat
 from sparsett.fasttt import tt_relative_error
-from sparsett.linalg import svd_truncate_delta, svd_truncate_rank
+from sparsett.linalg import qr_economic, svd_truncate_delta, svd_truncate_rank
 from conftest import (
     dense_round_from_pivot,
     full_sweep_relative_error,
@@ -856,6 +857,31 @@ def approximants(reference, rng):
 MEASURE_SHAPES = [(7,), (6, 5), (5, 4, 3), (4, 3, 5, 2), (3, 2, 3, 2, 3), (3, 2, 3, 2, 2, 3)]
 
 
+def traced_measure(monkeypatch, exact, approx, norm):
+    """Run the difference measure, recording every QR input in call
+    order.  Returns the reading, the transposed unfolding of the pivot
+    core of the difference train (a view of that core) and the inputs."""
+    module = importlib.import_module("sparsett.fasttt")
+    formed, inputs = [], []
+
+    def add(a, b):
+        formed.append(tt_add(a, b))
+        return formed[-1]
+
+    def qr(m):
+        inputs.append(m)
+        return qr_economic(m)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "tt_add", add)
+        m.setattr(module, "qr_economic", qr)
+        m.setattr(ttformat, "qr_economic", qr)
+        got = tt_relative_error(exact, approx, norm=norm)
+    (diff,) = formed
+    w, h, _ = diff.cores[-1].shape
+    return got, diff.cores[-1].reshape(w, h).T, inputs
+
+
 class TestErrorMeasures:
     def test_tt_relative_error_matches_dense(self, rng):
         t = rand_sparse(rng, (5, 5, 5), 0.2)
@@ -891,6 +917,50 @@ class TestErrorMeasures:
                 got = tt_relative_error(exact, approx, norm=norm)
                 want = full_sweep_relative_error(dense, approx, norm)
                 assert abs(got - want) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "grid, dims, pivot", [(20, (20, 20, 20), 1), (8, (2,) * 9, None)], ids=["fdm20", "qtt8"]
+    )
+    def test_tall_pivot_core_is_never_factored(self, monkeypatch, grid, dims, pivot):
+        # Criterion 5's 20^3 Laplacian at pivot 1, and the 8^3 Laplacian in
+        # quantized form (9 modes of 4) at select_p's pivot: the sweep runs
+        # toward the pivot core, so no QR is as tall as its unfolding.
+        a = tensorize_matrix(gen_fdm(grid, grid, grid), dims, dims)
+        pivot = select_p(a) if pivot is None else pivot
+        approx, _ = fasttt(a, eps=1e-14, pivot=pivot)
+        exact = build_structured_tt(a, pivot)
+        got, unfolding, inputs = traced_measure(monkeypatch, exact, approx, np.linalg.norm(a.values))
+        h, w = unfolding.shape
+        assert h > w
+        assert max(m.shape[0] for m in inputs) < h
+        assert got <= 1e-12
+
+    def test_last_pivot_keeps_the_orientation(self, rng, monkeypatch):
+        # There y is one column wide, so the pivot unfolding is wide and
+        # its QR, the sweep's first, shrinks the bond.
+        t = rand_sparse(rng, (8, 3, 5, 9, 4), 0.1)
+        exact = build_structured_tt(t, 4)
+        approx, _ = fasttt(t, eps=0.1, pivot=4)
+        _, unfolding, inputs = traced_measure(monkeypatch, exact, approx, np.linalg.norm(t.values))
+        h, w = unfolding.shape
+        assert h == 4 < w
+        assert np.shares_memory(inputs[0], unfolding)
+
+    def test_orientation_follows_the_pivot_unfolding(self, rng, monkeypatch):
+        # A tall pivot unfolding is never factored; a wide one is.  Both
+        # arise over the measure's shapes and pivots.
+        seen = set()
+        for shape in MEASURE_SHAPES:
+            t = rand_sparse(rng, shape, 0.3)
+            for pivot in range(1, len(shape)):
+                exact = build_structured_tt(t, pivot)
+                dense = parallel_vector_round(exact)
+                for approx in approximants(dense, rng):
+                    _, unfolding, inputs = traced_measure(monkeypatch, exact, approx, 1.0)
+                    tall = unfolding.shape[0] > unfolding.shape[1]
+                    assert any(np.shares_memory(m, unfolding) for m in inputs) != tall
+                    seen.add(tall)
+        assert seen == {True, False}
 
     def test_measure_is_the_pipelines_own(self):
         # Not exported: fasttt is its one caller, and it decides the cap.
