@@ -602,8 +602,6 @@ def select_p(a: SparseTensor, target_ranks=None) -> int:
     dims = a.shape
     d = len(dims)
     targets = None if target_ranks is None else full_ranks(dims, target_ranks)
-    if d == 1:
-        return 0
     left = [math.prod(dims[:k]) for k in range(d + 1)]  # extent of the first k modes
     size = left[d]
     lin = linearize(dims, a.coords)
@@ -632,9 +630,9 @@ def _difference_size(dims, ranks_a, ranks_b) -> int:
     )
 
 
-def tt_relative_error(exact: IndexTrain, approx: TTTensor, norm: float) -> float:
-    """``norm(exact - approx) / norm``, where ``norm`` is the norm of
-    ``exact``, evaluated stably: :func:`fasttt`'s own measure.
+def tt_relative_error(exact: IndexTrain, approx: TTTensor) -> float:
+    """``norm(exact - approx) / norm(exact)``, evaluated stably:
+    :func:`fasttt`'s own measure.
 
     ``exact`` is the exact train in index form.  A sweep from the last
     core to the pivot writes the right interface of ``approx`` in the
@@ -657,6 +655,10 @@ def tt_relative_error(exact: IndexTrain, approx: TTTensor, norm: float) -> float
     precision instead of the ``~1e-8`` floor of the expanded
     inner-product form.  The measure has no size cap of its own:
     :func:`fasttt` decides from the ranks whether to call it.
+
+    The denominator is the norm of ``exact``'s pivot core, which holds
+    the input's values: the train is orthogonalized around its pivot, so
+    that core carries its whole norm.
     """
     if not isinstance(exact, IndexTrain):
         raise TypeError("tt_relative_error expects an IndexTrain")
@@ -689,6 +691,7 @@ def tt_relative_error(exact: IndexTrain, approx: TTTensor, norm: float) -> float
     if h > w:  # a QR of the tall pivot unfolding cannot shrink its bond
         diff = TTTensor([c.transpose(2, 1, 0) for c in reversed(diff.cores)])
     num = float(np.linalg.norm(tt_right_orthogonalize(diff).cores[0].ravel()))
+    norm = float(np.linalg.norm(exact.cores[pivot]))
     return num / norm if norm > 0 else (0.0 if num == 0.0 else math.inf)
 
 
@@ -792,12 +795,10 @@ def fasttt(
         fixed_ranks = _rank_targets(a.shape, fixed_ranks)
     elif fixed_ranks is not None:
         raise ValueError(f"fixed_ranks apply only in fixed_rank mode, not {mode!r}")
-    norm_a = _input_norm(a.values)
-    d = a.ndim
+    _input_norm(a.values)  # refuses a norm that overflows float64
     notes: list[str] = []
     if pivot is None:
         pivot = select_p(a, target_ranks=fixed_ranks)
-    _check_pivot(pivot, d)
 
     if a.nnz == 0:
         notes.append("input has no nonzeros; returning the zero train")
@@ -815,7 +816,7 @@ def fasttt(
 
         inner = sparse_inner_error(a, tt)
         if _difference_size(a.shape, exact.ranks, tt.ranks) <= _ERROR_MEASURE_CAP:
-            eps_actual, method = tt_relative_error(exact, tt, norm_a), "tt_difference"
+            eps_actual, method = tt_relative_error(exact, tt), "tt_difference"
         else:
             eps_actual, method = inner, "inner_identity"
             notes.append(

@@ -63,9 +63,9 @@ def ingest_coo(path) -> SparseTensor:
     try:
         return SparseTensor(dims, coords, values)
     except FormatError as exc:
-        *_, linenos = _coo_lines(path)  # a line's own fault outranks a repeat
-        if not exc.positions:
-            raise FormatError(f"{path}: {exc}") from None
+        # A line's own fault outranks a repeat: _coo_lines raises every
+        # fault SparseTensor finds but a repeat, which names its positions.
+        *_, linenos = _coo_lines(path)
         first, again = exc.positions
         at = tuple((coords[again] + 1).tolist())
         raise FormatError(

@@ -61,15 +61,13 @@ def gen_fdm(n: int, m: int, k: int, coeffs: str = "laplacian", seed: int | None 
 
 
 def _sample_distinct(rng: np.random.Generator, space: int, count: int) -> np.ndarray:
-    """``count`` distinct integers from ``range(space)``, sorted.
+    """``count <= space`` distinct integers from ``range(space)``, sorted.
 
     Small spaces are permuted outright; large ones use batched rejection
     sampling with a uniformly random subset of the collected pool, so
     the draw stays (approximately) uniform without materializing the
     space.  Deterministic for a given generator state.
     """
-    if count > space:
-        raise ValueError(f"cannot draw {count} distinct values from {space}")
     if count == space:
         return np.arange(space, dtype=np.int64)
     if space <= 4 * count or space <= 1 << 22:

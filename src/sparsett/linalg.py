@@ -27,12 +27,11 @@ Every SVD goes through one of four kernels, tried in this order:
   finder: a 16-column Gaussian sketch seeded from the shape, one power
   step, and the SVD of the projection ``B = Q^T M``.  It is accepted
   only when the exact residual ``||M - Q B||_F`` is within ``delta``,
-  and that residual is part of the reported ``trunc_error``.  When the
-  energy it must capture, ``||M||^2 - delta^2``, exceeds 16 times its
-  largest squared singular value, or the residual is above ``delta``,
-  the step goes to the Gram route below.  A step whose energy exceeds
-  16 times ``||M||_1 ||M||_inf``, a bound on the squared singular
-  values, goes there without a sketch.
+  and that residual is part of the reported ``trunc_error``.  A step
+  whose energy to capture, ``||M||^2 - delta^2``, exceeds 16 times
+  ``||M||_1 ||M||_inf``, a bound on its squared singular values, goes
+  to the Gram route below before a sketch is drawn; a sketch whose
+  residual is above ``delta`` goes there after.
 - A step the sketch hands over is factored from the eigendecomposition
   of its short-side Gram matrix, when ``delta**2`` is at least 100
   times a bound on that Gram's eigenvalue error,
@@ -207,11 +206,11 @@ def _full_svd(a: np.ndarray):
 # QTT 32^3 Laplacian (numerical rank 4, delta 2.2e-8) took 10 ms
 # against 450 ms for gesdd, with a residual of 1.4e-12.  The
 # image-shaped steps of the benchmark's ``pixels`` workload keep over
-# 90% of their rank; there the sketch fails the energy test and hands
-# over to the Gram route, 4 ms before 20 ms at 300x957 (gesdd: 66 ms).
-# At 2800x639 (Gram 219 ms, gesdd 319 ms) the norm bound fails the
-# energy test first and saves the sketch's 11 ms.  No benchmark
-# step certified at a wider sketch, so none is tried.
+# 90% of their rank; at 300x957 the sketch's residual is above delta
+# and it hands over to the Gram route, 4 ms before 20 ms (gesdd:
+# 66 ms).  At 2800x639 (Gram 219 ms, gesdd 319 ms) the norm bound
+# refuses the sketch before it is drawn and saves its 11 ms.  No
+# benchmark step certified at a wider sketch, so none is tried.
 _SKETCH_MIN_DIM = 256
 _SKETCH_WIDTH = 16
 
@@ -229,10 +228,9 @@ def _sketched_svd(m: np.ndarray, delta: float):
     # ``Q`` and the error of any truncation of ``B``'s SVD is exact:
     # ``sum(s[r:]**2) + ||m - Q B||^2``, with the residual formed by
     # ``_residual_sq``.  A passing certificate implies
-    # ``||B||^2 >= ||m||^2 - delta^2``, so a sketch whose
-    # ``_SKETCH_WIDTH * s[0]**2`` falls short needs no residual.
-    # Since ``s[0]**2 <= ||m||_1 ||m||_inf``, that bound can fail the same
-    # test before any sketch is drawn.
+    # ``||B||^2 >= ||m||^2 - delta^2``, while ``||B||^2`` is at most
+    # ``_SKETCH_WIDTH * s[0]**2 <= _SKETCH_WIDTH * ||m||_1 ||m||_inf``:
+    # that bound refuses a sketch before it is drawn, the residual after.
     # Returns ``(u, s, vt, residual**2)``, or None to take the full SVD.
     energy = float(np.linalg.norm(m)) ** 2 - delta * delta
     a = np.abs(m)
@@ -245,8 +243,6 @@ def _sketched_svd(m: np.ndarray, delta: float):
     q = np.linalg.qr(m @ np.linalg.qr(m.T @ q)[0])[0]
     b = q.T @ m
     ub, s, vt = _lapack_svd(b)
-    if energy > _SKETCH_WIDTH * float(s[0]) ** 2:
-        return None
     residual_sq = _residual_sq(q, b, m)
     if residual_sq > delta * delta:
         return None

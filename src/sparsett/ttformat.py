@@ -226,13 +226,12 @@ def tt_right_orthogonalize(t: TTTensor) -> TTTensor:
 def tt_svd(a: np.ndarray, eps: float) -> TTTensor:
     """Decompose a dense tensor with per-step tolerance
     ``eps / sqrt(d-1) * norm(a)``, which keeps the total relative error
-    within ``eps``.  Raises ``ValueError`` when ``norm(a)`` overflows."""
+    within ``eps``.  A 0-d input is read as one mode of extent 1.
+    Raises ``ValueError`` when ``norm(a)`` overflows."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     _check_eps(eps)
     dims = a.shape
     d = a.ndim
-    if d == 0:
-        raise ValueError("input must have at least one mode")
     norm = _input_norm(a.ravel())
     if d == 1:
         return TTTensor([a.reshape(1, -1, 1)])

@@ -260,6 +260,15 @@ class TestDecompose:
         assert out == "" and err == f"error: {message.format(path=path)}\n"
         assert not report.exists()
 
+    def test_matrix_body_the_reader_refuses_names_file(self, tmp_path, capsys):
+        # The reader's own wording follows the file name.
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 x 1.0\n")
+        rc = main(["decompose", "--in", str(path), "--row-dims", "1", "--col-dims", "1"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: ")
+
     def test_symmetric_matrix_listing_both_halves_refused(self, tmp_path, capsys):
         # The expanded half repeats the listed one; which of the two is
         # named first depends on the reader's expansion order.

@@ -139,10 +139,12 @@ class TestFiberSetValidation:
             build_structured_tt(np.ones((2, 3)), 0)
 
     def test_build_rejects_pivot_out_of_range(self, rng):
+        # fasttt leaves the check to the build.
         t = rand_sparse(rng, (3, 4, 2), 0.5)
         for pivot in (-1, 3):
-            with pytest.raises(ValueError, match="out of range"):
-                build_structured_tt(t, pivot)
+            for build in (build_structured_tt, lambda t, p: fasttt(t, pivot=p)):
+                with pytest.raises(ValueError, match=f"pivot {pivot} out of range for 3 modes"):
+                    build(t, pivot)
 
 
 class TestDeparGeneral:
@@ -181,6 +183,10 @@ class TestDeparGeneral:
         depar_general(rng.standard_normal((10, 6)))
         assert float_ops.count > 0
 
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="deparallelisation expects a matrix"):
+            depar_general(np.ones(3))
+
 
 class TestDeparQuasiPerm:
     def test_exact_factorization(self, rng):
@@ -216,6 +222,14 @@ class TestDeparQuasiPerm:
     def test_rejects_plain_matrix(self):
         with pytest.raises(TypeError):
             depar_quasi_perm(np.eye(3))
+
+    @pytest.mark.parametrize("rows, cols, col_to_row, message", [
+        (-1, 0, [], "matrix extents must be nonnegative"),
+        (3, 2, [0], r"col_to_row must have shape \(2,\)"),
+    ], ids=["negative", "misfit"])
+    def test_quasi_perm_matrix_refuses_bad_extents(self, rows, cols, col_to_row, message):
+        with pytest.raises(ValueError, match=message):
+            QuasiPermMatrix(rows, cols, col_to_row)
 
 
 def dense_parallel_round(a, pivot):
@@ -825,6 +839,10 @@ class TestSelectP:
         t = SparseTensor((3, 3, 3), coords, np.arange(1.0, 28.0))
         assert select_p(t) == 0
 
+    def test_rejects_dense_array(self, rng):
+        with pytest.raises(TypeError, match="select_p expects a SparseTensor"):
+            select_p(rng.standard_normal((3, 3)))
+
 class TestFlopsModel:
     def test_two_mode_hand_count(self):
         # single SVD of the (rt0 * n1) x rt1 spine with rt0 = 1
@@ -857,7 +875,7 @@ def approximants(reference, rng):
 MEASURE_SHAPES = [(7,), (6, 5), (5, 4, 3), (4, 3, 5, 2), (3, 2, 3, 2, 3), (3, 2, 3, 2, 2, 3)]
 
 
-def traced_measure(monkeypatch, exact, approx, norm):
+def traced_measure(monkeypatch, exact, approx):
     """Run the difference measure, recording every QR input in call
     order.  Returns the reading, the transposed unfolding of the pivot
     core of the difference train (a view of that core) and the inputs."""
@@ -876,7 +894,7 @@ def traced_measure(monkeypatch, exact, approx, norm):
         m.setattr(module, "tt_add", add)
         m.setattr(module, "qr_economic", qr)
         m.setattr(ttformat, "qr_economic", qr)
-        got = tt_relative_error(exact, approx, norm=norm)
+        got = tt_relative_error(exact, approx)
     (diff,) = formed
     w, h, _ = diff.cores[-1].shape
     return got, diff.cores[-1].reshape(w, h).T, inputs
@@ -887,7 +905,7 @@ class TestErrorMeasures:
         t = rand_sparse(rng, (5, 5, 5), 0.2)
         exact = build_structured_tt(t, 0)
         rounded, _ = fasttt(t, eps=0.3)
-        got = tt_relative_error(exact, rounded, norm=np.linalg.norm(t.values))
+        got = tt_relative_error(exact, rounded)
         dense = t.to_dense()
         want = np.linalg.norm(tt_to_full(rounded) - dense) / np.linalg.norm(dense)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
@@ -900,11 +918,16 @@ class TestErrorMeasures:
         got = sparse_inner_error(t, rounded)
         assert got == pytest.approx(want, abs=1e-6)
 
+    def test_inner_identity_refuses_mismatched_extents(self, rng):
+        t = rand_sparse(rng, (6, 5, 4), 0.3)
+        with pytest.raises(ValueError, match="tensor and train must share mode extents"):
+            sparse_inner_error(t, rand_tt(rng, (6, 5, 3), (2, 2)))
+
     def test_exact_train_measures_zero(self, rng):
         t = rand_sparse(rng, (4, 4, 4), 0.3)
         exact = build_structured_tt(t, 1)
         rounded, _ = fasttt(t)
-        assert tt_relative_error(exact, rounded, norm=np.linalg.norm(t.values)) <= 1e-12
+        assert tt_relative_error(exact, rounded) <= 1e-12
 
     @pytest.mark.parametrize("shape", MEASURE_SHAPES, ids=lambda s: f"d{len(s)}")
     def test_exact_reference_matches_full_sweep(self, rng, shape):
@@ -914,7 +937,7 @@ class TestErrorMeasures:
             dense = parallel_vector_round(exact)
             norm = tt_norm(dense)
             for approx in approximants(dense, rng):
-                got = tt_relative_error(exact, approx, norm=norm)
+                got = tt_relative_error(exact, approx)
                 want = full_sweep_relative_error(dense, approx, norm)
                 assert abs(got - want) <= 1e-14
 
@@ -929,7 +952,7 @@ class TestErrorMeasures:
         pivot = select_p(a) if pivot is None else pivot
         approx, _ = fasttt(a, eps=1e-14, pivot=pivot)
         exact = build_structured_tt(a, pivot)
-        got, unfolding, inputs = traced_measure(monkeypatch, exact, approx, np.linalg.norm(a.values))
+        got, unfolding, inputs = traced_measure(monkeypatch, exact, approx)
         h, w = unfolding.shape
         assert h > w
         assert max(m.shape[0] for m in inputs) < h
@@ -941,7 +964,7 @@ class TestErrorMeasures:
         t = rand_sparse(rng, (8, 3, 5, 9, 4), 0.1)
         exact = build_structured_tt(t, 4)
         approx, _ = fasttt(t, eps=0.1, pivot=4)
-        _, unfolding, inputs = traced_measure(monkeypatch, exact, approx, np.linalg.norm(t.values))
+        _, unfolding, inputs = traced_measure(monkeypatch, exact, approx)
         h, w = unfolding.shape
         assert h == 4 < w
         assert np.shares_memory(inputs[0], unfolding)
@@ -956,7 +979,7 @@ class TestErrorMeasures:
                 exact = build_structured_tt(t, pivot)
                 dense = parallel_vector_round(exact)
                 for approx in approximants(dense, rng):
-                    _, unfolding, inputs = traced_measure(monkeypatch, exact, approx, 1.0)
+                    _, unfolding, inputs = traced_measure(monkeypatch, exact, approx)
                     tall = unfolding.shape[0] > unfolding.shape[1]
                     assert any(np.shares_memory(m, unfolding) for m in inputs) != tall
                     seen.add(tall)
@@ -974,7 +997,7 @@ class TestErrorMeasures:
         exact = build_structured_tt(rand_sparse(rng, (4, 5, 4), 0.3), 1)
         dense = parallel_vector_round(exact)
         with pytest.raises(TypeError, match="tt_relative_error expects an IndexTrain"):
-            tt_relative_error(dense, dense, norm=1.0)
+            tt_relative_error(dense, dense)
 
     def test_exact_train_checked_by_its_index_maps(self):
         # The exact train is checked where it is made: a map whose kept

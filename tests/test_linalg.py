@@ -193,6 +193,10 @@ class TestSVDTruncateRank:
         approx = (res.u * res.s) @ res.vt
         assert np.linalg.norm(m - approx) == pytest.approx(want, rel=1e-10)
 
+    def test_negative_rank_refused(self, rng):
+        with pytest.raises(ValueError, match="target rank must be nonnegative, got -1"):
+            svd_truncate_rank(rng.standard_normal((3, 3)), -1)
+
     def test_rank_zero(self, rng):
         m = rng.standard_normal((3, 3))
         res = svd_truncate_rank(m, 0)

@@ -150,6 +150,14 @@ class TestSparseTensor:
         assert t.coords.tolist() == [[0, 2], [2, 1]]
         assert SparseTensor((3, 3), np.zeros((0, 2)), np.zeros(0)).nnz == 0
 
+    @pytest.mark.parametrize("coords, values, message", [
+        (np.zeros((2, 3)), np.ones(2), "coords must be (nnz, 2), got (2, 3)"),
+        (np.zeros((2, 2)), np.ones(3), "values must be (2,), got (3,)"),
+    ], ids=["coords", "values"])
+    def test_misshapen_input_rejected(self, coords, values, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            SparseTensor((3, 4), coords, values)
+
     def test_non_finite_rejected(self):
         with pytest.raises(FormatError):
             SparseTensor((2,), np.array([[0]]), np.array([np.nan]))

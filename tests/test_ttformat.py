@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,14 @@ class TestTTTensor:
     def test_edge_rank_rejected(self, rng):
         cores = [rng.standard_normal((2, 3, 1))]
         with pytest.raises(ValueError):
+            TTTensor(cores)
+
+    @pytest.mark.parametrize("cores, message", [
+        ([], "a train needs at least one core"),
+        ([np.ones((1, 2))], "core 0 must be 3-way, got shape (1, 2)"),
+    ], ids=["no-core", "two-way"])
+    def test_malformed_cores_rejected(self, cores, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             TTTensor(cores)
 
     def test_immutable(self, rng, tmp_path):

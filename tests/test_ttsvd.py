@@ -59,6 +59,11 @@ class TestTTSVD:
         t = tt_svd(a, 0.5)
         assert np.allclose(tt_to_full(t), a, atol=1e-14)
 
+    def test_zero_dim_input_is_one_mode(self):
+        t = tt_svd(np.array(2.0), 0.1)
+        assert t.dims == (1,)
+        assert [c.tolist() for c in t.cores] == [[[[2.0]]]]
+
     def test_rejects_bad_eps(self, rng):
         a = rng.standard_normal((3, 3))
         for eps in (-0.1, float("nan"), float("inf")):
