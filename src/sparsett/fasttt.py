@@ -27,6 +27,18 @@ touching a dense unfolding, then compresses:
     :func:`fixed_rank_rounding` (prescribed bond ranks) only supply the
     truncation rule of each step.
 
+Before stage 1, :func:`fasttt` restricts every mode to the indices that
+occur: a sparse matrix in fused form leaves most of them unused, and
+each unused index is a zero slice of every core, of every SVD step and
+of the error measure, and changes no singular value.  The indices that
+occur are relabelled in increasing order, which keeps the stored order
+and every row order the kernels see, and each core is written back to
+full extent once, before the report.  Inputs of at most
+``_ONE_THREAD_PARAMS`` dense entries are decomposed as given, so tiny
+trains keep their last bits, and so are ``fixed_rank`` runs, whose
+rank rule keeps zero singular triplets up to the short side of the
+full unfolding: compacted, that side can be shorter and a bond lost.
+
 :func:`fasttt` drives both stages and reports what happened;
 :func:`select_p` picks the pivot by the SVD cost model.  The error is
 measured by :func:`tt_relative_error`, which, like the rounding, takes
@@ -87,12 +99,14 @@ _MODES = ("static", "dynamic", "fixed_rank")
 # difference measure runs; past it the inner identity is used, and the
 # exact train is never written with dense cores.  The measure forms the
 # difference of the cores up to the pivot only, but the cap keeps it off
-# inputs where that dwarfs the job.  Lifted, on a 2-vCPU VM (three fresh
-# processes each, timing the second of two decompositions), it took
-# 0.54-0.55 s and 530 MB more peak RSS on the benchmark's ``fdm30`` input
-# (seed 1), whose decomposition takes 0.18-0.23 s and 368 MB, and
-# 1.09-1.20 s and 680 MB more on ``pixels`` (0.25-0.30 s and 160 MB),
-# whose pivot is the last mode, so the whole difference is orthogonalized.
+# inputs where that dwarfs the job.  Compacted, the benchmark's ``fdm30``
+# input fits under it; the 60^3 random stencil (seed 1, pivot 1) does
+# not, with 22.8 M entries.  Lifted, on a 2-vCPU VM (three fresh
+# processes each, timing the second of two decompositions), that run
+# took 1.54-1.58 s and 1,175 MB peak RSS against 0.97-1.28 s and
+# 1,156 MB, and ``pixels``, whose pivot is the last mode, so the whole
+# difference is orthogonalized, took 1.09-1.20 s and 680 MB more than
+# its 0.25-0.30 s and 160 MB.
 _ERROR_MEASURE_CAP = 20_000_000
 
 # Each error measure's resolution: how far its reading may stray from the
@@ -571,9 +585,13 @@ def flops_fasttt(shape, pivot: int, ranks_lossless, ranks_final) -> float:
     _check_pivot(pivot, d)
     if d == 1:
         return 0.0
-    rt = full_ranks(dims, ranks_lossless)
-    r = full_ranks(dims, ranks_final)
-    p = pivot + 1  # 1-based in the sums below
+    return _svd_flops(dims, pivot, full_ranks(dims, ranks_lossless), full_ranks(dims, ranks_final))
+
+
+def _svd_flops(dims, pivot: int, rt, r) -> float:
+    """:func:`flops_fasttt`'s sums, on checked extents and full rank
+    vectors, for :func:`select_p` to call without checking them again."""
+    d, p = len(dims), pivot + 1  # 1-based in the sums below
 
     def f(m: int, n: int) -> int:
         return m * n * min(m, n)
@@ -609,13 +627,13 @@ def select_p(a: SparseTensor, target_ranks=None) -> int:
     for pivot in range(d):
         keys = np.sort(_fiber_keys(dims, lin, pivot))
         num_fibers = int(np.count_nonzero(np.diff(keys, prepend=-1)))
-        rt, r_est = [], []
+        rt, r_est = [1], [1]
         for k in range(1, d):  # bond k sits after the first k modes
             bound = min(num_fibers, left[k] if k <= pivot else size // left[k])
             rt.append(bound)
             feas = min(bound, left[k], size // left[k])
             r_est.append(feas if targets is None else min(feas, targets[k]))
-        cost = flops_fasttt(dims, pivot, rt, r_est)
+        cost = _svd_flops(dims, pivot, rt + [1], r_est + [1])
         if cost < best_cost:
             best_pivot, best_cost = pivot, cost
     return best_pivot
@@ -751,6 +769,40 @@ class DecompositionReport:
         return _RESOLUTION[self.eps_actual_method]
 
 
+def _compact(a: SparseTensor):
+    """``a`` restricted to the indices that occur, and per mode the
+    sorted indices that occur, ``None`` where every index does.
+
+    One boolean table of all modes' indices is filled in a single pass.
+    The relabelling increases, so the stored order, and with it every
+    row order the kernels see, is kept.  ``(a, None)`` when no mode
+    leaves an index unused.
+    """
+    offsets = np.cumsum((0, *a.shape[:-1]))
+    present = np.zeros(sum(a.shape), dtype=bool)
+    # 4096 rows spread by the golden ratio first: on the benchmark's
+    # ``qtt`` input, whose rarest indices hold 0.46% of the rows, they
+    # show every index, and the pass over all rows is skipped (0.3 ms
+    # against 15 ms a job on a 2-vCPU VM).  A sample that misses an
+    # index costs only its own time.
+    sample = (np.arange(4096) * 0.6180339887498949 % 1.0 * a.nnz).astype(np.int64)
+    for rows in (a.coords[sample], a.coords):
+        present[(rows + offsets).ravel()] = True
+        if present.all():
+            return a, None
+    occurring, coords = [None] * a.ndim, None
+    for k, (start, n) in enumerate(zip(offsets, a.shape)):
+        used = present[start : start + n]
+        if used.all():
+            continue
+        if coords is None:
+            coords = a.coords.copy()
+        coords[:, k] = (np.cumsum(used) - 1)[coords[:, k]]
+        occurring[k] = np.flatnonzero(used)
+    shape = [n if idx is None else idx.size for n, idx in zip(a.shape, occurring)]
+    return SparseTensor(shape, coords, a.values), occurring
+
+
 def fasttt(
     a: SparseTensor,
     eps: float | None = 1e-14,
@@ -779,6 +831,15 @@ def fasttt(
     its orthonormality on its index maps, and the rounding starts at its
     pivot.  Raises ``ValueError`` when the norm of ``a`` overflows
     float64.
+
+    After the pivot is chosen, a nonempty input of more than
+    ``_ONE_THREAD_PARAMS`` dense entries is restricted to the indices
+    that occur in each mode; the train is built, rounded and measured on
+    that tensor, and its cores are scattered back to ``a``'s extents.
+    The report's shape, fiber count, lossless ranks and flop models are
+    those of ``a``.  ``fixed_rank`` runs are not compacted: the rank
+    rule keeps zero singular triplets up to the short side of the
+    unfolding, which compaction can shorten.
     """
     if not isinstance(a, SparseTensor):
         raise TypeError("fasttt expects a SparseTensor")
@@ -802,6 +863,9 @@ def fasttt(
 
     if a.nnz == 0:
         notes.append("input has no nonzeros; returning the zero train")
+    given, occurring = a, None
+    if a.nnz and mode != "fixed_rank" and a.size > _ONE_THREAD_PARAMS:
+        a, occurring = _compact(a)
     exact = build_structured_tt(a, pivot)
     num_fibers = exact.num_fibers
     ranks_lossless = exact.ranks[1:-1]
@@ -823,10 +887,18 @@ def fasttt(
                 f"difference train over the {_ERROR_MEASURE_CAP:,}-entry measure cap; "
                 f"eps_actual is the inner-product identity, resolution {_RESOLUTION[method]:.0e}"
             )
-    flops_model = flops_fasttt(a.shape, pivot, ranks_lossless, tt.ranks)
-    flops_ttsvd_model = flops_ttsvd(a.shape, tt.ranks)
+    if occurring is not None:
+        cores = list(tt.cores)
+        for k, idx in enumerate(occurring):
+            if idx is not None:
+                r0, _, r1 = cores[k].shape
+                cores[k] = np.zeros((r0, given.shape[k], r1))
+                cores[k][:, idx] = tt.cores[k]
+        tt = TTTensor(cores)
+    flops_model = flops_fasttt(given.shape, pivot, ranks_lossless, tt.ranks)
+    flops_ttsvd_model = flops_ttsvd(given.shape, tt.ranks)
     report = DecompositionReport(
-        shape=a.shape,
+        shape=given.shape,
         nnz=a.nnz,
         pivot=pivot,
         mode=mode,

@@ -22,6 +22,7 @@ from sparsett import (
     fasttt,
     fixed_rank_rounding,
     flops_fasttt,
+    flops_ttsvd,
     float_ops,
     gen_fdm,
     gen_random_sparse,
@@ -31,6 +32,7 @@ from sparsett import (
     sparse_inner_error,
     tensorize_matrix,
     tt_add,
+    tt_entries,
     tt_norm,
     tt_svd,
     tt_to_full,
@@ -582,9 +584,10 @@ class TestFastTTDriver:
         assert rep.eps_actual <= 5e-14
 
     def test_laplacian_rank_does_not_depend_on_row_order(self, lapack_shapes, monkeypatch):
-        # Criterion 5's 23200x58 right step at eps 1e-14: its budget is
-        # below gesdd's noise on the 1920 nonzero rows, so the noise floor
-        # decides the rank.  It is 2 in every row order and memory order.
+        # Criterion 5's right step at eps 1e-14, 3364x58 on the 58 indices
+        # of the pivot mode that occur: its budget is below gesdd's noise
+        # on the 1920 nonzero rows, so the noise floor decides the rank.
+        # It is 2 in every row order and memory order.
         pipeline = importlib.import_module("sparsett.fasttt")
         steps, step = [], pipeline.svd_truncate_delta
 
@@ -597,7 +600,7 @@ class TestFastTTDriver:
         _, rep = fasttt(tensorize_matrix(gen_fdm(20, 20, 20), dims, dims), eps=1e-14, pivot=1)
         assert rep.ranks == (2, 2)
         m, delta = steps[0]
-        assert m.shape == (23200, 58) and np.count_nonzero(m.any(axis=1)) == 1920
+        assert m.shape == (3364, 58) and np.count_nonzero(m.any(axis=1)) == 1920
         lapack_shapes.clear()
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -764,6 +767,116 @@ class TestFastTTDriver:
     def test_rejects_dense_array(self, rng):
         with pytest.raises(TypeError):
             fasttt(rng.standard_normal((3, 3)))
+
+
+def unused_index_tensor(rng, nnz=400) -> SparseTensor:
+    """A tensor of 1,152,000 dense entries, above the compaction gate,
+    that leaves indices unused in an edge mode (0 uses the even ones),
+    an interior mode (1 uses every third), a mode where one index occurs
+    (2 uses only 5) and none in the other edge mode (3)."""
+    coords = np.stack(
+        [2 * rng.integers(0, 20, nnz), 3 * rng.integers(0, 10, nnz),
+         np.full(nnz, 5), np.arange(nnz) % 60],
+        axis=1,
+    )
+    coords = np.unique(coords, axis=0)
+    return SparseTensor((40, 30, 16, 60), coords, rng.standard_normal(len(coords)))
+
+
+class TestModeCompaction:
+    @staticmethod
+    def built_shapes(monkeypatch):
+        """Shapes of the tensors the pipeline builds its exact train from."""
+        module = importlib.import_module("sparsett.fasttt")
+        shapes, build = [], module.build_structured_tt
+        monkeypatch.setattr(module, "build_structured_tt", lambda t, p: shapes.append(t.shape) or build(t, p))
+        return shapes
+
+    def test_decomposes_the_occurring_indices(self, rng, monkeypatch):
+        a = unused_index_tensor(rng)
+        unused = [np.setdiff1d(np.arange(n), a.coords[:, k]) for k, n in enumerate(a.shape)]
+        assert [u.size for u in unused] == [20, 20, 15, 0]
+        zeros = np.stack([rng.integers(0, n, 500) for n in a.shape], axis=1)
+        lin = np.ravel_multi_index(zeros.T, a.shape)
+        zeros = zeros[~np.isin(lin, np.ravel_multi_index(a.coords.T, a.shape))]
+        tol = 1e-13 * np.abs(a.values).max()
+        shapes = self.built_shapes(monkeypatch)
+        for pivot in range(a.ndim):
+            for mode, eps in (("static", 1e-14), ("static", 0.3), ("dynamic", 0.3)):
+                shapes.clear()
+                tt, rep = fasttt(a, eps=eps, pivot=pivot, mode=mode)
+                assert shapes == [(20, 10, 1, 60)]
+                assert tt.dims == rep.shape == a.shape
+                for k, u in enumerate(unused):
+                    assert not tt.cores[k][:, u].any(), (pivot, k)
+                if eps < 1e-13:
+                    assert np.abs(tt_entries(tt, a.coords) - a.values).max() <= tol
+                    assert np.abs(tt_entries(tt, zeros)).max() <= tol
+                # Lossless, both routes keep the unfolding ranks.  At a
+                # loose eps a kept bond can exceed what the far side's
+                # occurring indices allow; compacted, the QR sweep then
+                # shrinks it, so no bond is above the uncompacted route's.
+                exact = build_structured_tt(a, pivot)
+                rounding = efficient_tt_rounding if mode == "static" else dynamic_tt_rounding
+                whole = rounding(exact, eps).ranks
+                if eps < 1e-13:
+                    assert tt.ranks == whole, pivot
+                else:
+                    assert all(map(int.__le__, tt.ranks, whole)), (pivot, mode, tt.ranks, whole)
+                assert rep.num_fibers == exact.num_fibers
+                assert rep.ranks_lossless == exact.ranks[1:-1]
+                assert rep.flops_fasttt_model == flops_fasttt(a.shape, pivot, exact.ranks, tt.ranks)
+                assert rep.flops_ttsvd_model == flops_ttsvd(a.shape, tt.ranks)
+                assert rep.eps_actual_method == "tt_difference"
+                assert rep.eps_actual <= eps + 1e-12
+
+    def test_small_and_fixed_rank_runs_are_not_compacted(self, rng, monkeypatch):
+        # At or under the 2**20-entry gate and in fixed_rank mode the
+        # exact train is built from the input as given, on the
+        # uncompacted route; one entry past the gate compacts.
+        module = importlib.import_module("sparsett.fasttt")
+        shapes = self.built_shapes(monkeypatch)
+        at_gate = SparseTensor((1024, 1024), [[0, 3], [2, 5], [2, 9], [7, 3]], [1.0, 2.0, -1.0, 0.5])
+        above = SparseTensor((1025, 1024), at_gate.coords, at_gate.values)
+        big = unused_index_tensor(rng)
+        runs = [(at_gate, {}), (rand_sparse(rng, (9, 8, 7), 0.05), {"mode": "dynamic", "eps": 0.2})]
+        runs += [(big, {"mode": "fixed_rank", "fixed_ranks": r, "pivot": p}) for r in (2, 40) for p in range(4)]
+        with monkeypatch.context() as m:
+            m.setattr(module, "_compact", lambda x: pytest.fail("compacted"))
+            for t, kwargs in runs:
+                shapes.clear()
+                fasttt(t, **kwargs)
+                assert shapes == [t.shape]
+        shapes.clear()
+        fasttt(above)
+        assert shapes == [(3, 3)]
+
+    def test_every_index_occurring_is_not_compacted(self, rng):
+        # Past the gate with every index in use, row 1099 in the last of
+        # about 51,000 entries only: the rows sampled first need not show
+        # it, and the pass over all rows then finds nothing to drop.
+        lin = rng.choice(1099 * 1000, 50_000, replace=False)
+        coords = [*np.stack(np.divmod(lin, 1000), axis=1), *([i, i % 1000] for i in range(1100))]
+        coords = np.unique(coords, axis=0)
+        t = SparseTensor((1100, 1000), coords, rng.standard_normal(len(coords)))
+        assert np.count_nonzero(t.coords[:, 0] == 1099) == 1
+        compacted, occurring = importlib.import_module("sparsett.fasttt")._compact(t)
+        assert compacted is t and occurring is None
+
+    def test_empty_input_above_the_gate(self):
+        t = SparseTensor((2000, 3, 1000), np.zeros((0, 3), dtype=np.int64), np.zeros(0))
+        tt, rep = fasttt(t)
+        assert tt.dims == rep.shape == t.shape
+        assert tt.ranks == (1, 1, 1, 1)
+        assert not any(c.any() for c in tt.cores)
+        assert rep.eps_actual == 0.0
+
+    def test_repeated_calls_give_byte_identical_trains(self, rng):
+        a = unused_index_tensor(rng)
+        for kwargs in ({"eps": 1e-14}, {"eps": 0.3, "mode": "dynamic"}):
+            first, _ = fasttt(a, **kwargs)
+            second, _ = fasttt(a, **kwargs)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(first.cores, second.cores))
 
 
 def modeled_cost(shape, pivot0, rt, r, c=1.0):
