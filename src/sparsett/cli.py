@@ -320,9 +320,7 @@ def cmd_bench(args) -> int:
             {k: v for k, v in res.items() if k != "report"} for res in results
         ],
     }
-    with open(out_dir / "summary.json", "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_report(summary, out_dir / "summary.json")
     return 0 if all(res["ok"] for res in results) else 1
 
 

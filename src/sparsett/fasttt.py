@@ -35,9 +35,7 @@ occur are relabelled in increasing order, which keeps the stored order
 and every row order the kernels see, and each core is written back to
 full extent once, before the report.  Inputs of at most
 ``_ONE_THREAD_PARAMS`` dense entries are decomposed as given, so tiny
-trains keep their last bits, and so are ``fixed_rank`` runs, whose
-rank rule keeps zero singular triplets up to the short side of the
-full unfolding: compacted, that side can be shorter and a bond lost.
+trains keep their last bits.
 
 :func:`fasttt` drives both stages and reports what happened;
 :func:`select_p` picks the pivot by the SVD cost model.  The error is
@@ -120,7 +118,10 @@ _RESOLUTION = {"tt_difference": 1e-12, "inner_identity": 1e-6, "dense": 1e-12}
 # BLAS thread.  perfbench on a 2-vCPU VM (15 s runs, seeds 1-3): without
 # the scope `small` read cpu_s p50 4.3-5.5 ms against 1.7-2.0 ms; one
 # thread for every train raised decompose_s p50 on fdm30 from 0.78-0.84 s
-# to 0.96-1.06 s and on pixels from 0.79-0.85 s to 0.96-1.03 s.
+# to 0.96-1.06 s and on pixels from 0.79-0.85 s to 0.96-1.03 s.  Inputs
+# up to this many dense entries are not compacted: compacting every input
+# raised `small`'s in-process p50 from 0.475 to 0.505 ms and changed 514
+# of its 3,000 eps-mode trains in their last bits.
 _ONE_THREAD_PARAMS = 1 << 20
 
 
@@ -837,9 +838,7 @@ def fasttt(
     that occur in each mode; the train is built, rounded and measured on
     that tensor, and its cores are scattered back to ``a``'s extents.
     The report's shape, fiber count, lossless ranks and flop models are
-    those of ``a``.  ``fixed_rank`` runs are not compacted: the rank
-    rule keeps zero singular triplets up to the short side of the
-    unfolding, which compaction can shorten.
+    those of ``a``.
     """
     if not isinstance(a, SparseTensor):
         raise TypeError("fasttt expects a SparseTensor")
@@ -864,7 +863,7 @@ def fasttt(
     if a.nnz == 0:
         notes.append("input has no nonzeros; returning the zero train")
     given, occurring = a, None
-    if a.nnz and mode != "fixed_rank" and a.size > _ONE_THREAD_PARAMS:
+    if a.nnz and a.size > _ONE_THREAD_PARAMS:
         a, occurring = _compact(a)
     exact = build_structured_tt(a, pivot)
     num_fibers = exact.num_fibers

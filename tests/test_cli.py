@@ -412,6 +412,22 @@ class TestBench:
         table = capsys.readouterr().out
         assert "a" in table and "b" in table
 
+    def test_summary_is_written_as_every_report(self, tmp_path, rng, monkeypatch, capsys):
+        # Indented JSON with a closing newline; a non-finite number is
+        # refused, exit 2, as in every report.
+        files = self.write_inputs(tmp_path, rng)
+        manifest = {"cases": [{"name": "a", "file": files[0], "compare_ttsvd": False}]}
+        rc, out_dir = self.run_manifest(tmp_path, manifest)
+        assert rc == 0
+        text = (out_dir / "summary.json").read_text(encoding="ascii")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        run_case = cli._run_case
+        monkeypatch.setattr(cli, "_run_case", lambda args: {**run_case(args), "speedup": float("nan")})
+        capsys.readouterr()
+        rc, _ = self.run_manifest(tmp_path, manifest)
+        assert rc == 2
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+
     def test_ranks_without_fixed_mode_fail_their_case(self, tmp_path, rng):
         files = self.write_inputs(tmp_path, rng)
         manifest = tmp_path / "manifest.json"

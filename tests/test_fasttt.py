@@ -830,26 +830,54 @@ class TestModeCompaction:
                 assert rep.eps_actual_method == "tt_difference"
                 assert rep.eps_actual <= eps + 1e-12
 
-    def test_small_and_fixed_rank_runs_are_not_compacted(self, rng, monkeypatch):
-        # At or under the 2**20-entry gate and in fixed_rank mode the
-        # exact train is built from the input as given, on the
-        # uncompacted route; one entry past the gate compacts.
+    def test_runs_at_or_under_the_gate_are_not_compacted(self, rng, monkeypatch):
+        # At or under the 2**20-entry gate the exact train is built from
+        # the input as given, in every mode; one entry past the gate
+        # compacts.
         module = importlib.import_module("sparsett.fasttt")
         shapes = self.built_shapes(monkeypatch)
         at_gate = SparseTensor((1024, 1024), [[0, 3], [2, 5], [2, 9], [7, 3]], [1.0, 2.0, -1.0, 0.5])
         above = SparseTensor((1025, 1024), at_gate.coords, at_gate.values)
-        big = unused_index_tensor(rng)
-        runs = [(at_gate, {}), (rand_sparse(rng, (9, 8, 7), 0.05), {"mode": "dynamic", "eps": 0.2})]
-        runs += [(big, {"mode": "fixed_rank", "fixed_ranks": r, "pivot": p}) for r in (2, 40) for p in range(4)]
+        modes = [{}, {"mode": "dynamic", "eps": 0.2}, {"mode": "fixed_rank", "fixed_ranks": 2}]
+        runs = [(t, kwargs) for t in (at_gate, rand_sparse(rng, (9, 8, 7), 0.05)) for kwargs in modes]
         with monkeypatch.context() as m:
             m.setattr(module, "_compact", lambda x: pytest.fail("compacted"))
             for t, kwargs in runs:
                 shapes.clear()
                 fasttt(t, **kwargs)
                 assert shapes == [t.shape]
-        shapes.clear()
-        fasttt(above)
-        assert shapes == [(3, 3)]
+        for kwargs in modes:
+            shapes.clear()
+            fasttt(above, **kwargs)
+            assert shapes == [(3, 3)]
+
+    @pytest.mark.parametrize("target", [2, 40])
+    def test_fixed_rank_runs_past_the_gate_are_compacted(self, rng, monkeypatch, target):
+        # The mode picks only the step rule: the train is built on the
+        # compacted tensor, so the rank rule sees the compacted
+        # unfoldings and no bond holds only zero singular values.
+        a = unused_index_tensor(rng)
+        unused = [np.setdiff1d(np.arange(n), a.coords[:, k]) for k, n in enumerate(a.shape)]
+        shapes = self.built_shapes(monkeypatch)
+        ranks = set()
+        for pivot in range(a.ndim):
+            shapes.clear()
+            tt, rep = fasttt(a, pivot=pivot, mode="fixed_rank", fixed_ranks=target)
+            assert shapes == [(20, 10, 1, 60)]
+            assert tt.dims == rep.shape == a.shape
+            for k, u in enumerate(unused):
+                assert not tt.cores[k][:, u].any(), (pivot, k)
+            exact = build_structured_tt(a, pivot)
+            whole = fixed_rank_rounding(exact, target)
+            assert all(map(int.__le__, tt.ranks, whole.ranks)), (pivot, tt.ranks, whole.ranks)
+            assert abs(rep.eps_actual - tt_relative_error(exact, whole)) <= 1e-12
+            assert rep.eps_actual_method == "tt_difference"
+            assert rep.num_fibers == exact.num_fibers
+            assert rep.ranks_lossless == exact.ranks[1:-1]
+            assert rep.flops_fasttt_model == flops_fasttt(a.shape, pivot, exact.ranks, tt.ranks)
+            assert rep.flops_ttsvd_model == flops_ttsvd(a.shape, tt.ranks)
+            ranks.add(tt.ranks)
+        assert len(ranks) == 1, ranks
 
     def test_every_index_occurring_is_not_compacted(self, rng):
         # Past the gate with every index in use, row 1099 in the last of
@@ -1111,6 +1139,11 @@ class TestErrorMeasures:
         dense = parallel_vector_round(exact)
         with pytest.raises(TypeError, match="tt_relative_error expects an IndexTrain"):
             tt_relative_error(dense, dense)
+
+    def test_measure_refuses_mismatched_extents(self, rng):
+        exact = build_structured_tt(rand_sparse(rng, (4, 5, 4), 0.3), 1)
+        with pytest.raises(ValueError, match="trains must share mode extents"):
+            tt_relative_error(exact, rand_tt(rng, (4, 5, 3), (2, 2)))
 
     def test_exact_train_checked_by_its_index_maps(self):
         # The exact train is checked where it is made: a map whose kept

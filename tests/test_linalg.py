@@ -240,6 +240,19 @@ def assert_same_result(a, b):
     assert a.trunc_error == b.trunc_error
 
 
+def failing_cholesky(monkeypatch, call: int) -> list:
+    """Make the ``call``-th ``_upper_cholesky`` (1-based) report failure;
+    returns the list of calls made, True where the factor was returned."""
+    calls, cholesky = [], linalg._upper_cholesky
+
+    def failing(g):
+        calls.append(len(calls) + 1 != call)
+        return cholesky(g) if calls[-1] else None
+
+    monkeypatch.setattr(linalg, "_upper_cholesky", failing)
+    return calls
+
+
 class TestTallSkinnyPath:
     """Matrices with rows >= 32 * cols and at least 2**18 entries take
     CholeskyQR2 and a small SVD unless a guard sends them to LAPACK."""
@@ -313,6 +326,18 @@ class TestTallSkinnyPath:
         res = svd_truncate_delta(m, 1e-5)
         assert m.shape in lapack_shapes
         assert_same_result(res, gesdd_result(m, res.rank))
+
+    def test_failed_second_cholesky_gives_the_lapack_result(self, rng, lapack_shapes, monkeypatch):
+        # The first pass and every guard succeed; Q1's Gram then fails its
+        # Cholesky, and the step is handed on to LAPACK.
+        m = conditioned(rng, 20000, 40, 1e3)
+        calls = failing_cholesky(monkeypatch, 2)
+        res = svd_truncate_rank(m, 40)
+        assert calls == [True, False]
+        assert lapack_shapes == [m.shape]
+        s0 = np.linalg.svd(m, compute_uv=False)
+        assert np.abs(res.s - s0).max() <= 1e-12 * s0[0]
+        assert_same_result(res, gesdd_result(m, 40))
 
     @pytest.mark.parametrize("shape", [(20000, 626), (20000, 12), (8000, 32)])
     def test_shape_rule(self, rng, lapack_shapes, shape):
@@ -590,6 +615,23 @@ class TestGramPath:
         lapack_shapes.clear()
         res = svd_truncate_delta(m, delta)
         assert lapack_shapes == [(16, shape[1]), shape]
+        assert_same_result(res, gesdd_result(m, res.rank))
+
+    def test_failed_cholesky_of_a_tall_step_is_the_full_svd(self, rng, lapack_shapes, monkeypatch):
+        # A tall M's kept columns M V_r are made orthonormal by one
+        # Cholesky; when it fails, the step is handed on to LAPACK.
+        m = geometric(rng, (1200, 300))
+        s0 = np.linalg.svd(m, compute_uv=False)
+        tails = np.sqrt(np.cumsum((s0**2)[::-1])[::-1])
+        delta = float(np.sqrt(tails[80] * tails[79]))
+        calls = failing_cholesky(monkeypatch, 1)
+        lapack_shapes.clear()
+        res = svd_truncate_delta(m, delta)
+        assert calls == [False]
+        assert lapack_shapes == [(16, 300), m.shape]
+        assert res.rank == oracle_rank(s0, delta)
+        assert np.abs(res.s - s0[: res.rank]).max() <= 1e-12 * s0[0]
+        assert res.trunc_error <= delta
         assert_same_result(res, gesdd_result(m, res.rank))
 
     @pytest.mark.parametrize("shape", SHAPES, ids=["tall", "wide"])
