@@ -115,13 +115,19 @@ _ERROR_MEASURE_CAP = 20_000_000
 _RESOLUTION = {"tt_difference": 1e-12, "inner_identity": 1e-6, "dense": 1e-12}
 
 # Exact trains up to this many parameters are rounded and measured on one
-# BLAS thread.  perfbench on a 2-vCPU VM (15 s runs, seeds 1-3): without
-# the scope `small` read cpu_s p50 4.3-5.5 ms against 1.7-2.0 ms; one
-# thread for every train raised decompose_s p50 on fdm30 from 0.78-0.84 s
-# to 0.96-1.06 s and on pixels from 0.79-0.85 s to 0.96-1.03 s.  Inputs
-# up to this many dense entries are not compacted: compacting every input
-# raised `small`'s in-process p50 from 0.475 to 0.505 ms and changed 514
-# of its 3,000 eps-mode trains in their last bits.
+# BLAS thread.  perfbench on a 2-vCPU VM (seed 1, three alternating pairs
+# of 15 s runs against each variant): without the scope `small` used
+# 2.8-3.5 ms of mean CPU per case against 1.3-1.6 ms.  fdm30's compacted
+# train, 696,960 parameters, rounds inside it; on two threads its cpu_s
+# p50 rose from 0.37-0.38 to 0.41-0.50 s and its peak RSS from 165 to
+# 188-189 MB, while decompose_s p50 read 0.21-0.25 s against
+# 0.24-0.28 s.  One thread for every train raised pixels' decompose_s p50
+# from 0.36-0.40 to 0.47-0.53 s; qtt's read 0.36-0.42 s against
+# 0.35-0.38 s, with cpu_s p50 at 0.48-0.54 s against 0.68-0.72 s.
+# Inputs up to this many dense entries are not compacted: compacting
+# every input raised `small`'s in-process p50 from 1.07-1.39 to
+# 1.50-1.85 ms and changed 643 of its 3,000 eps-mode trains in their
+# last bits.
 _ONE_THREAD_PARAMS = 1 << 20
 
 
@@ -175,17 +181,13 @@ class QuasiPermMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("QuasiPermMatrix is immutable")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.n_rows, self.n_cols))
         m[self.col_to_row, np.arange(self.n_cols)] = 1.0
         return m
 
     def __repr__(self) -> str:
-        return f"QuasiPermMatrix(shape={self.shape})"
+        return f"QuasiPermMatrix(shape={(self.n_rows, self.n_cols)})"
 
 
 class IndexTrain:
@@ -327,9 +329,13 @@ def depar_quasi_perm(q: QuasiPermMatrix):
     """
     if not isinstance(q, QuasiPermMatrix):
         raise TypeError("depar_quasi_perm expects a QuasiPermMatrix")
+    # Two row tables, one scan each: np.unique(col_to_row,
+    # return_inverse=True) gives the same maps by sorting, 32-46 ms
+    # against 4-8 ms over the 14 maps of the benchmark's qtt input
+    # (114,688 columns each; 2-vCPU VM, min of 7, four runs).
     present = np.zeros(q.n_rows, dtype=bool)
     present[q.col_to_row] = True
-    kept = np.flatnonzero(present).astype(np.int64)
+    kept = np.flatnonzero(present)
     inv = np.zeros(q.n_rows, dtype=np.int64)
     inv[kept] = np.arange(kept.size, dtype=np.int64)
     t_map = inv[q.col_to_row]
@@ -400,8 +406,8 @@ def build_structured_tt(a: SparseTensor, pivot: int) -> IndexTrain:
         )
         s_map, r_next = t_fac.col_to_row, t_fac.n_rows
     pivot_core = np.zeros((r_prev, dims[pivot], r_next))
-    per_entry = np.repeat(np.arange(r_total), np.diff(starts, append=a.nnz))
-    pivot_core[t_map[per_entry], pivot_index, s_map[per_entry]] = values
+    counts = np.diff(starts, append=a.nnz)
+    pivot_core[np.repeat(t_map, counts), pivot_index, np.repeat(s_map, counts)] = values
     cores[pivot] = pivot_core
     return IndexTrain(dims, pivot, cores, r_total)
 
@@ -791,13 +797,11 @@ def _compact(a: SparseTensor):
         present[(rows + offsets).ravel()] = True
         if present.all():
             return a, None
-    occurring, coords = [None] * a.ndim, None
+    occurring, coords = [None] * a.ndim, a.coords.copy()
     for k, (start, n) in enumerate(zip(offsets, a.shape)):
         used = present[start : start + n]
         if used.all():
             continue
-        if coords is None:
-            coords = a.coords.copy()
         coords[:, k] = (np.cumsum(used) - 1)[coords[:, k]]
         occurring[k] = np.flatnonzero(used)
     shape = [n if idx is None else idx.size for n, idx in zip(a.shape, occurring)]

@@ -193,6 +193,10 @@ def _full_svd(a: np.ndarray):
     # against 298 ms at 2800x639, though tiny matrices lose to its fixed
     # cost (44 against 9 us at 64x2).  They stay because lowering them
     # moves benchmark steps onto this path with no measurement of that.
+    # Above them sit the benchmark's fdm30 steps, 4380x88 and 7744x88 once
+    # compacted: on one BLAS thread (min of 7, three runs) the kernel takes
+    # 6.8-10.1 and 10.7-15.6 ms against 21.6-26.0 and 45.5-54.2 ms for
+    # gesdd.
     rows, cols = a.shape
     if rows >= 32 * cols and rows * cols >= 2**18:
         usv = _cholesky_qr2_svd(a)
@@ -202,14 +206,16 @@ def _full_svd(a: np.ndarray):
 
 
 # Where the sketch and the Gram route run, and the sketch's width.
-# Measured on a 2-vCPU VM (min of 5): the 1008x1264 pivot step of the
-# QTT 32^3 Laplacian (numerical rank 4, delta 2.2e-8) took 10 ms
-# against 450 ms for gesdd, with a residual of 1.4e-12.  The
-# image-shaped steps of the benchmark's ``pixels`` workload keep over
-# 90% of their rank; at 300x957 the sketch's residual is above delta
-# and it hands over to the Gram route, 4 ms before 20 ms (gesdd:
-# 66 ms).  At 2800x639 (Gram 219 ms, gesdd 319 ms) the norm bound
-# refuses the sketch before it is drawn and saves its 11 ms.  No
+# Measured on a 2-vCPU VM with OpenBLAS on 2 threads (min of 5 to 7,
+# ranges over two to five runs): the 1008x1264 pivot step of the QTT
+# 32^3 Laplacian (numerical rank 4, delta 2.2e-8) takes 8.3-10.5 ms
+# against 380-451 ms for gesdd, with a residual of 1.4e-12; the norm
+# bound that lets it through costs 1.9-2.4 ms.  The image-shaped steps
+# of the benchmark's ``pixels`` workload keep over 90% of their rank; at
+# 300x957 the sketch's residual is above delta and it hands over to the
+# Gram route, 3.3-4.4 ms before 15-17 ms (gesdd: 63-68 ms).  At 2800x639
+# (Gram 199-206 ms, gesdd 310-318 ms) the norm bound refuses the sketch
+# in 2.6-3.2 ms, before the 14-17 ms it would take is spent.  No
 # benchmark step certified at a wider sketch, so none is tried.
 _SKETCH_MIN_DIM = 256
 _SKETCH_WIDTH = 16

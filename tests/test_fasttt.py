@@ -659,9 +659,13 @@ class TestFastTTDriver:
         try:
             t = rand_sparse(rng, (5, 6, 4), 0.2)
             fasttt(t)
+            # Past the compaction gate the scope reads the compacted
+            # train: 1,152,000 dense entries round on one thread, as
+            # fdm30's do.
+            fasttt(unused_index_tensor(rng))
             monkeypatch.setattr(module, "_ONE_THREAD_PARAMS", 0)
             fasttt(t)
-            assert seen == [1, 2]
+            assert seen == [1, 1, 2]
             assert get() == 2
         finally:
             set_(before)

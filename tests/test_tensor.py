@@ -81,6 +81,10 @@ class TestSparseTensor:
         assert t.size == 120
         assert t.nnz == 24
 
+    def test_repr(self):
+        t = SparseTensor((2, 3, 4), [[0, 1, 2], [1, 2, 3]], [1.0, -2.0])
+        assert repr(t) == "SparseTensor(shape=(2, 3, 4), nnz=2)"
+
     def test_canonical_order(self):
         coords = np.array([[1, 1], [0, 0], [0, 1]])
         vals = np.array([3.0, 1.0, 2.0])

@@ -41,6 +41,9 @@ class TestTTTensor:
         assert t.ranks == (1, 2, 3, 1)
         assert t.num_params == 1 * 3 * 2 + 2 * 4 * 3 + 3 * 5 * 1
 
+    def test_repr(self, rng):
+        assert repr(rand_tt(rng, (3, 4, 5), (2, 3))) == "TTTensor(dims=(3, 4, 5), ranks=(1, 2, 3, 1))"
+
     def test_bond_mismatch_rejected(self, rng):
         cores = [rng.standard_normal((1, 3, 2)), rng.standard_normal((3, 4, 1))]
         with pytest.raises(ValueError):
@@ -279,6 +282,9 @@ class TestQuasiPerm:
         assert d.shape == (4, 3)
         assert d.sum() == 3.0
         assert d[2, 0] == d[0, 1] == d[2, 2] == 1.0
+
+    def test_repr(self):
+        assert repr(QuasiPermMatrix(4, 3, [2, 0, 2])) == "QuasiPermMatrix(shape=(4, 3))"
 
     def test_immutable(self):
         col_to_row = np.array([2, 0, 2])
